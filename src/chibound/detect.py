@@ -6,6 +6,7 @@ ascending vertex id throughout so certificates are reproducible.
 """
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from .certificates import (BicliqueWitness, EliminationOrder, InducedCycle,
@@ -310,19 +311,37 @@ def max_independent_set(g: Graph, budget: Optional[int] = None) -> IndependentSe
 
 
 def degeneracy(g: Graph) -> tuple[int, EliminationOrder]:
-    """Exact degeneracy by iterative minimum-degree removal (ties by id)."""
-    remaining = set(range(g.n))
-    degs = {v: g.degree(v) for v in remaining}
+    """Exact degeneracy by iterative minimum-degree removal (ties by id).
+
+    Matula-Beck smallest-last ordering (JACM 1983) over a bucket queue:
+    buckets[d] is a min-heap of the ids whose current degree is d, so the
+    removed vertex is always the one of least (degree, id).  Entries are
+    deleted lazily and are stale once their vertex is gone or its degree
+    dropped.  A removal lowers a degree by at most one, so the scan for the
+    lowest non-empty bucket restarts one below the last one.
+    """
+    deg = [g.degree(v) for v in range(g.n)]
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(g.n):  # ascending ids, so each bucket is already a heap
+        buckets[deg[v]].append(v)
+    removed = [False] * g.n
     order: list[int] = []
-    d = 0
-    while remaining:
-        v = min(remaining, key=lambda u: (degs[u], u))
-        d = max(d, degs[v])
+    d = lo = 0
+    for _ in range(g.n):
+        while True:
+            while not buckets[lo]:
+                lo += 1
+            v = heapq.heappop(buckets[lo])
+            if not removed[v] and deg[v] == lo:
+                break
+        d = max(d, lo)
         order.append(v)
-        remaining.discard(v)
+        removed[v] = True
         for w in g.adj(v):
-            if w in remaining:
-                degs[w] -= 1
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(buckets[deg[w]], w)
+        lo = max(lo - 1, 0)
     return d, EliminationOrder(tuple(order), d)
 
 

@@ -141,14 +141,14 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
     if k == 1:
         # no K_{1,ell} means max degree < ell; otherwise the star lifts
         # through the ancestor roots into a full biclique
-        v = min(vertices, key=lambda u: (g.degree_in(u, vertices - {u}), u))
-        deg = g.degree_in(v, vertices - {v})
+        v = min(vertices, key=lambda u: (g.degree_in(u, vertices), u))
+        deg = g.degree_in(v, vertices)
         if deg <= ell - 1:
             if trace is not None:
                 trace.append({"k": 1, "outcome": "low-degree", "vertex": v})
             return SStarOutcome(LowDegreeVertex(v, deg, degree_bound(1, d, ell)), 1, trace)
         left = tuple(sorted({v} | set(roots_above)))
-        right = tuple(sorted(g.neighbors_in(v, vertices - {v}))[:ell])
+        right = tuple(sorted(g.neighbors_in(v, vertices))[:ell])
         assert len(left) == ell
         witness = BicliqueWitness(left, right)
         assert verify_certificate(g, witness)
@@ -156,7 +156,7 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
             trace.append({"k": 1, "outcome": "biclique"})
         return SStarOutcome(witness, 1, trace)
 
-    r = max(vertices, key=lambda u: (g.degree_in(u, vertices - {u}), -u))
+    r = max(vertices, key=lambda u: (g.degree_in(u, vertices), -u))
     a_set = g.neighbors_in(r, vertices)
     b_set = vertices - a_set - {r}
 
@@ -177,7 +177,7 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
     remainder = a_set - u_set
     if not remainder:
         # every neighbor of r is in U, so deg(r) < the U threshold <= bound
-        deg = g.degree_in(r, vertices - {r})
+        deg = g.degree_in(r, vertices)
         assert deg <= degree_bound(k, d, ell)
         return SStarOutcome(LowDegreeVertex(r, deg, degree_bound(k, d, ell)), k, trace)
 
@@ -187,7 +187,7 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
         return SStarOutcome(cert, sub.level, trace)
     # lift the low-degree vertex: its extra neighbors sit in {r} | U | B(v)
     v = cert.vertex
-    deg_here = g.degree_in(v, vertices - {v})
+    deg_here = g.degree_in(v, vertices)
     bound = degree_bound(k, d, ell)
     if deg_here > bound:
         raise InternalInconsistency(
@@ -246,6 +246,35 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
     return SStarOutcome(witness, k, trace)
 
 
+def _sstar_on(g: Graph, vertices: frozenset[int], d: int, ell: int,
+              trace: Optional[list[dict]]) -> SStarOutcome:
+    """sstar_low_degree on the subgraph induced by `vertices`, in the ids of g.
+
+    A low-degree certificate gives the degree inside `vertices`; the result
+    is checked unconditionally, so `python -O` cannot skip the check.
+    """
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if ell < 2:
+        raise ValueError("ell must be at least 2")
+    if not vertices:
+        raise ValueError("graph has no vertices")
+    outcome = _sstar_recurse(g, vertices, ell, d, ell, [], trace)
+    cert = outcome.certificate
+    if isinstance(cert, LowDegreeVertex):
+        v = min(vertices, key=lambda u: (g.degree_in(u, vertices), u))
+        deg = g.degree_in(v, vertices)
+        if deg < cert.degree:
+            cert = LowDegreeVertex(v, deg, cert.bound)
+            outcome = SStarOutcome(cert, outcome.level, outcome.trace)
+        verified = cert.degree == g.degree_in(cert.vertex, vertices) <= cert.bound
+    else:
+        verified = verify_certificate(g, cert)
+    if not verified:
+        raise InternalInconsistency(f"certificate {cert} does not verify")
+    return outcome
+
+
 def sstar_low_degree(g: Graph, d: int, ell: int,
                      with_trace: bool = False) -> SStarOutcome:
     """A vertex of degree at most the closed-form bound, or an induced
@@ -255,22 +284,7 @@ def sstar_low_degree(g: Graph, d: int, ell: int,
     vertex is reported instead (its degree can only be smaller, so the
     certified bound still holds).
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-    trace: Optional[list[dict]] = [] if with_trace else None
-    outcome = _sstar_recurse(g, frozenset(range(g.n)), ell, d, ell, [], trace)
-    cert = outcome.certificate
-    if isinstance(cert, LowDegreeVertex):
-        v = min(range(g.n), key=lambda u: (g.degree(u), u))
-        if g.degree(v) < cert.degree:
-            outcome = SStarOutcome(LowDegreeVertex(v, g.degree(v), cert.bound),
-                                   outcome.level, outcome.trace)
-    assert verify_certificate(g, outcome.certificate)
-    return outcome
+    return _sstar_on(g, frozenset(range(g.n)), d, ell, [] if with_trace else None)
 
 
 def sstar_elimination_order(g: Graph, d: int, ell: int
@@ -278,29 +292,22 @@ def sstar_elimination_order(g: Graph, d: int, ell: int
                                        BicliqueWitness]:
     """Repeatedly delete the low-degree vertex; a full order certifies
     degeneracy <= the level-ell closed form, otherwise the first structural
-    witness is returned (translated back to original vertex ids)."""
-    remaining = sorted(range(g.n))
+    witness is returned.
+
+    Works on a shrinking set of the remaining vertices of g, so every
+    certificate is already in the ids of g.
+    """
+    remaining = frozenset(range(g.n))
     order: list[int] = []
     worst = 0
-    current = g
-    back = tuple(range(g.n))
-    while current.n > 0:
-        outcome = sstar_low_degree(current, d, ell)
-        cert = outcome.certificate
-        if isinstance(cert, BicliqueWitness):
-            return BicliqueWitness(tuple(back[v] for v in cert.left),
-                                   tuple(back[v] for v in cert.right))
-        if isinstance(cert, SubdividedStarWitness):
-            return SubdividedStarWitness(back[cert.center],
-                                         tuple(back[v] for v in cert.middles),
-                                         tuple(back[v] for v in cert.leaves))
-        v = cert.vertex
+    while remaining:
+        cert = _sstar_on(g, remaining, d, ell, None).certificate
+        if not isinstance(cert, LowDegreeVertex):
+            return cert
         worst = max(worst, cert.degree)
-        order.append(back[v])
-        keep = [u for u in range(current.n) if u != v]
-        current, sub_back = current.induced(keep)
-        back = tuple(back[u] for u in sub_back)
+        order.append(cert.vertex)
+        remaining = remaining - {cert.vertex}
     result = EliminationOrder(tuple(order), worst)
-    assert worst <= degree_bound(ell, d, ell)
-    assert verify_certificate(g, result)
+    if worst > degree_bound(ell, d, ell) or not verify_certificate(g, result):
+        raise InternalInconsistency(f"elimination order of bound {worst} does not verify")
     return result

@@ -122,6 +122,64 @@ def test_degeneracy_exhaustive_small(rng):
         assert degeneracy(g)[0] == oracles.brute_degeneracy(g)
 
 
+def _smallest_last_reference(g):
+    """Matula-Beck by definition: remove the vertex of least (degree, id)."""
+    remaining = set(range(g.n))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (g.degree_in(u, remaining), u))
+        order.append(v)
+        remaining.discard(v)
+    return order
+
+
+def _elimination_reference(g, order, bound):
+    """An order certifies `bound` iff it is a permutation and no vertex has
+    more than `bound` neighbors after it."""
+    if sorted(order) != list(range(g.n)):
+        return False
+    return all(len(g.adj(v) & set(order[i + 1:])) <= bound
+               for i, v in enumerate(order))
+
+
+def test_degeneracy_order_matches_smallest_last(rng):
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 30), rng.random())
+        k, cert = degeneracy(g)
+        assert list(cert.order) == _smallest_last_reference(g)
+        assert cert.bound == k
+
+
+def test_verify_elimination_rejects_tampered_orders():
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    k, cert = degeneracy(star)
+    order = cert.order
+    assert (k, order) == (1, (1, 2, 0, 3))
+    assert verify_certificate(star, cert)
+    tampered = {
+        "duplicated": (1, 1, 0, 3),
+        "missing": (1, 2, 0),
+        "out of range": (1, 2, 0, 4),
+        "swapped endpoints": (0, 2, 1, 3),
+    }
+    for what, bad in tampered.items():
+        assert not verify_certificate(star, EliminationOrder(bad, k)), what
+    assert not verify_certificate(star, EliminationOrder(order, k - 1))
+
+
+def test_verify_elimination_matches_definition(rng):
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 12), rng.random())
+        k, cert = degeneracy(g)
+        order = list(cert.order)
+        if len(order) >= 2:
+            i, j = rng.sample(range(len(order)), 2)
+            order[i], order[j] = order[j], order[i]
+        for bound in (k - 1, k, k + 1):
+            assert verify_certificate(g, EliminationOrder(tuple(order), bound)) \
+                == _elimination_reference(g, order, bound)
+
+
 def test_chromatic_and_clique():
     assert clique_number(cycle_graph(5)) == 2
     assert chromatic_number_exact(cycle_graph(5)) == 3

@@ -115,3 +115,14 @@ def test_connected_subset():
     assert p4.is_connected_subset({0, 1, 2})
     assert not p4.is_connected_subset({0, 2})
     assert not p4.is_connected_subset(set())
+
+
+def test_degree_in_ignores_the_vertex_itself(rng):
+    # no self-loops, so a vertex set may keep v when counting v's neighbors;
+    # the lemma layer relies on this to skip copying s - {v}
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 15), rng.random())
+        s = frozenset(v for v in g.vertices() if rng.random() < 0.6)
+        for v in g.vertices():
+            assert g.degree_in(v, s | {v}) == g.degree_in(v, s - {v})
+            assert g.neighbors_in(v, s | {v}) == g.neighbors_in(v, s - {v})

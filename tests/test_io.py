@@ -68,6 +68,39 @@ def test_graph6_rejects_garbage():
         from_graph6("D")  # truncated body
 
 
+def test_graph6_rejects_characters_outside_the_alphabet():
+    # surrounding whitespace is stripped, so a space is tested inside the body
+    g6 = to_graph6(cycle_graph(8))
+    for bad in (chr(62), chr(127), " ", "\u00e9"):
+        for at in (1, 3):
+            s = g6[:at] + bad + g6[at + 1:]
+            with pytest.raises(ValueError, match="invalid graph6 character"):
+                from_graph6(s)
+
+
+def test_graph6_ignores_padding_bits():
+    # n = 2 has one adjacency bit, the top bit of the only body byte
+    assert from_graph6("A@") == Graph.from_edges(2, [])
+    assert from_graph6("A`") == complete_graph(2)
+    assert from_graph6("A~") == complete_graph(2)
+    # C5: 10 bits, so the last two bits of the second byte are padding
+    s = to_graph6(cycle_graph(5))
+    assert from_graph6(s[:-1] + chr(ord(s[-1]) | 3)) == cycle_graph(5)
+
+
+def test_graph6_bulk_packing_matches_networkx(rng):
+    # several bytes per column and the four-character vertex count
+    for n in (63, 100, 150, 301):
+        for p in (0.0, 0.02, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            s = to_graph6(g)
+            assert s == nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert from_graph6(s) == g
+
+
 def test_dimacs_roundtrip(rng):
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 12), rng.random())

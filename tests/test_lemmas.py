@@ -195,3 +195,26 @@ def test_elimination_order_valid_outcome_on_dense_inputs():
         if isinstance(out, EliminationOrder):
             assert out.bound <= 10
         assert verify_certificate(g, out)
+
+
+def test_lemma_results_are_checked_without_assert(monkeypatch):
+    # the checks must raise even under `python -O`, which strips asserts
+    from chibound import lemmas
+    c5 = cycle_graph(5)
+    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda *a: lemmas.SStarOutcome(
+        LowDegreeVertex(0, 0, 0), 1))
+    with pytest.raises(lemmas.InternalInconsistency):
+        sstar_low_degree(c5, 2, 2)
+    with pytest.raises(lemmas.InternalInconsistency):
+        sstar_elimination_order(c5, 2, 2)
+    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda *a: lemmas.SStarOutcome(
+        BicliqueWitness((0, 2), (1, 3)), 1))
+    with pytest.raises(lemmas.InternalInconsistency):
+        sstar_low_degree(c5, 2, 2)
+    with pytest.raises(lemmas.InternalInconsistency):
+        sstar_elimination_order(c5, 2, 2)
+    monkeypatch.setattr(lemmas, "degree_bound", lambda k, d, ell: -1)
+    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda g, vs, *a: lemmas.SStarOutcome(
+        LowDegreeVertex(min(vs), g.degree_in(min(vs), vs), 2), 1))
+    with pytest.raises(lemmas.InternalInconsistency):
+        sstar_elimination_order(c5, 2, 2)

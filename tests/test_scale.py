@@ -1,0 +1,41 @@
+"""Scale smoke test: the linear-time core on a sparse graph of 2*10^4 vertices.
+
+A quadratic path in degeneracy, its verification or graph6 packing would
+take minutes here (and per-bit lists about 1.6 GB), so this test guards
+against one coming back without timing anything.
+"""
+import random
+
+import networkx as nx
+
+from chibound.certificates import EliminationOrder, verify_certificate
+from chibound.detect import degeneracy
+from chibound.graph import Graph
+from chibound.io import from_graph6, to_graph6
+
+N = 20_000
+M = 60_000
+
+
+def _sparse_graph(n: int, m: int, seed: int) -> Graph:
+    # sampling endpoints costs O(m); gnp would cost O(n^2)
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
+def test_linear_core_at_scale():
+    g = _sparse_graph(N, M, 20_000)
+    k, cert = degeneracy(g)
+    h = nx.Graph()
+    h.add_nodes_from(range(N))
+    h.add_edges_from(g.edges())
+    assert k == max(nx.core_number(h).values())
+    assert cert.bound == k
+    assert verify_certificate(g, cert)
+    assert not verify_certificate(g, EliminationOrder(cert.order, k - 1))
+    assert from_graph6(to_graph6(g)) == g
