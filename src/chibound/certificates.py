@@ -12,6 +12,12 @@ from typing import Any, Union
 from .graph import Graph, is_independent, verify_induced_cycle
 
 
+class InternalInconsistency(AssertionError):
+    """A procedure produced a certificate that fails its own check; the
+    argument behind it guarantees the check, so reaching this is a bug.
+    Raised explicitly, so `python -O` does not strip the check."""
+
+
 @dataclass(frozen=True)
 class InducedCycle:
     vertices: tuple[int, ...]

@@ -3,6 +3,14 @@
 Every exponential search takes a node budget and raises BudgetExceeded when it
 runs out, which is distinct from a proven "absent".  Traversal order is
 ascending vertex id throughout so certificates are reproducible.
+
+The induced path, induced cycle and subdivided-star searches work on the
+adjacency bitmasks of Graph.masks(): a vertex set is one int, so the union,
+difference and membership test done at every search node are single
+operations.  Their candidates are peeled off lowest set bit first
+(`low = c & -c`), which is ascending id, so the search order, the nodes
+spent and the certificates are those of iterating over sorted neighbor
+sets.
 """
 from __future__ import annotations
 
@@ -86,14 +94,15 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
                          budget: Optional[int]) -> OrientedPath:
     """Longest induced path by DFS over partial induced paths.
 
-    `forbidden` holds everything adjacent to (or equal to) a non-final path
-    vertex, so every legal extension keeps the path induced.  Stops early at
-    stop_len vertices when given.
+    `forbidden` is the mask of everything adjacent to (or equal to) a
+    non-final path vertex, so every legal extension keeps the path induced.
+    Stops early at stop_len vertices when given.
     """
+    masks = g.masks()
     bud = SearchBudget(budget)
     best: tuple[int, ...] = ()
 
-    def extend(path: list[int], forbidden: set[int]) -> bool:
+    def extend(path: list[int], forbidden: int) -> bool:
         nonlocal best
         bud.spend()
         if len(path) > len(best):
@@ -101,11 +110,12 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
             if stop_len is not None and len(best) >= stop_len:
                 return True
         last = path[-1]
-        new_forbidden = forbidden | g.adj(last) | {last}
-        for w in sorted(g.adj(last)):
-            if w in forbidden:
-                continue
-            path.append(w)
+        new_forbidden = forbidden | masks[last] | 1 << last
+        candidates = masks[last] & ~forbidden
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            path.append(low.bit_length() - 1)
             if extend(path, new_forbidden):
                 return True
             path.pop()
@@ -113,7 +123,7 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
 
     try:
         for s in range(g.n):
-            if extend([s], set()):
+            if extend([s], 0):
                 break
             if stop_len is not None and len(best) >= stop_len:
                 break
@@ -144,20 +154,24 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
     smaller than the closing vertex to kill the reflection.  During
     extension, neighbors of the root are excluded (they may only appear as
     the closing vertex), which keeps everything chordless by construction.
+    `forbidden` is the mask of the vertices no extension may use.
     """
+    masks = g.masks()
     bud = SearchBudget(budget)
     best: Optional[tuple[int, ...]] = None
 
-    def extend(root: int, path: list[int], forbidden: set[int]) -> bool:
+    def extend(path: list[int], forbidden: int, root_adj: int) -> bool:
         nonlocal best
         bud.spend()
         last = path[-1]
         can_close = len(path) + 1 >= min_len
-        root_adj = g.adj(root)
-        for w in sorted(g.adj(last)):
-            if w <= root or w in forbidden:
-                continue
-            if w in root_adj:
+        new_forbidden = forbidden | masks[last]
+        candidates = masks[last] & ~forbidden
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            if root_adj & low:
                 # Candidate closing vertex (cycle has len(path)+1 vertices).
                 if can_close and len(path) >= 2 and path[1] < w:
                     cycle = tuple(path) + (w,)
@@ -167,18 +181,21 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
                             return True
                 continue
             path.append(w)
-            if extend(root, path, forbidden | g.adj(last)):
+            if extend(path, new_forbidden, root_adj):
                 return True
             path.pop()
         return False
 
     try:
         for root in range(g.n):
+            # Vertices up to the root never enter its cycles.
+            below = (2 << root) - 1
             # path starts as root, v1 with v1 > root; forbidden blocks chords.
-            for v1 in sorted(g.adj(root)):
-                if v1 <= root:
-                    continue
-                if extend(root, [root, v1], {root, v1}):
+            later = masks[root] & ~below
+            while later:
+                low = later & -later
+                later ^= low
+                if extend([root, low.bit_length() - 1], below | low, masks[root]):
                     return best
     except BudgetExceeded:
         raise BudgetExceeded(best=InducedCycle(best) if best else None)
@@ -206,37 +223,37 @@ def find_induced_subdivided_star(g: Graph, d: int,
     """An induced 1-subdivision of the star with d leaves, or None.
 
     For each center r, middle vertices are chosen from N(r) in ascending
-    order together with a leaf each; all non-star adjacencies are excluded
-    along the way, so any completed assignment is already induced.
+    order together with a leaf each.  `blocked` is the union of the closed
+    neighborhoods of the chosen middles and leaves, so a new middle or leaf
+    outside it is distinct from and non-adjacent to all of them, and any
+    completed assignment is already induced.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
+    masks = g.masks()
     bud = SearchBudget(budget)
 
-    def build(r: int, middles: list[int], leaves: list[int], start: int) -> bool:
+    def build(r: int, middles: list[int], leaves: list[int], blocked: int,
+              start: int) -> bool:
         bud.spend()
         if len(middles) == d:
             return True
-        r_closed = g.adj(r) | {r}
-        used = set(middles) | set(leaves)
-        for m in range(start, g.n):
-            if m not in g.adj(r) or m in used:
-                continue
-            # middles must be pairwise non-adjacent and avoid earlier leaves
-            if any(g.has_edge(m, x) for x in middles):
-                continue
-            if any(g.has_edge(m, x) for x in leaves):
-                continue
-            for leaf in sorted(g.adj(m)):
-                if leaf in r_closed or leaf in used or leaf == m:
-                    continue
-                if any(g.has_edge(leaf, x) for x in middles):
-                    continue
-                if any(g.has_edge(leaf, x) for x in leaves):
-                    continue
+        r_closed = masks[r] | 1 << r
+        candidates = masks[r] & (~blocked >> start << start)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            m = low.bit_length() - 1
+            m_blocked = blocked | masks[m] | low
+            leaf_candidates = masks[m] & ~r_closed & ~blocked
+            while leaf_candidates:
+                leaf_bit = leaf_candidates & -leaf_candidates
+                leaf_candidates ^= leaf_bit
+                leaf = leaf_bit.bit_length() - 1
                 middles.append(m)
                 leaves.append(leaf)
-                if build(r, middles, leaves, m + 1):
+                if build(r, middles, leaves, m_blocked | masks[leaf] | leaf_bit,
+                         m + 1):
                     return True
                 middles.pop()
                 leaves.pop()
@@ -247,7 +264,7 @@ def find_induced_subdivided_star(g: Graph, d: int,
             continue
         middles: list[int] = []
         leaves: list[int] = []
-        if build(r, middles, leaves, 0):
+        if build(r, middles, leaves, 0, 0):
             return SubdividedStarWitness(r, tuple(middles), tuple(leaves))
     return None
 

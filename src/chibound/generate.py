@@ -144,7 +144,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _canonical_key(n: int, masks: list[int]) -> tuple:
+def _canonical_key(n: int, masks: Sequence[int]) -> tuple:
     """Canonical form: degree-profile classes, then the minimum adjacency
     bitstring over class-respecting orderings."""
     degs = [masks[v].bit_count() for v in range(n)]
@@ -174,14 +174,6 @@ def _canonical_key(n: int, masks: list[int]) -> tuple:
     return (n, signature, best)
 
 
-def _graph_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges():
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def all_small(max_n: int) -> Iterator[Graph]:
     """Every graph up to isomorphism with 1..max_n vertices, by canonical
     augmentation: each level extends the previous one by a new vertex with
@@ -201,7 +193,7 @@ def all_small(max_n: int) -> Iterator[Graph]:
             for subset_mask in range(1 << g.n):
                 edges = base + [(v, g.n) for v in _bits(subset_mask)]
                 cand = Graph.from_edges(n, edges)
-                key = _canonical_key(n, _graph_masks(cand))
+                key = _canonical_key(n, cand.masks())
                 if key not in nxt:
                     nxt[key] = cand
         level = dict(sorted(nxt.items()))

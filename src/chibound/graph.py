@@ -19,7 +19,7 @@ DEFAULT_VERTEX_CAP = 10**6
 class Graph:
     """Immutable undirected simple graph with adjacency-set access."""
 
-    __slots__ = ("n", "_adj", "labels", "_m")
+    __slots__ = ("n", "_adj", "labels", "_m", "_masks")
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...],
                  labels: Optional[tuple[str, ...]] = None):
@@ -27,6 +27,7 @@ class Graph:
         self._adj = adj
         self.labels = labels
         self._m = sum(len(s) for s in adj) // 2
+        self._masks: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -58,6 +59,19 @@ class Graph:
 
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
+
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency bitmasks: bit w of masks()[v] is set iff vw is an edge.
+
+        A vertex set is then one int, and a union, an intersection or a
+        membership test is one operation.  Set bits are visited from the
+        lowest up (`low = s & -s`), which is ascending id, the same order as
+        sorted(adj(v)).  Built on the first call and cached, which is safe
+        because the graph is immutable; from_edges does not build them.
+        """
+        if self._masks is None:
+            self._masks = tuple(sum(1 << w for w in s) for s in self._adj)
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -210,10 +224,6 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
         if g._adj[v] & sset:
             return False
     return True
-
-
-def are_vertex_disjoint(p: OrientedPath, q: OrientedPath) -> bool:
-    return not (p.vertex_set() & q.vertex_set())
 
 
 def are_anticomplete(g: Graph, p: OrientedPath, q: OrientedPath) -> bool:

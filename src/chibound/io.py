@@ -44,19 +44,21 @@ def _decode_n(s: str) -> tuple[int, int]:
     if not s:
         raise ValueError("empty graph6 string")
     if s[0] != "~":
-        return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise ValueError("truncated graph6 vertex count")
-        vals = [ord(c) - 63 for c in s[1:4]]
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
-    if len(s) < 8:
+        start, width = 0, 1
+    elif len(s) >= 2 and s[1] != "~":
+        start, width = 1, 3
+    else:
+        start, width = 2, 6
+    digits = s[start:start + width]
+    if len(digits) < width:
         raise ValueError("truncated graph6 vertex count")
-    vals = [ord(c) - 63 for c in s[2:8]]
+    bad = _G6_INVALID.search(digits)
+    if bad:
+        raise ValueError(f"invalid graph6 character {bad.group()!r}")
     n = 0
-    for v in vals:
-        n = (n << 6) | v
-    return n, 8
+    for c in digits:
+        n = (n << 6) | (ord(c) - 63)
+    return n, start + width
 
 
 def to_graph6(g: Graph) -> str:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .certificates import (BicliqueWitness, EliminationOrder, LowDegreeVertex,
+from .certificates import (BicliqueWitness, EliminationOrder,
+                           InternalInconsistency, LowDegreeVertex,
                            SubdividedStarWitness, verify_certificate)
 from .graph import Graph, VertexSet
 
@@ -127,10 +128,6 @@ class SStarOutcome:
     certificate: Union[LowDegreeVertex, SubdividedStarWitness, BicliqueWitness]
     level: int
     trace: Optional[list[dict]] = None
-
-
-class InternalInconsistency(AssertionError):
-    """The induction guarantees totality; reaching this is a bug."""
 
 
 def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,

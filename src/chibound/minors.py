@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .certificates import InducedCycle, verify_certificate
+from .certificates import InducedCycle, InternalInconsistency, verify_certificate
 from .detect import BudgetExceeded, SearchBudget, max_clique
 from .graph import Graph, VertexSet
 
@@ -129,16 +129,6 @@ def _series_parallel_reducible(g: Graph) -> bool:
     return not alive
 
 
-def _quotient_nonadjacent(g: Graph, nodes: dict[int, set[int]]) -> set[frozenset[int]]:
-    ids = sorted(nodes)
-    out = set()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if not sets_adjacent(g, frozenset(nodes[a]), frozenset(nodes[b])):
-                out.add(frozenset((a, b)))
-    return out
-
-
 def _greedy_contraction(g: Graph, p: int,
                         rng: Optional[random.Random]) -> Optional[CliqueMinor]:
     """Contract the edge with the leanest merged neighborhood until p
@@ -179,20 +169,52 @@ def _greedy_contraction(g: Graph, p: int,
     return CliqueMinor.from_sets([nodes[a] for a in ids])
 
 
+def _bits(s: int) -> list[int]:
+    out = []
+    while s:
+        low = s & -s
+        out.append(low.bit_length() - 1)
+        s ^= low
+    return out
+
+
+def _mask_connected(masks: Sequence[int], s: int) -> bool:
+    """True iff the vertex mask s is non-empty and induces a connected
+    subgraph: a BFS from its lowest vertex, one frontier layer at a time."""
+    seen = frontier = s & -s
+    while frontier:
+        layer = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            layer |= masks[low.bit_length() - 1]
+        frontier = layer & s & ~seen
+        seen |= frontier
+    return s != 0 and seen == s
+
+
 def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMinor]:
     """Complete enumeration: assign each vertex (in order) to a part or skip;
-    parts open in vertex order, structure checked at the leaves."""
-    parts: list[set[int]] = [set() for _ in range(p)]
+    parts open in vertex order, structure checked at the leaves.
+
+    Parts are vertex masks.  Two parts are adjacent iff the union of one's
+    neighborhoods meets the other; that check fails at most leaves, so it
+    runs before the connectivity BFS.
+    """
+    masks = g.masks()
+    parts = [0] * p
 
     def ok() -> bool:
-        for s in parts:
-            if not g.is_connected_subset(s):
-                return False
-        for i in range(p):
-            for j in range(i + 1, p):
-                if not sets_adjacent(g, frozenset(parts[i]), frozenset(parts[j])):
+        for i, s in enumerate(parts):
+            around = 0
+            while s:
+                low = s & -s
+                s ^= low
+                around |= masks[low.bit_length() - 1]
+            for j in range(i):
+                if not around & parts[j]:
                     return False
-        return True
+        return all(_mask_connected(masks, s) for s in parts)
 
     def rec(i: int, opened: int) -> bool:
         bud.spend()
@@ -200,15 +222,16 @@ def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMi
             return False
         if i == g.n:
             return opened == p and ok()
+        bit = 1 << i
         for j in range(min(opened + 1, p)):
-            parts[j].add(i)
-            if rec(i + 1, max(opened, j + 1)):
+            parts[j] |= bit
+            if rec(i + 1, opened + (j == opened)):  # j == opened opens a part
                 return True
-            parts[j].remove(i)
+            parts[j] ^= bit
         return rec(i + 1, opened)
 
     if rec(0, 0):
-        return CliqueMinor.from_sets([set(s) for s in parts])
+        return CliqueMinor.from_sets([_bits(s) for s in parts])
     return None
 
 
@@ -217,10 +240,12 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
                       ) -> Optional[CliqueMinor]:
     """A clique minor of size p, or None when absence is proven.
 
-    Exact for p <= 4 (cycle detection, series-parallel reduction) and, on
-    small graphs, by exhaustive assignment search.  Otherwise greedy edge
-    contraction with randomized restarts; when those fail and the exact
-    fallback is infeasible, raises BudgetExceeded (inconclusive, not absent).
+    Exact for p <= 3 (cycle detection), for every p >= 4 on K4-minor-free
+    graphs (series-parallel reduction) and, on small graphs, by exhaustive
+    assignment search.  Otherwise greedy edge contraction with randomized
+    restarts; when those fail and the exact fallback is infeasible, raises
+    BudgetExceeded (inconclusive, not absent).  A minor found is validated
+    before it is returned, and one that fails raises InternalInconsistency.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -236,7 +261,8 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
         if cycle is None:
             return None
         return CliqueMinor(tuple(_split_cycle(cycle, 3)))
-    if p == 4 and _series_parallel_reducible(g):
+    if p >= 4 and _series_parallel_reducible(g):
+        # no K4 minor, hence no K_p minor for any p >= 4
         return None
 
     clique = max_clique(g, budget)
@@ -249,15 +275,12 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
         if found is not None:
             break
         found = _greedy_contraction(g, p, rng)
+    if found is None:
+        found = _assignment_search(g, p, SearchBudget(budget))
     if found is not None:
-        assert validate_minor(g, found)
+        if not validate_minor(g, found):
+            raise InternalInconsistency(f"clique minor {found.to_json()} does not validate")
         return found
-
-    bud = SearchBudget(budget)
-    result = _assignment_search(g, p, bud)
-    if result is not None:
-        assert validate_minor(g, result)
-        return result
     if p == 4:
         # reduction said a K4 minor exists; the search cannot conclude absence
         raise BudgetExceeded("K4 minor exists but no witness found in budget")

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    InducedCycle, verify_certificate)
@@ -11,7 +14,8 @@ from chibound.detect import (BudgetExceeded, chromatic_number_exact,
                              longest_induced_cycle, longest_induced_path,
                              max_independent_set, max_independent_subset)
 from chibound.graph import (Graph, complete_bipartite, complete_graph,
-                            cycle_graph, empty_graph, path_graph)
+                            cycle_graph, empty_graph, path_graph,
+                            verify_induced_path)
 from conftest import random_graph
 import oracles
 
@@ -261,3 +265,58 @@ def test_verify_certificate_rows():
     assert order.bound == 2
     assert verify_certificate(c5, order)
     assert not verify_certificate(c5, EliminationOrder(order.order, 1))
+
+
+def _labelled_graphs(max_n: int):
+    """Every labelled graph on 0..max_n vertices."""
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [e for k, e in enumerate(pairs)
+                                       if chosen >> k & 1])
+
+
+@st.composite
+def _graphs(draw, max_n: int = 10):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+def _check_searches_against_oracles(g: Graph) -> None:
+    path_len = oracles.brute_longest_induced_path(g)
+    path = longest_induced_path(g)
+    assert len(path) == path_len and verify_induced_path(g, path)
+    for t in range(1, g.n + 2):
+        found = has_induced_path(g, t)
+        assert (found is not None) == (path_len >= t)
+        if found is not None:
+            assert len(found) >= t and verify_induced_path(g, found)
+    cycle_len = oracles.brute_longest_induced_cycle(g)
+    cycle = longest_induced_cycle(g)
+    assert (len(cycle.vertices) if cycle else 0) == cycle_len
+    assert cycle is None or verify_certificate(g, cycle)
+    for t in range(3, g.n + 2):
+        found = find_long_induced_cycle(g, t)
+        assert (found is not None) == (cycle_len >= t)
+        if found is not None:
+            assert len(found.vertices) >= t and verify_certificate(g, found)
+    for d in (2, 3):
+        star = find_induced_subdivided_star(g, d)
+        assert (star is not None) == oracles.brute_has_subdivided_star(g, d)
+        if star is not None:
+            assert len(star.middles) == d and verify_certificate(g, star)
+
+
+def test_searches_match_oracles_on_every_labelled_graph_up_to_5():
+    graphs = list(_labelled_graphs(5))
+    assert len(graphs) == 1100
+    for g in graphs:
+        _check_searches_against_oracles(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_searches_match_oracles_on_random_graphs(g):
+    _check_searches_against_oracles(g)

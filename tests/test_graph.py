@@ -126,3 +126,15 @@ def test_degree_in_ignores_the_vertex_itself(rng):
         for v in g.vertices():
             assert g.degree_in(v, s | {v}) == g.degree_in(v, s - {v})
             assert g.neighbors_in(v, s | {v}) == g.neighbors_in(v, s - {v})
+
+
+def test_masks_agree_with_adjacency(rng):
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(0, 40), rng.random())
+        masks = g.masks()
+        assert len(masks) == g.n
+        for v in range(g.n):
+            assert {w for w in range(g.n) if masks[v] >> w & 1} == g.adj(v)
+        assert g.masks() is masks  # built once
+        h = Graph.from_edges(g.n, list(g.edges()))
+        assert h == g and hash(h) == hash(g)  # the cache plays no part

@@ -118,3 +118,18 @@ def test_dimacs_format():
         from_dimacs("p edge 3 2\ne 1 3\n")
     with pytest.raises(ValueError):
         from_dimacs("e 1 2\n")
+
+
+def test_graph6_rejects_characters_outside_the_alphabet_in_the_header():
+    long_form = to_graph6(path_graph(70))
+    assert long_form.startswith("~")
+    cases = [
+        "!",             # used to report a body-length error
+        "!" + "?" * 78,  # used to reach Graph.from_edges with n = -30
+        chr(127) + "?",
+        "~" + long_form[1] + "!" + long_form[3:],
+        "~~??!???" + "?",
+    ]
+    for s in cases:
+        with pytest.raises(ValueError, match="invalid graph6 character"):
+            from_graph6(s)

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
-from chibound.certificates import InducedCycle, verify_certificate
-from chibound.detect import BudgetExceeded
+from chibound import minors
+from chibound.certificates import (InducedCycle, InternalInconsistency,
+                                   verify_certificate)
+from chibound.detect import BudgetExceeded, SearchBudget
+from chibound.generate import all_small, planted_cycle, random_tree
 from chibound.graph import Graph, complete_graph, cycle_graph, path_graph
 from chibound.minors import (CliqueMinor, check_branch_diameter,
                              find_clique_minor, find_high_adjacency_sets,
@@ -74,6 +77,46 @@ def test_find_minor_petersen():
     assert m is not None
     assert validate_minor(petersen(), m)
     assert len(m) == 5
+
+
+def test_find_minor_absent_without_k4_minor():
+    # a K4-minor-free graph has no K_p minor for any p >= 4, so absence is
+    # proven at once instead of by an exhaustive search that runs out
+    rng = random.Random(5)
+    for g in (random_tree(30, rng), planted_cycle(30, 10, rng)):
+        for p in (4, 5, 6):
+            assert find_clique_minor(g, p, budget=1000) is None
+
+
+def test_assignment_search_matches_exact_routes():
+    # p = 3: a K3 minor exists iff there is a cycle; p = 4: iff the
+    # series-parallel reduction gets stuck
+    for g in all_small(6):
+        for p, exists in ((3, minors._find_cycle(g) is not None),
+                          (4, not minors._series_parallel_reducible(g))):
+            found = minors._assignment_search(g, p, SearchBudget())
+            assert (found is not None) == exists
+            if found is not None:
+                assert len(found) == p and validate_minor(g, found)
+
+
+def test_find_minor_checks_its_answer_without_assert(monkeypatch):
+    # the check must raise even under `python -O`, which strips asserts
+    g = petersen()
+    bogus = CliqueMinor.from_sets([{0}, {2}, {4}, {6}, {8}])
+    assert not validate_minor(g, bogus)
+    monkeypatch.setattr(minors, "_greedy_contraction", lambda *a: bogus)
+    with pytest.raises(InternalInconsistency):
+        find_clique_minor(g, 5)
+    monkeypatch.setattr(minors, "_greedy_contraction", lambda *a: None)
+    monkeypatch.setattr(minors, "_assignment_search", lambda *a: bogus)
+    with pytest.raises(InternalInconsistency):
+        find_clique_minor(g, 5)
+
+
+def test_internal_inconsistency_is_reexported_by_lemmas():
+    from chibound import lemmas
+    assert lemmas.InternalInconsistency is InternalInconsistency
 
 
 def test_find_minor_k4_route():
