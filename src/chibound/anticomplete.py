@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .certificates import (BicliqueWitness, Certificate, InducedCycle,
-                           verify_certificate)
+from .certificates import Certificate, InducedCycle, verify_certificate
 from .detect import BudgetExceeded, max_independent_subset
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
-                    are_anticomplete, is_independent,
+                    are_anticomplete, first_bad_pair, is_independent,
                     is_partially_anticomplete, verify_induced_path)
-from .minors import (CliqueMinor, find_clique_minor, full_vertex_minor,
-                     full_vertices, validate_minor)
+from .minors import (CliqueMinor, eccentric_pair, find_clique_minor,
+                     full_vertex_minor, full_vertices, validate_minor)
 from .vc import CounterWitness, cor_traces3_split, cor_traces_check
 
 
@@ -115,11 +114,10 @@ def count_bad_triples(matrix: InterferenceMatrix, chosen: Sequence[int]) -> int:
 
 
 def select_noninterfering(matrix: InterferenceMatrix, s: int, seed: int = 0,
-                          retries: int = 64, best_effort: bool = False
-                          ) -> tuple[int, ...]:
+                          best_effort: bool = False) -> tuple[int, ...]:
     """s indices whose pairwise entries avoid the whole selection.
 
-    Uniform sampling with retries, then a deterministic greedy fallback.
+    64 uniform samples, then a deterministic greedy fallback.
     The probabilistic guarantee needs sqrt(M) >= r > s**3; pass
     best_effort=True to run outside that regime anyway.
     """
@@ -133,7 +131,7 @@ def select_noninterfering(matrix: InterferenceMatrix, s: int, seed: int = 0,
             f"guarantee needs sqrt(M) >= r > s^3; got M={m}, r={r}, s={s} "
             "(pass best_effort=True to try anyway)")
     rng = derive_rng(seed, "noninterfering")
-    for _ in range(retries):
+    for _ in range(64):
         chosen = sorted(rng.sample(range(m), s))
         if count_bad_triples(matrix, chosen) == 0:
             return tuple(chosen)
@@ -175,35 +173,11 @@ def _pair_list(core: Sequence[int]) -> list[tuple[int, int]]:
             for j in range(i + 1, len(core))]
 
 
-def _shortest_connector(g: Graph, u: int, v: int,
-                        branch: frozenset[int]) -> Optional[OrientedPath]:
-    """Shortest u-v path with all internal vertices in the branch set,
-    returned trimmed to the internal vertices, oriented from u's side."""
-    allowed = branch | {u, v}
-    from collections import deque
-    prev = {u: -1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in sorted(g.adj(x)):
-            if w in allowed and w not in prev and w != u:
-                prev[w] = x
-                if w == v:
-                    path = [v]
-                    while prev[path[-1]] != -1:
-                        path.append(prev[path[-1]])
-                    inner = path[::-1][1:-1]
-                    return OrientedPath(tuple(inner)) if inner else None
-                if w != v:
-                    queue.append(w)
-    return None
-
-
 def build_linked_families(g: Graph, a_pool: VertexSet,
                           branch_sets: Sequence[VertexSet],
                           t: int, ell: int, paths_per_pair: int = 1,
                           a_prime_size: Optional[int] = None,
-                          seed: int = 0, trace_check: bool = True,
+                          seed: int = 0,
                           budget: Optional[int] = None) -> LinkedFamilies:
     """From a vertex pool fully adjacent to every branch set, produce an
     independent core A' and, per pair, vertex-disjoint connector paths whose
@@ -244,12 +218,13 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
     for (u, v) in pairs:
         raw: list[OrientedPath] = []
         for branch in groups[(u, v)]:
-            p = _shortest_connector(g, u, v, branch)
-            if p is not None and len(p) < 2 * t:
-                raw.append(p)
+            # a shortest u-v path through the branch set, trimmed to its inside
+            path = g.shortest_path(u, v, branch | {u, v})
+            if path is not None and 2 < len(path) < 2 * t + 2:
+                raw.append(OrientedPath(tuple(path[1:-1])))
         heavy = frozenset(w for p in raw for w in p.vertices
                           if g.degree_in(w, core_set) >= ell)
-        if heavy and trace_check and len(core_set) >= t // 2:
+        if heavy and len(core_set) >= t // 2:
             screen = max_independent_subset(g, heavy, budget).vertices
             holds, witness = cor_traces_check(
                 g, core_set, frozenset(screen), ell, 1, t,
@@ -370,13 +345,12 @@ def _validate_separation_input(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
 
 def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
-                      ell: int, t: int, floor_l: int = 1
-                      ) -> tuple[PathFamily, PathFamily]:
+                      ell: int, t: int) -> tuple[PathFamily, PathFamily]:
     """Shrink both families until no edges run between them.
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
     against the remaining P-vertices.  Size floors (|P'| >= |P| -
-    (ell-1)(2t-1), |Q'| >= floor_l) are asserted only when the stated
+    (ell-1)(2t-1), |Q'| >= 1) are asserted only when the stated
     cardinality hypotheses held; a biclique found along the way propagates
     as CounterWitness.
     """
@@ -389,8 +363,8 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     k_q = len(q_fam.paths[0])
     coloring = _position_coloring(p_fam)
     x_set = frozenset(w for p in p_fam for w in p.vertices)
-    guaranteed = (floor_l >= ell and
-                  len(q_fam) >= floor_l * len(p_fam) ** ((q ** 2) * t // 2) and
+    guaranteed = (ell <= 1 and
+                  len(q_fam) >= len(p_fam) ** ((q ** 2) * t // 2) and
                   len(x_set) >= q * t // 2)
     q_current = list(q_fam.paths)
     for i in range(k_q):
@@ -408,20 +382,18 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
             assert are_anticomplete(g, p, qq), "separation left an edge"
     if guaranteed:
         assert len(p_kept) >= len(p_fam) - (ell - 1) * (2 * t - 1)
-        assert len(q_kept) >= floor_l
+        assert len(q_kept) >= 1
     return (PathFamily(p_kept, p_fam.common_length),
             PathFamily(q_kept, q_fam.common_length))
 
 
 def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
-                                 ell: int, t: int,
-                                 working_size: Optional[int] = None
-                                 ) -> list[OrientedPath]:
+                                 ell: int, t: int) -> list[OrientedPath]:
     """One path per family, pairwise anticomplete.
 
-    Trims the first family to a working set, separates it against each of
-    the others in turn, keeps a survivor, and recurses on the reduced
-    remainder.  Output is re-verified pairwise anticomplete.
+    Trims the first family to a working set of 2 t^2 ell paths, separates
+    it against each of the others in turn, keeps a survivor, and recurses
+    on the reduced remainder.  Output is re-verified pairwise anticomplete.
     """
     if not families:
         return []
@@ -429,8 +401,8 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
         if not families[0].paths:
             raise StageShortfall("selection[last]", 1, 0)
         return [families[0].paths[0]]
-    cap = working_size if working_size is not None else 2 * t * t * ell
-    head = PathFamily(families[0].paths[:cap], families[0].common_length)
+    head = PathFamily(families[0].paths[:2 * t * t * ell],
+                      families[0].common_length)
     reduced: list[PathFamily] = []
     for i in range(1, len(families)):
         head, shrunk = separate_families(g, head, families[i], ell, t)
@@ -440,7 +412,7 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
             raise StageShortfall(f"selection[round {i} partner]", 1, 0)
         reduced.append(shrunk)
     choice = head.paths[0]
-    rest = select_pairwise_anticomplete(g, reduced, ell, t, working_size)
+    rest = select_pairwise_anticomplete(g, reduced, ell, t)
     out = [choice] + rest
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
@@ -468,16 +440,9 @@ def assemble_cycle(g: Graph, anchors: Sequence[int],
     for i in range(m):
         cycle.append(anchors[i])
         cycle.extend(oriented[i].vertices)
-    vs = cycle
-    n = len(vs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = g.has_edge(vs[i], vs[j])
-            consecutive = (j == i + 1) or (i == 0 and j == n - 1)
-            if adjacent and not consecutive:
-                raise AssemblyError((vs[i], vs[j]))
-            if consecutive and not adjacent:
-                raise AssemblyError((vs[i], vs[j]))
+    chord = first_bad_pair(g, cycle, closed=True)
+    if chord is not None:
+        raise AssemblyError(chord)
     cert = InducedCycle(tuple(cycle))
     assert verify_certificate(g, cert)
     return cert
@@ -493,11 +458,8 @@ class PipelineOverrides:
     """
 
     minor_size: Optional[int] = None
-    full_size: Optional[int] = None
     a_count: Optional[int] = None
     paths_per_pair: int = 1
-    a_prime_size: Optional[int] = None
-    working_size: Optional[int] = None
     seed: int = 0
     budget: Optional[int] = None
     branch_sets: Optional[Sequence[VertexSet]] = None
@@ -527,8 +489,7 @@ class PipelineResult:
 
 
 def _diameter_ok(g: Graph, s: frozenset[int], limit: int) -> bool:
-    from .minors import _eccentric_pair
-    _, _, dist = _eccentric_pair(g, s)
+    _, _, dist = eccentric_pair(g, s)
     return dist + 1 < limit
 
 
@@ -574,7 +535,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
 
     # Step 2: full-vertex minor (skipped when the injected minor already
     # meets the postconditions)
-    full_size = ov.full_size if ov.full_size is not None else len(minor)
+    full_size = len(minor)
     fulls = full_vertices(g, minor)
     preverified = (ov.branch_sets is not None
                    and all(v is not None for v in fulls)
@@ -586,7 +547,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
     else:
         try:
             out = full_vertex_minor(g, minor, full_size, t, ov.seed)
-        except (BudgetExceeded, ValueError):
+        except BudgetExceeded:
             stages.append(StageReport("full-minor", full_size, 0, "shortfall"))
             return finish(None)
         if isinstance(out, InducedCycle):
@@ -618,8 +579,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
         linked = build_linked_families(
             g, frozenset(anchors_pool), connector_sets, t, ell,
             paths_per_pair=ov.paths_per_pair,
-            a_prime_size=ov.a_prime_size if ov.a_prime_size is not None else t // 2,
-            seed=ov.seed, budget=ov.budget)
+            a_prime_size=t // 2, seed=ov.seed, budget=ov.budget)
         stages.extend(linked.reports)
 
         core = sorted(linked.a_prime)[:t // 2]
@@ -642,8 +602,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
                 extracted = PathFamily(tuple(p.reversed() for p in extracted),
                                        extracted.common_length)
             cyclic.append(extracted)
-        picked = select_pairwise_anticomplete(g, cyclic, ell, t,
-                                              ov.working_size)
+        picked = select_pairwise_anticomplete(g, cyclic, ell, t)
         cert = assemble_cycle(g, core, picked)
         stages.append(StageReport("assemble", t, len(cert.vertices), "ok"))
         return finish(cert)

@@ -144,9 +144,6 @@ class FactoredInt:
     def __ge__(self, other: "FactoredInt") -> bool:
         return self.compare(other) >= 0
 
-    def equals_int(self, n: int) -> bool:
-        return self.compare(FactoredInt.from_int(n)) == 0
-
 
 def _as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

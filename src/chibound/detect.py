@@ -376,13 +376,15 @@ def max_clique(g: Graph, budget: Optional[int] = None) -> tuple[int, ...]:
 
 
 def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
-                 bud: SearchBudget) -> bool:
-    """Backtracking k-colorability with a pre-colored clique and the
-    new-color symmetry break; DSATUR-style vertex selection."""
+                 bud: SearchBudget) -> Optional[dict[int, int]]:
+    """A proper coloring with colors 0..k-1, or None when there is none.
+
+    Backtracking with a pre-colored clique and the new-color symmetry
+    break; DSATUR-style vertex selection."""
     colors: dict[int, int] = {}
     for i, v in enumerate(seed_clique):
         if i >= k:
-            return False
+            return None
         colors[v] = i
     uncolored = [v for v in range(g.n) if v not in colors]
 
@@ -410,18 +412,20 @@ def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
         uncolored.append(v)
         return False
 
-    return assign()
+    return colors if assign() else None
 
 
-def chromatic_number_exact(g: Graph, budget: Optional[int] = None) -> int:
-    """Exact chromatic number.
+def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
+    """A proper coloring of g with the fewest colors, 0..chi-1.
 
     Lower bound from an exact maximum clique, upper bound from greedy
-    coloring in reverse degeneracy order; k-colorability tested in between.
-    On budget exhaustion raises BudgetExceeded with best=(lower, upper).
+    coloring in reverse degeneracy order; k-colorability tested in between,
+    and the greedy coloring returned when no smaller k works.  On budget
+    exhaustion raises BudgetExceeded with best=(k, upper), k the number of
+    colors under test.
     """
     if g.n == 0:
-        return 0
+        return {}
     bud = SearchBudget(budget)
     clique = max_clique(g, budget)
     lower = len(clique)
@@ -437,9 +441,15 @@ def chromatic_number_exact(g: Graph, budget: Optional[int] = None) -> int:
     k = lower
     try:
         while k < upper:
-            if _k_colorable(g, k, clique, bud):
-                return k
+            colors = _k_colorable(g, k, clique, bud)
+            if colors is not None:
+                return colors
             k += 1
-        return upper
     except BudgetExceeded:
         raise BudgetExceeded(best=(k, upper))
+    return greedy
+
+
+def chromatic_number_exact(g: Graph, budget: Optional[int] = None) -> int:
+    """Exact chromatic number: the number of colors optimal_coloring uses."""
+    return max(optimal_coloring(g, budget).values(), default=-1) + 1

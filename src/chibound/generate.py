@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, mask_vertices
 
 FAMILIES = ("gnp", "tree", "split", "cograph", "chordal", "interval",
             "planted-cycle", "planted-biclique", "all-small")
@@ -133,24 +133,13 @@ def planted_biclique(n: int, ell: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _canonical_key(n: int, masks: Sequence[int]) -> tuple:
     """Canonical form: degree-profile classes, then the minimum adjacency
     bitstring over class-respecting orderings."""
     degs = [masks[v].bit_count() for v in range(n)]
     inv = []
     for v in range(n):
-        nd = tuple(sorted(degs[w] for w in _bits(masks[v])))
+        nd = tuple(sorted(degs[w] for w in mask_vertices(masks[v])))
         inv.append((degs[v], nd))
     classes: dict[tuple, list[int]] = {}
     for v in range(n):
@@ -191,7 +180,7 @@ def all_small(max_n: int) -> Iterator[Graph]:
         for g in level.values():
             base = list(g.edges())
             for subset_mask in range(1 << g.n):
-                edges = base + [(v, g.n) for v in _bits(subset_mask)]
+                edges = base + [(v, g.n) for v in mask_vertices(subset_mask)]
                 cand = Graph.from_edges(n, edges)
                 key = _canonical_key(n, cand.masks())
                 if key not in nxt:
@@ -201,9 +190,9 @@ def all_small(max_n: int) -> Iterator[Graph]:
             yield level[key]
 
 
-def pipeline_ideal_instance(t: int, copies: int = 1,
-                            spine_len: Optional[int] = None) -> Graph:
-    """Anchors joined pairwise by bundles of long internally-clean paths.
+def pipeline_ideal_instance(t: int, copies: int = 1) -> Graph:
+    """Anchors joined pairwise by bundles of long internally-clean paths
+    (2t - 1 vertices each).
 
     Contracting the paths leaves a complete graph on the anchors; every
     cycle in the instance is long, so the pipeline's branch-diameter
@@ -212,7 +201,7 @@ def pipeline_ideal_instance(t: int, copies: int = 1,
     m = t // 2
     if m < 3:
         raise ValueError("t must be at least 6")
-    length = spine_len if spine_len is not None else 2 * t - 1
+    length = 2 * t - 1
     edges: list[tuple[int, int]] = []
     nxt = m
     for i, j in combinations(range(m), 2):
@@ -225,46 +214,48 @@ def pipeline_ideal_instance(t: int, copies: int = 1,
     return Graph.from_edges(nxt, edges)
 
 
+def _planted_minor(t: int, copies: int,
+                   bridge: Callable[[int, int, int, int], list[tuple[int, int]]]
+                   ) -> tuple[Graph, list[frozenset[int]]]:
+    """Anchor sets {a_i, s_i} (a_i = i, s_i = t/2 + i), pairwise joined
+    through the a-s biclique, then `copies` rounds of one connector set
+    {x, tail} per anchor pair (i, j): bridge(i, j, x, tail) lists the edges
+    that wire it to the anchors, x is adjacent to tail, and every tail to
+    every earlier one.  Returns the graph and the anchor sets followed by
+    the connector sets.
+    """
+    m = t // 2
+    edges = {(i, m + j) for i in range(m) for j in range(m)}
+    connector_sets: list[frozenset[int]] = []
+    tails: list[int] = []
+    nxt = 2 * m
+    for _ in range(copies):
+        for i, j in combinations(range(m), 2):
+            x, tail = nxt, nxt + 1
+            nxt += 2
+            edges.update(bridge(i, j, x, tail))
+            edges.add((x, tail))
+            edges.update((other, tail) for other in tails)
+            tails.append(tail)
+            connector_sets.append(frozenset({x, tail}))
+    anchor_sets = [frozenset({i, m + i}) for i in range(m)]
+    return Graph.from_edges(nxt, sorted(edges)), anchor_sets + connector_sets
+
+
 def pipeline_full_instance(t: int, copies: int = 2
                            ) -> tuple[Graph, list[frozenset[int]]]:
     """A planted full-vertex minor that drives steps 3-6 end to end.
 
-    Anchor sets {a_i, s_i} are pairwise joined through the a-s biclique;
-    each connector set is a single bridge vertex (adjacent to its
-    designated anchor pair only) plus a tail making it adjacent to
-    everything else.  Returns the graph and the branch sets, ordered so the
+    Each connector set is a bridge vertex adjacent to its designated anchor
+    pair only, plus a tail adjacent to every anchor, which makes the set
+    adjacent to everything else.  The branch sets are ordered so the
     round-robin group assignment matches the designated pairs.
     """
     m = t // 2
     if m < 3:
         raise ValueError("t must be at least 6")
-    pair_seq = list(combinations(range(m), 2))
-    a = list(range(m))
-    s = list(range(m, 2 * m))
-    edges: set[tuple[int, int]] = set()
-    for i in a:
-        for j in range(m):
-            edges.add((i, s[j]))
-    branch_sets: list[frozenset[int]] = [frozenset({a[i], s[i]}) for i in range(m)]
-    connector_sets: list[frozenset[int]] = []
-    tails: list[int] = []
-    nxt = 2 * m
-    for _ in range(copies):
-        for (i, j) in pair_seq:
-            x, gtail = nxt, nxt + 1
-            nxt += 2
-            edges.add((i, x))
-            edges.add((j, x))
-            edges.add((x, gtail))
-            for k in range(m):
-                edges.add((a[k], gtail))
-                edges.add((s[k], gtail))
-            for other in tails:
-                edges.add((other, gtail))
-            tails.append(gtail)
-            connector_sets.append(frozenset({x, gtail}))
-    g = Graph.from_edges(nxt, sorted(edges))
-    return g, branch_sets + connector_sets
+    return _planted_minor(t, copies, lambda i, j, x, tail:
+                          [(i, x), (j, x)] + [(v, tail) for v in range(2 * m)])
 
 
 def pipeline_poison_instance(t: int, ell: int, per_pair: int
@@ -272,36 +263,14 @@ def pipeline_poison_instance(t: int, ell: int, per_pair: int
     """A planted minor whose connector paths all carry overloaded vertices,
     so the step-4 trace check surfaces a biclique.
 
-    Every bridge vertex is adjacent to all anchors; `per_pair` controls how
-    many connector sets each anchor pair receives (enough of them defeats
-    the trace bound).
+    Every bridge vertex is adjacent to all anchors a_i and every tail to all
+    anchors s_i; `per_pair` controls how many connector sets each anchor
+    pair receives (enough of them defeats the trace bound).
     """
     m = t // 2
-    pair_seq = list(combinations(range(m), 2))
-    a = list(range(m))
-    s = list(range(m, 2 * m))
-    edges: set[tuple[int, int]] = set()
-    for i in a:
-        for j in range(m):
-            edges.add((i, s[j]))
-    branch_sets: list[frozenset[int]] = [frozenset({a[i], s[i]}) for i in range(m)]
-    connector_sets: list[frozenset[int]] = []
-    tails: list[int] = []
-    nxt = 2 * m
-    for _ in range(per_pair):
-        for _pair in pair_seq:
-            x, gtail = nxt, nxt + 1
-            nxt += 2
-            for k in range(m):
-                edges.add((a[k], x))
-                edges.add((s[k], gtail))
-            edges.add((x, gtail))
-            for other in tails:
-                edges.add((other, gtail))
-            tails.append(gtail)
-            connector_sets.append(frozenset({x, gtail}))
-    g = Graph.from_edges(nxt, sorted(edges))
-    return g, branch_sets + connector_sets
+    return _planted_minor(t, per_pair, lambda i, j, x, tail:
+                          [(k, x) for k in range(m)]
+                          + [(m + k, tail) for k in range(m)])
 
 
 def generate(family: str, params: Optional[dict] = None, seed: int = 0,

@@ -6,7 +6,7 @@ are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 VertexSet = frozenset[int]
@@ -117,21 +117,41 @@ class Graph:
     def neighbors_in(self, v: int, s: VertexSet | set[int]) -> frozenset[int]:
         return frozenset(self._adj[v] & s)
 
+    def bfs(self, source: int, within: VertexSet | set[int],
+            target: Optional[int] = None) -> dict[int, int]:
+        """Breadth-first search from source inside the vertex set `within`.
+
+        Returns the parent of every vertex reached, in discovery order (the
+        source comes first, with parent -1).  Neighbors are visited in
+        ascending id, so the search tree is reproducible.  Stops as soon as
+        target is discovered.
+        """
+        parent = {source: -1}
+        queue = [source]
+        for v in queue:  # the queue grows while it is read
+            for w in sorted(self._adj[v] & within):
+                if w not in parent:
+                    parent[w] = v
+                    if w == target:
+                        return parent
+                    queue.append(w)
+        return parent
+
+    def shortest_path(self, source: int, target: int,
+                      within: VertexSet | set[int]) -> Optional[list[int]]:
+        """The source-target path of the BFS tree inside `within`, or None."""
+        parent = self.bfs(source, within, target)
+        if target not in parent:
+            return None
+        path = [target]
+        while parent[path[-1]] != -1:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
     def is_connected_subset(self, s: Iterable[int]) -> bool:
         """True iff the induced subgraph on s is connected (empty set counts as not)."""
         sset = set(s)
-        if not sset:
-            return False
-        start = min(sset)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in self._adj[u]:
-                if w in sset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == sset
+        return bool(sset) and len(self.bfs(min(sset), sset)) == len(sset)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -171,11 +191,6 @@ class OrientedPath:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    def is_path_in(self, g: Graph) -> bool:
-        """Consecutive vertices adjacent in g."""
-        vs = self.vertices
-        return all(g.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-
 
 @dataclass(frozen=True)
 class PathFamily:
@@ -196,18 +211,19 @@ class PathFamily:
     def __iter__(self) -> Iterator[OrientedPath]:
         return iter(self.paths)
 
-    def vertex_sets(self) -> list[frozenset[int]]:
-        return [p.vertex_set() for p in self.paths]
-
-    def all_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.paths:
-            out.update(p.vertices)
-        return frozenset(out)
-
     def layer(self, i: int) -> list[int]:
         """The i-th vertex of every path (0-based)."""
         return [p.vertices[i] for p in self.paths]
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The ids of the set bits of a vertex mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _check_vertices(g: Graph, s: Iterable[int]) -> None:
@@ -255,20 +271,27 @@ def is_partially_anticomplete(g: Graph, family: PathFamily) -> bool:
     return True
 
 
-def verify_induced_path(g: Graph, p: OrientedPath) -> bool:
-    """Consecutive pairs adjacent, all other pairs non-adjacent."""
-    vs = p.vertices
-    _check_vertices(g, vs)
+def first_bad_pair(g: Graph, vs: Sequence[int],
+                   closed: bool) -> Optional[tuple[int, int]]:
+    """The first pair (vs[i], vs[j]), i < j in lexicographic order, that is
+    adjacent in g without being consecutive or consecutive without being
+    adjacent; None when there is none.  Consecutive means j = i + 1 on a
+    path, and also (i, j) = (0, k - 1) on a closed cycle of k vertices.
+    """
     k = len(vs)
     for i in range(k):
+        around = g.adj(vs[i])
         for j in range(i + 1, k):
-            adjacent = g.has_edge(vs[i], vs[j])
-            if j == i + 1:
-                if not adjacent:
-                    return False
-            elif adjacent:
-                return False
-    return True
+            consecutive = j == i + 1 or (closed and i == 0 and j == k - 1)
+            if (vs[j] in around) != consecutive:
+                return vs[i], vs[j]
+    return None
+
+
+def verify_induced_path(g: Graph, p: OrientedPath) -> bool:
+    """Consecutive pairs adjacent, all other pairs non-adjacent."""
+    _check_vertices(g, p.vertices)
+    return first_bad_pair(g, p.vertices, closed=False) is None
 
 
 def verify_induced_cycle(g: Graph, cycle: Sequence[int]) -> bool:
@@ -283,14 +306,7 @@ def verify_induced_cycle(g: Graph, cycle: Sequence[int]) -> bool:
     if len(set(vs)) != len(vs):
         raise ValueError("cycle vertices must be distinct")
     _check_vertices(g, vs)
-    k = len(vs)
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(vs[i], vs[j])
-            consecutive = (j == i + 1) or (i == 0 and j == k - 1)
-            if consecutive != adjacent:
-                return False
-    return True
+    return first_bad_pair(g, vs, closed=True) is None
 
 
 def path_graph(n: int) -> Graph:

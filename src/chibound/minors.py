@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 from .certificates import InducedCycle, InternalInconsistency, verify_certificate
 from .detect import BudgetExceeded, SearchBudget, max_clique
-from .graph import Graph, VertexSet
+from .graph import Graph, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -169,15 +169,6 @@ def _greedy_contraction(g: Graph, p: int,
     return CliqueMinor.from_sets([nodes[a] for a in ids])
 
 
-def _bits(s: int) -> list[int]:
-    out = []
-    while s:
-        low = s & -s
-        out.append(low.bit_length() - 1)
-        s ^= low
-    return out
-
-
 def _mask_connected(masks: Sequence[int], s: int) -> bool:
     """True iff the vertex mask s is non-empty and induces a connected
     subgraph: a BFS from its lowest vertex, one frontier layer at a time."""
@@ -231,18 +222,17 @@ def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMi
         return rec(i + 1, opened)
 
     if rec(0, 0):
-        return CliqueMinor.from_sets([_bits(s) for s in parts])
+        return CliqueMinor.from_sets([mask_vertices(s) for s in parts])
     return None
 
 
 def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
-                      seed: int = 0, restarts: int = 16
-                      ) -> Optional[CliqueMinor]:
+                      seed: int = 0) -> Optional[CliqueMinor]:
     """A clique minor of size p, or None when absence is proven.
 
     Exact for p <= 3 (cycle detection), for every p >= 4 on K4-minor-free
     graphs (series-parallel reduction) and, on small graphs, by exhaustive
-    assignment search.  Otherwise greedy edge contraction with randomized
+    assignment search.  Otherwise greedy edge contraction with 16 randomized
     restarts; when those fail and the exact fallback is infeasible, raises
     BudgetExceeded (inconclusive, not absent).  A minor found is validated
     before it is returned, and one that fails raises InternalInconsistency.
@@ -271,7 +261,7 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
 
     found = _greedy_contraction(g, p, None)
     rng = random.Random(seed)
-    for _ in range(restarts):
+    for _ in range(16):
         if found is not None:
             break
         found = _greedy_contraction(g, p, rng)
@@ -322,41 +312,16 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
     return result
 
 
-def _bfs_path(g: Graph, allowed: frozenset[int], src: int, dst: int
-              ) -> Optional[list[int]]:
-    """Shortest src-dst path inside g[allowed]; deterministic parent choice."""
-    if src == dst:
-        return [src]
-    prev = {src: -1}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in sorted(g.adj(v)):
-            if w in allowed and w not in prev:
-                prev[w] = v
-                if w == dst:
-                    path = [w]
-                    while prev[path[-1]] != -1:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(w)
-    return None
-
-
-def _eccentric_pair(g: Graph, s: frozenset[int]) -> tuple[int, int, int]:
-    """(u, v, dist) with maximum distance inside g[s]; lexicographic tie-break."""
+def eccentric_pair(g: Graph, s: frozenset[int]) -> tuple[int, int, int]:
+    """(u, v, dist) with maximum distance inside g[s]; lexicographic
+    tie-break; (-1, -1, 0) when no two vertices of s are connected in g[s]."""
     best = (0, -1, -1)
     for u in sorted(s):
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adj(v)):
-                if w in s and w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        for v in sorted(s):
-            if v > u and dist.get(v, -1) > best[0]:
+        dist: dict[int, int] = {}
+        for w, parent in g.bfs(u, s).items():  # parents come first
+            dist[w] = dist[parent] + 1 if parent >= 0 else 0
+        for v in sorted(dist):
+            if v > u and dist[v] > best[0]:
                 best = (dist[v], u, v)
     return best[1], best[2], best[0]
 
@@ -370,16 +335,16 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
         raise ValueError("need a minor of size at least 3")
     sets = minor.branch_sets
     for idx, k in enumerate(sets):
-        u, v, dist = _eccentric_pair(g, k)
+        u, v, dist = eccentric_pair(g, k)
         if u < 0 or dist + 1 < t:
             continue
-        path = _bfs_path(g, k, u, v)
+        path = g.shortest_path(u, v, k)
         ku = _private_set(g, sets, idx, u)
         kv = _private_set(g, sets, idx, v)
         if ku is None or kv is None:
             raise ValueError("minor is not minimal: endpoint lacks a private set")
         allowed = frozenset(sets[ku] | sets[kv] | {u, v})
-        connector = _bfs_path(g, allowed, u, v)
+        connector = g.shortest_path(u, v, allowed)
         assert connector is not None and len(connector) >= 4
         cycle = path + connector[-2:0:-1]
         cert = InducedCycle(tuple(cycle))
@@ -418,11 +383,12 @@ def branch_adjacency_counts(g: Graph, minor: CliqueMinor) -> dict[int, int]:
 
 
 def find_high_adjacency_sets(g: Graph, minor: CliqueMinor, p: int, t: int,
-                             seed: int = 0, retries: int = 64
+                             seed: int = 0
                              ) -> tuple[list[tuple[int, int]], Optional[InducedCycle]]:
     """At least p branch sets holding a vertex adjacent to >= p*p branch
     sets, as (set index, vertex) pairs; if too few exist, the randomized
-    t-segment construction produces an induced cycle of >= t vertices.
+    t-segment construction (64 samples) produces an induced cycle of >= t
+    vertices.
     """
     counts = branch_adjacency_counts(g, minor)
     threshold = p * p
@@ -440,7 +406,7 @@ def find_high_adjacency_sets(g: Graph, minor: CliqueMinor, p: int, t: int,
     rng = random.Random(seed)
     if len(low_sets) < t:
         raise BudgetExceeded("too few low-adjacency branch sets to sample from")
-    for _ in range(retries):
+    for _ in range(64):
         sample = rng.sample(low_sets, t)
         cycle = _segment_cycle(g, minor, sample, t)
         if cycle is not None:
@@ -473,7 +439,7 @@ def _segment_cycle(g: Graph, minor: CliqueMinor, sample: list[int],
         into[j] = vj
     segments: list[list[int]] = []
     for i in range(t):
-        seg = _bfs_path(g, sets[i], into[i], out[i])
+        seg = g.shortest_path(into[i], out[i], sets[i])
         assert seg is not None
         segments.append(seg)
     seg_sets = [frozenset(seg) for seg in segments]
@@ -600,6 +566,6 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
             if q != pos:
                 assert g.adj(b) & s, "designated vertex lost fullness"
     for s in result.branch_sets:
-        _, _, dist = _eccentric_pair(g, s)
+        _, _, dist = eccentric_pair(g, s)
         assert dist + 1 < 2 * t, "branch set diameter exceeds 2t"
     return result

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .certificates import (BicliqueWitness, Certificate, InducedCycle,
                            verify_certificate)
-from .detect import BudgetExceeded, SearchBudget, chromatic_number_exact
-from .graph import Graph, VertexSet, is_independent, verify_induced_cycle
+from .detect import (BudgetExceeded, SearchBudget, chromatic_number_exact,
+                     optimal_coloring)
+from .graph import Graph, VertexSet, is_independent
 
 DEFAULT_UNIVERSE_CAP = 20
 
@@ -270,37 +271,13 @@ def _extract_cycle_via_shattering(g: Graph, x_set: frozenset[int],
         raise AssertionError("counting promised a shattered set; none found")
     if coloring is None:
         sub, back = g.induced(x_set)
-        colors = _exact_coloring(sub, chromatic_number_exact(sub))
-        coloring = {back[v]: c for v, c in colors.items()}
+        coloring = {back[v]: c for v, c in optimal_coloring(sub).items()}
     by_color: dict[int, list[int]] = {}
     for z in shattered:
         by_color.setdefault(coloring[z], []).append(z)
     best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
     assert len(best) >= t // 2, "pigeonhole on color classes failed"
     return cycle_from_shattered(g, frozenset(best), system, t)
-
-
-def _exact_coloring(g: Graph, k: int) -> dict[int, int]:
-    """A proper k-coloring found by plain backtracking (k = chi works)."""
-    colors: dict[int, int] = {}
-
-    def assign(order: list[int]) -> bool:
-        if not order:
-            return True
-        v = order[0]
-        used = {colors[w] for w in g.adj(v) if w in colors}
-        for c in range(min(k, max(colors.values(), default=-1) + 2)):
-            if c in used:
-                continue
-            colors[v] = c
-            if assign(order[1:]):
-                return True
-            del colors[v]
-        return False
-
-    if not assign(list(range(g.n))):
-        raise AssertionError(f"graph is not {k}-colorable")
-    return colors
 
 
 def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from chibound import anticomplete
 from chibound.anticomplete import (AssemblyError, InterferenceMatrix,
                                    LinkedFamilies, PipelineOverrides,
                                    StageShortfall, assemble_cycle,
@@ -14,8 +15,8 @@ from chibound.anticomplete import (AssemblyError, InterferenceMatrix,
 from chibound.certificates import (BicliqueWitness, InducedCycle,
                                    verify_certificate)
 from chibound.detect import find_biclique_subgraph
-from chibound.generate import (pipeline_full_instance, pipeline_ideal_instance,
-                               pipeline_poison_instance)
+from chibound.generate import (gnp, pipeline_full_instance,
+                               pipeline_ideal_instance, pipeline_poison_instance)
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
                             is_partially_anticomplete)
 from chibound.vc import CounterWitness
@@ -281,6 +282,21 @@ def test_pipeline_tree_inconclusive():
     payload = res.to_json()
     assert payload["success"] is False
     assert payload["stages"][0]["name"] == "minor"
+
+
+def test_pipeline_full_minor_errors_propagate(monkeypatch):
+    # only BudgetExceeded from step 2 is a shortfall; a ValueError there
+    # (say, "minor is not minimal") is a fault and must not be swallowed
+    g = gnp(20, 0.5, random.Random(1))
+    res = main_pipeline(g, 6, 3, PipelineOverrides(budget=20_000))
+    assert [s.outcome for s in res.stages] == ["ok", "shortfall"]
+
+    def broken(*args, **kwargs):
+        raise ValueError("minor is not minimal: endpoint lacks a private set")
+
+    monkeypatch.setattr(anticomplete, "full_vertex_minor", broken)
+    with pytest.raises(ValueError, match="not minimal"):
+        main_pipeline(g, 6, 3, PipelineOverrides(budget=20_000))
 
 
 def test_pipeline_random_soundness(rng):

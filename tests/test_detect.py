@@ -12,7 +12,8 @@ from chibound.detect import (BudgetExceeded, chromatic_number_exact,
                              find_biclique_subgraph, find_long_induced_cycle,
                              find_induced_subdivided_star, has_induced_path,
                              longest_induced_cycle, longest_induced_path,
-                             max_independent_set, max_independent_subset)
+                             max_independent_set, max_independent_subset,
+                             optimal_coloring)
 from chibound.graph import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, empty_graph, path_graph,
                             verify_induced_path)
@@ -193,6 +194,18 @@ def test_chromatic_and_clique():
     assert clique_number(gz) == 2
     assert chromatic_number_exact(gz) == 4
     assert oracles.brute_chromatic(gz) == 4
+
+
+def test_optimal_coloring_against_oracle(rng):
+    assert optimal_coloring(empty_graph(0)) == {}
+    for g in [grotzsch(), petersen(), cycle_graph(7), complete_graph(4)] + [
+            random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(150)]:
+        colors = optimal_coloring(g)
+        assert set(colors) == set(g.vertices())
+        assert all(colors[u] != colors[v] for u, v in g.edges())
+        chi = oracles.brute_chromatic(g)
+        assert set(colors.values()) == set(range(chi))
+        assert chromatic_number_exact(g) == chi
 
 
 def test_soundness_random(rng):

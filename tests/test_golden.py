@@ -14,6 +14,13 @@ clique-minor search.  Node counts and budget verdicts depend on the search
 order, so a kernel change that keeps the certificates but visits nodes in a
 different order fails here too.
 
+The upper layers are pinned on the same terms: chromatic_number_exact (value,
+nodes and BudgetExceeded.best), cor_traces_check (including the uncolored
+shattering route), check_branch_diameter and full_vertex_minor on the
+G(20, 1/2) minors, the JSON record of main_pipeline on the planted, ideal,
+tree and G(20, 1/2) instances, and the pipeline instance builders' graphs
+and branch sets.
+
 Regenerate the fixture (only when a certificate change is intended) with
 `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -22,18 +29,28 @@ import hashlib
 import json
 import random
 from contextlib import contextmanager
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from chibound.detect import (BudgetExceeded, SearchBudget, degeneracy,
+from chibound.anticomplete import PipelineOverrides, main_pipeline
+from chibound.detect import (BudgetExceeded, SearchBudget,
+                             chromatic_number_exact, degeneracy,
                              find_induced_subdivided_star,
                              find_long_induced_cycle, has_induced_path,
                              longest_induced_cycle, longest_induced_path)
-from chibound.generate import generate, gnp
+from chibound.generate import (generate, gnp, pipeline_full_instance,
+                               pipeline_ideal_instance,
+                               pipeline_poison_instance, planted_cycle,
+                               random_tree)
+from chibound.graph import Graph
 from chibound.io import to_graph6
 from chibound.lemmas import sstar_elimination_order, sstar_low_degree
-from chibound.minors import CliqueMinor, find_clique_minor
+from chibound.minors import (CliqueMinor, check_branch_diameter,
+                             find_clique_minor, full_vertex_minor,
+                             minimize_minor)
+from chibound.vc import cor_traces_check
 
 FIXTURE = Path(__file__).with_name("golden_certificates.json")
 
@@ -82,11 +99,38 @@ SEARCHES = {
 MINOR_GRAPHS = [(20, 0.5, seed, 20_000) for seed in (1, 2, 3)]
 MINOR_GRAPHS += [(10, 0.5, seed, 50_000) for seed in (1, 2, 3)]
 MINOR_SIZES = (5, 6, 7)
+#: Graphs and node budgets for chromatic_number_exact: the SEARCH_GRAPHS
+#: plus two G(n, 1/2) graphs on which the exact clique fits in the budget of
+#: 40 (or 300) and the colorability search does not, which gives
+#: BudgetExceeded.best = (k, upper).
+CHROMATIC_GRAPHS = SEARCH_GRAPHS + [("gnp", {"n": 20, "p": 0.5}, 2),
+                                    ("gnp", {"n": 40, "p": 0.5}, 2)]
+CHROMATIC_BUDGETS = (40, 300, 5000)
+#: t values for check_branch_diameter and full_vertex_minor on the minors
+#: that find_clique_minor returns on the G(20, 1/2) graphs of MINOR_GRAPHS.
+MINOR_TS = (3, 4, 5, 6)
+#: (kind, t, ell, seed) for main_pipeline, with the node budget and the
+#: overrides the pipeline benchmark uses.
+PIPELINES = [("full", t, 3, seed) for t in (6, 8) for seed in (0, 1)]
+PIPELINES += [("poison", 6, 2, 0), ("poison", 6, 2, 1)]
+PIPELINES += [(kind, t, 3, 1) for kind in ("ideal", "ideal-minor3")
+              for t in (8, 10)]
+PIPELINES += [(kind, 6, 3, seed) for kind in ("tree", "planted-cycle")
+              for seed in (0, 1)]
+PIPELINES += [("gnp", 6, 3, seed) for seed in (1, 2, 3)]
+PIPELINE_BUDGET = 20_000
+#: (kind, t, copies or (ell, per_pair)): the builders at the benchmark's
+#: parameters.
+INSTANCES = [("full", 6, 2), ("full", 8, 2), ("poison", 6, (2, 54))]
+#: cor_traces_check instances, see trace_instance().
+TRACE_INSTANCES = ("shatter8", "shatter8-colored", "shatter7", "bucket", "holds")
 
 
 def _cert_json(cert) -> dict:
     if isinstance(cert, CliqueMinor):
         return {"tag": "CliqueMinor", "branch_sets": cert.to_json()}
+    if not dataclasses.is_dataclass(cert):
+        return cert  # a plain value, such as a chromatic number or a bound pair
     return {"tag": type(cert).__name__, **dataclasses.asdict(cert)}
 
 
@@ -158,6 +202,103 @@ def minor_record(n: int, p: float, seed: int, budget: int) -> dict:
     return json.loads(json.dumps(rec))
 
 
+def chromatic_record(family: str, params: dict, seed: int) -> dict:
+    g = next(generate(family, params, seed))
+    rec = {f"chromatic_number_exact@{budget}":
+           _outcome(chromatic_number_exact, g, budget) for budget in CHROMATIC_BUDGETS}
+    return json.loads(json.dumps(rec))
+
+
+def _raised(call) -> object:
+    """The result of call(), or the type and message of what it raised."""
+    try:
+        return _cert_json(call())
+    except (BudgetExceeded, ValueError) as e:
+        return {"raised": type(e).__name__, "message": str(e)}
+
+
+def minor_layer_record(n: int, p: float, seed: int, budget: int) -> dict:
+    g = gnp(n, p, random.Random(seed))
+    rec = {}
+    for size in MINOR_SIZES:
+        try:
+            minor = find_clique_minor(g, size, budget)
+        except BudgetExceeded:
+            continue
+        minimal = minimize_minor(g, minor)
+        for t in MINOR_TS:
+            rec[f"p{size}-t{t}"] = {
+                "diameter": _raised(lambda: check_branch_diameter(g, minimal, t)),
+                "full": _raised(lambda: full_vertex_minor(g, minor, size, t, seed))}
+    return json.loads(json.dumps(rec))
+
+
+def _pipeline_graph(kind: str, t: int, ell: int, seed: int):
+    """The graph and the overrides of one PIPELINES entry."""
+    if kind == "full":
+        g, sets = pipeline_full_instance(t, 2)
+        return g, PipelineOverrides(branch_sets=sets, a_count=t // 2,
+                                    paths_per_pair=2)
+    if kind == "poison":
+        g, sets = pipeline_poison_instance(t, ell, 54)
+        return g, PipelineOverrides(branch_sets=sets, a_count=t // 2)
+    if kind == "ideal":
+        return pipeline_ideal_instance(t), PipelineOverrides()
+    if kind == "ideal-minor3":
+        return pipeline_ideal_instance(t), PipelineOverrides(minor_size=3)
+    if kind == "tree":
+        return random_tree(30, random.Random(seed)), PipelineOverrides()
+    if kind == "planted-cycle":
+        return planted_cycle(30, 10, random.Random(seed)), PipelineOverrides()
+    return gnp(20, 0.5, random.Random(seed)), PipelineOverrides()
+
+
+def pipeline_record(kind: str, t: int, ell: int, seed: int) -> dict:
+    g, ov = _pipeline_graph(kind, t, ell, seed)
+    ov.seed, ov.budget = seed, PIPELINE_BUDGET
+    return json.loads(json.dumps(main_pipeline(g, t, ell, ov).to_json()))
+
+
+def instance_record(kind: str, t: int, extra) -> dict:
+    if kind == "full":
+        g, sets = pipeline_full_instance(t, extra)
+    else:
+        g, sets = pipeline_poison_instance(t, *extra)
+    g6 = to_graph6(g)
+    return {"graph6": hashlib.sha256(g6.encode()).hexdigest() if g.n >= HASH_FROM else g6,
+            "branch_sets": [sorted(s) for s in sets]}
+
+
+def trace_instance(name: str):
+    """(graph, X, Y, ell, coloring) with q = 1 and t = 4.
+
+    X is an edgeless set of 8 (or 7) vertices and each vertex of Y is
+    adjacent to its own subset of X of at least 2 vertices: the first |Y|
+    such subsets by size, then lexicographically.  With 128 = 2 * 8^2
+    distinct traces the bound of cor_traces_check fails and no bucket holds
+    2 vertices, so the shattering route answers; "bucket" repeats every
+    trace once, which gives a biclique instead, and "holds" stays one
+    below the bound.
+    """
+    nx, ny = (7, 120) if name == "shatter7" else (8, 128)
+    traces = [c for r in range(2, nx + 1) for c in combinations(range(nx), r)]
+    if name == "bucket":
+        traces = [tr for tr in traces[:ny // 2] for _ in range(2)]
+    if name == "holds":
+        ny -= 1
+    edges = [(nx + i, z) for i, tr in enumerate(traces[:ny]) for z in tr]
+    g = Graph.from_edges(nx + ny, edges)
+    coloring = {z: 0 for z in range(nx)} if name == "shatter8-colored" else None
+    return g, frozenset(range(nx)), frozenset(range(nx, nx + ny)), 2, coloring
+
+
+def trace_record(name: str) -> dict:
+    g, xs, ys, ell, coloring = trace_instance(name)
+    holds, witness = cor_traces_check(g, xs, ys, ell, 1, 4, coloring=coloring)
+    return json.loads(json.dumps(
+        {"holds": holds, "witness": None if witness is None else _cert_json(witness)}))
+
+
 def _key(spec) -> str:
     return "{}-n{}-p{:.4f}-s{}".format(*spec)
 
@@ -172,10 +313,42 @@ def _minor_key(spec) -> str:
     return "minor-n{}-p{:.4f}-s{}-b{}".format(*spec)
 
 
+def _chromatic_key(spec) -> str:
+    return "chromatic-" + _search_key(spec)[len("search-"):]
+
+
+#: The G(20, 1/2) graphs of MINOR_GRAPHS.
+MINOR_LAYER_GRAPHS = [spec for spec in MINOR_GRAPHS if spec[0] == 20]
+
+
+def _minor_layer_key(spec) -> str:
+    return "minor-layer-" + _minor_key(spec)[len("minor-"):]
+
+
+def _pipeline_key(spec) -> str:
+    return "pipeline-{}-t{}-l{}-s{}".format(*spec)
+
+
+def _instance_key(spec) -> str:
+    kind, t, extra = spec
+    return f"instance-{kind}-t{t}-" + (
+        f"c{extra}" if kind == "full" else "l{}-k{}".format(*extra))
+
+
+def _trace_key(name: str) -> str:
+    return f"traces-{name}"
+
+
 def _fixture() -> dict:
     out = {_key(s): golden_record(*s[1:]) for s in GRAPHS}
     out.update({_search_key(s): search_record(*s) for s in SEARCH_GRAPHS})
     out.update({_minor_key(s): minor_record(*s) for s in MINOR_GRAPHS})
+    out.update({_chromatic_key(s): chromatic_record(*s) for s in CHROMATIC_GRAPHS})
+    out.update({_minor_layer_key(s): minor_layer_record(*s)
+                for s in MINOR_LAYER_GRAPHS})
+    out.update({_pipeline_key(s): pipeline_record(*s) for s in PIPELINES})
+    out.update({_instance_key(s): instance_record(*s) for s in INSTANCES})
+    out.update({_trace_key(s): trace_record(s) for s in TRACE_INSTANCES})
     return out
 
 
@@ -199,6 +372,31 @@ def test_golden_clique_minors(golden, spec):
     assert minor_record(*spec) == golden[_minor_key(spec)]
 
 
+@pytest.mark.parametrize("spec", CHROMATIC_GRAPHS, ids=_chromatic_key)
+def test_golden_chromatic_number(golden, spec):
+    assert chromatic_record(*spec) == golden[_chromatic_key(spec)]
+
+
+@pytest.mark.parametrize("spec", MINOR_LAYER_GRAPHS, ids=_minor_layer_key)
+def test_golden_minor_layer(golden, spec):
+    assert minor_layer_record(*spec) == golden[_minor_layer_key(spec)]
+
+
+@pytest.mark.parametrize("spec", PIPELINES, ids=_pipeline_key)
+def test_golden_pipeline(golden, spec):
+    assert pipeline_record(*spec) == golden[_pipeline_key(spec)]
+
+
+@pytest.mark.parametrize("spec", INSTANCES, ids=_instance_key)
+def test_golden_pipeline_instances(golden, spec):
+    assert instance_record(*spec) == golden[_instance_key(spec)]
+
+
+@pytest.mark.parametrize("name", TRACE_INSTANCES, ids=_trace_key)
+def test_golden_cor_traces_check(golden, name):
+    assert trace_record(name) == golden[_trace_key(name)]
+
+
 def _search_outcomes(golden, prefix: str) -> set:
     out = set()
     for key, rec in golden.items():
@@ -208,7 +406,8 @@ def _search_outcomes(golden, prefix: str) -> set:
                 if result == "budget":
                     kind = "budget" if r["best"] is None else "budget+best"
                 else:
-                    kind = "absent" if result is None else result["tag"]
+                    kind = ("absent" if result is None else result["tag"]
+                            if isinstance(result, dict) else "value")
                 out.add((call.split("@")[0], kind))
     return out
 
@@ -223,14 +422,35 @@ def test_golden_fixture_covers_every_outcome(golden):
                     "SubdividedStarWitness", "LowDegreeVertex"}
     assert set(golden) == ({_key(s) for s in GRAPHS}
                            | {_search_key(s) for s in SEARCH_GRAPHS}
-                           | {_minor_key(s) for s in MINOR_GRAPHS})
+                           | {_minor_key(s) for s in MINOR_GRAPHS}
+                           | {_chromatic_key(s) for s in CHROMATIC_GRAPHS}
+                           | {_minor_layer_key(s) for s in MINOR_LAYER_GRAPHS}
+                           | {_pipeline_key(s) for s in PIPELINES}
+                           | {_instance_key(s) for s in INSTANCES}
+                           | {_trace_key(s) for s in TRACE_INSTANCES})
     searches = _search_outcomes(golden, "search-")
     for call in SEARCHES:
         kinds = {kind for name, kind in searches if name == call}
         assert "budget" in kinds or "budget+best" in kinds, call
         assert len(kinds) >= 2, call
-    minors = {kind for _, kind in _search_outcomes(golden, "minor-")}
+    minors = {kind for _, kind in _search_outcomes(golden, "minor-n")}
     assert minors == {"CliqueMinor", "budget"}
+    chromatic = {kind for _, kind in _search_outcomes(golden, "chromatic-")}
+    assert chromatic == {"budget+best", "value"}
+    bests = {type(r["best"]).__name__ for s in CHROMATIC_GRAPHS
+             for r in golden[_chromatic_key(s)].values() if r["result"] == "budget"}
+    assert bests == {"dict", "list"}  # a clique so far, or (k, upper)
+    layer = {(call, v if v is None else v.get("raised", v.get("tag")))
+             for rec in (golden[_minor_layer_key(s)] for s in MINOR_LAYER_GRAPHS)
+             for r in rec.values() for call, v in r.items()}
+    assert layer == {("diameter", None), ("diameter", "InducedCycle"),
+                     ("full", "InducedCycle"), ("full", "BudgetExceeded")}
+    pipelines = {golden[_pipeline_key(s)]["certificate"]["tag"]
+                 if golden[_pipeline_key(s)]["success"] else None
+                 for s in PIPELINES}
+    assert pipelines == {None, "InducedCycle", "BicliqueWitness"}
+    shattered = golden[_trace_key("shatter8")]
+    assert shattered["witness"]["tag"] == "InducedCycle"
 
 
 if __name__ == "__main__":

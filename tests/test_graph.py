@@ -1,10 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
                             complete_graph, cycle_graph, empty_graph,
-                            is_independent, is_partially_anticomplete,
+                            first_bad_pair, is_independent,
+                            is_partially_anticomplete, mask_vertices,
                             path_graph, verify_induced_cycle,
                             verify_induced_path)
 from conftest import random_graph
@@ -138,3 +140,84 @@ def test_masks_agree_with_adjacency(rng):
         assert g.masks() is masks  # built once
         h = Graph.from_edges(g.n, list(g.edges()))
         assert h == g and hash(h) == hash(g)  # the cache plays no part
+
+
+def _nx_induced(g: Graph, within) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(within)
+    h.add_edges_from((u, v) for u, v in g.edges() if u in within and v in within)
+    return h
+
+
+def test_bfs_tree_against_networkx(rng):
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 14), rng.random() * 0.6)
+        within = frozenset(v for v in g.vertices() if rng.random() < 0.7)
+        for source in sorted(within):
+            parent = g.bfs(source, within)
+            dist = nx.single_source_shortest_path_length(_nx_induced(g, within), source)
+            assert set(parent) == set(dist)
+            order = list(parent)
+            assert order[0] == source and parent[source] == -1
+            assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+            for w in order[1:]:
+                # the parent is the first-discovered neighbor one layer up
+                ups = [u for u in order if dist[u] == dist[w] - 1 and g.has_edge(u, w)]
+                assert parent[w] == ups[0]
+            for target in sorted(within):
+                stopped = g.bfs(source, within, target)
+                if target == source or target not in parent:
+                    assert stopped == parent
+                    continue
+                assert list(stopped) == order[:order.index(target) + 1]
+                path = g.shortest_path(source, target, within)
+                assert len(path) == dist[target] + 1
+                assert path[0] == source and path[-1] == target
+                assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            missing = [v for v in g.vertices() if v not in parent]
+            for target in missing:
+                assert g.shortest_path(source, target, within) is None
+            assert g.shortest_path(source, source, within) == [source]
+
+
+def test_connected_subset_against_networkx(rng):
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 12), rng.random() * 0.5)
+        s = {v for v in g.vertices() if rng.random() < 0.6}
+        expected = bool(s) and nx.is_connected(_nx_induced(g, s))
+        assert g.is_connected_subset(s) == expected
+
+
+def _first_bad_pair_reference(g: Graph, vs, closed: bool):
+    k = len(vs)
+    for i in range(k):
+        for j in range(i + 1, k):
+            consecutive = j == i + 1 or (closed and i == 0 and j == k - 1)
+            if g.has_edge(vs[i], vs[j]) != consecutive:
+                return vs[i], vs[j]
+    return None
+
+
+def test_first_bad_pair_against_definition(rng):
+    assert first_bad_pair(cycle_graph(5), (0, 1, 2, 3, 4), closed=True) is None
+    assert first_bad_pair(cycle_graph(5), (0, 1, 2, 3, 4), closed=False) == (0, 4)
+    assert first_bad_pair(path_graph(4), (0, 1, 3), closed=False) == (1, 3)
+    assert first_bad_pair(complete_graph(4), (0, 1, 2, 3), closed=True) == (0, 2)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(3, 9), rng.random())
+        vs = rng.sample(range(g.n), rng.randint(3, g.n))
+        for closed in (False, True):
+            assert first_bad_pair(g, vs, closed) == \
+                _first_bad_pair_reference(g, vs, closed)
+        assert verify_induced_path(g, OrientedPath(tuple(vs))) == \
+            (_first_bad_pair_reference(g, vs, False) is None)
+        assert verify_induced_cycle(g, vs) == \
+            (_first_bad_pair_reference(g, vs, True) is None)
+
+
+def test_mask_vertices(rng):
+    assert mask_vertices(0) == []
+    for _ in range(100):
+        mask = rng.getrandbits(rng.randint(1, 80))
+        assert mask_vertices(mask) == [i for i in range(mask.bit_length())
+                                       if mask >> i & 1]

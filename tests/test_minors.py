@@ -9,7 +9,7 @@ from chibound.detect import BudgetExceeded, SearchBudget
 from chibound.generate import all_small, planted_cycle, random_tree
 from chibound.graph import Graph, complete_graph, cycle_graph, path_graph
 from chibound.minors import (CliqueMinor, check_branch_diameter,
-                             find_clique_minor, find_high_adjacency_sets,
+                             eccentric_pair, find_clique_minor, find_high_adjacency_sets,
                              full_vertex_minor, full_vertices, minimize_minor,
                              validate_minor)
 from conftest import random_graph
@@ -199,6 +199,22 @@ def test_branch_diameter_examples():
 
     with pytest.raises(ValueError):
         check_branch_diameter(k4, CliqueMinor.from_sets([{0}, {1}]), 3)
+
+
+def test_eccentric_pair_against_networkx(rng):
+    import networkx as nx
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 12), rng.random() * 0.5)
+        s = frozenset(v for v in g.vertices() if rng.random() < 0.7)
+        h = nx.Graph()
+        h.add_nodes_from(s)
+        h.add_edges_from((u, v) for u, v in g.edges() if u in s and v in s)
+        dist = dict(nx.all_pairs_shortest_path_length(h))
+        pairs = [(-dist[u][v], u, v) for u in sorted(s) for v in sorted(s)
+                 if u < v and v in dist[u]]
+        expected = (min(pairs)[1], min(pairs)[2], -min(pairs)[0]) if pairs \
+            else (-1, -1, 0)
+        assert eccentric_pair(g, s) == expected
 
 
 def test_high_adjacency_examples():
