@@ -4,8 +4,9 @@ family separation, and assembly of an induced cycle.
 
 The quantitative guarantees hold only at astronomically large sizes, so
 every stage checks its hypotheses and otherwise runs best-effort: size
-floors are asserted when the hypotheses held, while structural soundness
-(every emitted certificate verifies) is unconditional.
+floors are required when the hypotheses held, while structural soundness
+is unconditional.  Every certificate leaves through certified, every
+postcondition through require, and both raise InternalInconsistency.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .certificates import Certificate, InducedCycle, verify_certificate
+from .certificates import Certificate, InducedCycle, certified, require
 from .detect import BudgetExceeded, max_independent_subset
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
                     are_anticomplete, first_bad_pair, is_independent,
@@ -195,23 +196,20 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
             raise ValueError("pool overlaps a branch set")
 
     independent_core = max_independent_subset(g, a_pool, budget).vertices
-    reports.append(StageReport("independent-core", target_core,
-                               len(independent_core),
-                               "ok" if len(independent_core) >= target_core
-                               else "shortfall"))
     if len(independent_core) < max(2, target_core):
         raise StageShortfall("independent-core", max(2, target_core),
                              len(independent_core))
+    reports.append(StageReport("independent-core", target_core,
+                               len(independent_core), "ok"))
 
     pairs = _pair_list(independent_core)
     groups: dict[tuple[int, int], list[frozenset[int]]] = {p: [] for p in pairs}
     for idx, b in enumerate(branch_sets):
         groups[pairs[idx % len(pairs)]].append(b)
     empty = [p for p in pairs if not groups[p]]
-    reports.append(StageReport("groups", len(pairs), len(pairs) - len(empty),
-                               "ok" if not empty else "shortfall"))
     if empty:
         raise StageShortfall("groups", len(pairs), len(pairs) - len(empty))
+    reports.append(StageReport("groups", len(pairs), len(pairs), "ok"))
 
     core_set = frozenset(independent_core)
     families: dict[tuple[int, int], list[OrientedPath]] = {}
@@ -232,12 +230,10 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
             if not holds:
                 raise CounterWitness(witness)
         clean = [p for p in raw if not (p.vertex_set() & heavy)]
-        reports.append(StageReport(f"paths[{u},{v}]", paths_per_pair,
-                                   len(clean),
-                                   "ok" if len(clean) >= paths_per_pair
-                                   else "shortfall"))
         if len(clean) < paths_per_pair:
             raise StageShortfall(f"paths[{u},{v}]", paths_per_pair, len(clean))
+        reports.append(StageReport(f"paths[{u},{v}]", paths_per_pair,
+                                   len(clean), "ok"))
         families[(u, v)] = clean[:paths_per_pair]
 
     order = list(independent_core)
@@ -260,10 +256,8 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         picked = select_noninterfering(matrix, target_core, seed,
                                        best_effort=True)
     except BudgetExceeded as exc:
-        achieved = len(exc.best) if exc.best else 0
-        reports.append(StageReport("interference", target_core, achieved,
-                                   "shortfall"))
-        raise StageShortfall("interference", target_core, achieved)
+        raise StageShortfall("interference", target_core,
+                             len(exc.best) if exc.best else 0)
     reports.append(StageReport("interference", target_core, len(picked), "ok"))
     a_prime = tuple(order[i] for i in picked)
     keep = {p: PathFamily(tuple(paths)) for p, paths in families.items()
@@ -275,22 +269,18 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
 
 def _verify_linked(g: Graph, linked: LinkedFamilies) -> None:
     core = frozenset(linked.a_prime)
-    assert is_independent(g, core)
+    require(is_independent(g, core), "linked core is not independent")
     seen: set[int] = set()
     for (u, v), family in linked.families.items():
         for p in family:
-            assert verify_induced_path(g, p)
-            assert not (p.vertex_set() & seen), "paths share vertices"
-            seen |= p.vertex_set()
-            assert g.has_edge(u, p.first) and g.has_edge(v, p.last)
-            for x in core:
-                contacts = g.adj(x) & p.vertex_set()
-                if x == u:
-                    assert contacts == {p.first}
-                elif x == v:
-                    assert contacts == {p.last}
-                else:
-                    assert not contacts
+            vs = p.vertex_set()
+            require(verify_induced_path(g, p) and not (vs & seen),
+                    f"path {p.vertices} is not induced or shares vertices")
+            seen |= vs
+            # u and v are in the core, so this also checks u ~ first, last ~ v
+            ends = {u: {p.first}, v: {p.last}}
+            require(all(g.adj(x) & vs == ends.get(x, set()) for x in core),
+                    f"path {p.vertices} touches the core off its ends")
 
 
 def extract_partially_anticomplete(g: Graph,
@@ -318,7 +308,8 @@ def extract_partially_anticomplete(g: Graph,
         kept = set(max_independent_subset(g, layer, budget).vertices)
         survivors = [p for p in survivors if p.vertices[i] in kept]
     result = PathFamily(tuple(survivors), k)
-    assert is_partially_anticomplete(g, result)
+    require(is_partially_anticomplete(g, result),
+            "extracted family is not partially anticomplete")
     return result
 
 
@@ -349,10 +340,11 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     """Shrink both families until no edges run between them.
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
-    against the remaining P-vertices.  Size floors (|P'| >= |P| -
-    (ell-1)(2t-1), |Q'| >= 1) are asserted only when the stated
-    cardinality hypotheses held; a biclique found along the way propagates
-    as CounterWitness.
+    against the remaining P-vertices.  That no edge is left between the
+    two results is required always; the size floors (|P'| >= |P| -
+    (ell-1)(2t-1), |Q'| >= 1) only when the stated cardinality hypotheses
+    held, which needs ell <= 1.  A biclique or cycle found along the way
+    propagates as CounterWitness.
     """
     _validate_separation_input(g, p_fam, q_fam, t)
     if not q_fam.paths:
@@ -372,17 +364,15 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
             break
         layer = frozenset(p.vertices[i] for p in q_current)
         x_set, bucket = cor_traces3_split(g, x_set, layer, ell, q, t,
-                                          coloring=coloring,
-                                          require_hypotheses=False)
+                                          coloring=coloring)
         q_current = [p for p in q_current if p.vertices[i] in bucket]
     p_kept = tuple(p for p in p_fam if p.vertex_set() <= x_set)
     q_kept = tuple(q_current)
-    for p in p_kept:
-        for qq in q_kept:
-            assert are_anticomplete(g, p, qq), "separation left an edge"
-    if guaranteed:
-        assert len(p_kept) >= len(p_fam) - (ell - 1) * (2 * t - 1)
-        assert len(q_kept) >= 1
+    require(all(are_anticomplete(g, p, qq) for p in p_kept for qq in q_kept),
+            "separation left an edge")
+    require(not guaranteed or (len(p_kept) >= len(p_fam) - (ell - 1) * (2 * t - 1)
+                               and len(q_kept) >= 1),
+            "separation undershot its size floors")
     return (PathFamily(p_kept, p_fam.common_length),
             PathFamily(q_kept, q_fam.common_length))
 
@@ -414,9 +404,9 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
     choice = head.paths[0]
     rest = select_pairwise_anticomplete(g, reduced, ell, t)
     out = [choice] + rest
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            assert are_anticomplete(g, out[i], out[j])
+    require(all(are_anticomplete(g, out[i], out[j])
+                for i in range(len(out)) for j in range(i + 1, len(out))),
+            "selected paths are not pairwise anticomplete")
     return out
 
 
@@ -443,9 +433,7 @@ def assemble_cycle(g: Graph, anchors: Sequence[int],
     chord = first_bad_pair(g, cycle, closed=True)
     if chord is not None:
         raise AssemblyError(chord)
-    cert = InducedCycle(tuple(cycle))
-    assert verify_certificate(g, cert)
-    return cert
+    return certified(g, InducedCycle(tuple(cycle)))
 
 
 @dataclass
@@ -510,7 +498,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
 
     def finish(cert: Optional[Certificate]) -> PipelineResult:
         if cert is not None:
-            assert verify_certificate(g, cert)
+            certified(g, cert, t=t, ell=ell)
         return PipelineResult(cert, stages, ov.seed)
 
     # Step 1: clique minor (searched, or injected and validated)

@@ -2,12 +2,14 @@
 
 Every detector and lemma procedure returns one of these; verify_certificate
 re-checks the claimed structure against the graph from scratch, so a
-certificate never has to be trusted.
+certificate never has to be trusted.  The lemma, minor, VC and pipeline
+layers hand every certificate out through certified, which also checks that
+it answers the question asked, and every other invariant through require.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, TypeVar, Union
 
 from .graph import Graph, is_independent, verify_induced_cycle
 
@@ -15,7 +17,7 @@ from .graph import Graph, is_independent, verify_induced_cycle
 class InternalInconsistency(AssertionError):
     """A procedure produced a certificate that fails its own check; the
     argument behind it guarantees the check, so reaching this is a bug.
-    Raised explicitly, so `python -O` does not strip the check."""
+    Raised by require and certified, so `python -O` does not strip it."""
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,41 @@ def verify_certificate(g: Graph, cert: Certificate) -> bool:
     except KeyError:
         raise TypeError(f"unknown certificate type {type(cert).__name__}")
     return verifier(g, cert)
+
+
+def require(cond: bool, what: str) -> None:
+    """Raise InternalInconsistency(what) unless cond holds.
+
+    The one check for an invariant that the argument behind a procedure
+    guarantees (a minor that validates, a counting floor, a postcondition);
+    certificates go through certified instead.
+    """
+    if not cond:
+        raise InternalInconsistency(what)
+
+
+_C = TypeVar("_C", bound=Certificate)
+
+
+def certified(g: Graph, cert: _C, *, t: int = 0, ell: int = 0, d: int = 0) -> _C:
+    """cert, once it verifies against g and answers the question asked.
+
+    The question fixes a size: an induced cycle on at least t vertices, a
+    biclique with both sides of at least ell vertices, a subdivided star
+    with at least d leaves.  A certificate that fails either check raises
+    InternalInconsistency.
+    """
+    require(verify_certificate(g, cert), f"certificate {cert} does not verify")
+    if isinstance(cert, InducedCycle):
+        size, asked = len(cert.vertices), t
+    elif isinstance(cert, BicliqueWitness):
+        size, asked = min(len(cert.left), len(cert.right)), ell
+    elif isinstance(cert, SubdividedStarWitness):
+        size, asked = len(cert.leaves), d
+    else:
+        return cert
+    require(size >= asked, f"certificate {cert} is smaller than the {asked} asked for")
+    return cert
 
 
 def certificate_tag(cert: Certificate) -> str:

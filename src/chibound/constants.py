@@ -70,10 +70,6 @@ class FactoredInt:
     factors: tuple[tuple[int, int], ...]
 
     @classmethod
-    def one(cls) -> "FactoredInt":
-        return cls(())
-
-    @classmethod
     def from_int(cls, n: int) -> "FactoredInt":
         if n < 1:
             raise ValueError("only positive integers")
@@ -140,9 +136,6 @@ class FactoredInt:
             return -1
         a, b = num.to_int(), den.to_int()
         return (a > b) - (a < b)
-
-    def __ge__(self, other: "FactoredInt") -> bool:
-        return self.compare(other) >= 0
 
 
 def _as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:

@@ -363,10 +363,8 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrder]:
 
 
 def clique_number(g: Graph, budget: Optional[int] = None) -> int:
-    """Exact clique number via maximum independent set on the complement."""
-    if g.n == 0:
-        return 0
-    return len(max_independent_set(g.complement(), budget).vertices)
+    """Exact clique number: the size of max_clique."""
+    return len(max_clique(g, budget))
 
 
 def max_clique(g: Graph, budget: Optional[int] = None) -> tuple[int, ...]:
@@ -421,14 +419,13 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
     Lower bound from an exact maximum clique, upper bound from greedy
     coloring in reverse degeneracy order; k-colorability tested in between,
     and the greedy coloring returned when no smaller k works.  On budget
-    exhaustion raises BudgetExceeded with best=(k, upper), k the number of
+    exhaustion raises BudgetExceeded with best=(lower, upper): the size of
+    the clique found so far, or once the clique is exact the number of
     colors under test.
     """
     if g.n == 0:
         return {}
     bud = SearchBudget(budget)
-    clique = max_clique(g, budget)
-    lower = len(clique)
     _, elim = degeneracy(g)
     greedy: dict[int, int] = {}
     for v in reversed(elim.order):
@@ -438,7 +435,11 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
             c += 1
         greedy[v] = c
     upper = max(greedy.values()) + 1
-    k = lower
+    try:
+        clique = max_clique(g, budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(best=(len(exc.best.vertices), upper))
+    k = len(clique)
     try:
         while k < upper:
             colors = _k_colorable(g, k, clique, bud)

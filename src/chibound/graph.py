@@ -19,19 +19,16 @@ DEFAULT_VERTEX_CAP = 10**6
 class Graph:
     """Immutable undirected simple graph with adjacency-set access."""
 
-    __slots__ = ("n", "_adj", "labels", "_m", "_masks")
+    __slots__ = ("n", "_adj", "_m", "_masks")
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...],
-                 labels: Optional[tuple[str, ...]] = None):
+    def __init__(self, n: int, adj: tuple[frozenset[int], ...]):
         self.n = n
         self._adj = adj
-        self.labels = labels
         self._m = sum(len(s) for s in adj) // 2
         self._masks: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   labels: Optional[Sequence[str]] = None,
                    cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
         """Build a graph from an edge list.
 
@@ -52,10 +49,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             sets[u].add(v)
             sets[v].add(u)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length must equal vertex count")
-        return cls(n, tuple(frozenset(s) for s in sets),
-                   tuple(labels) if labels is not None else None)
+        return cls(n, tuple(frozenset(s) for s in sets))
 
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -96,7 +90,7 @@ class Graph:
     def complement(self) -> "Graph":
         full = frozenset(range(self.n))
         adj = tuple(full - self._adj[v] - {v} for v in range(self.n))
-        return Graph(self.n, adj, self.labels)
+        return Graph(self.n, adj)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph plus the new-index -> original-id mapping.
@@ -210,10 +204,6 @@ class PathFamily:
 
     def __iter__(self) -> Iterator[OrientedPath]:
         return iter(self.paths)
-
-    def layer(self, i: int) -> list[int]:
-        """The i-th vertex of every path (0-based)."""
-        return [p.vertices[i] for p in self.paths]
 
 
 def mask_vertices(mask: int) -> list[int]:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 from .certificates import (BicliqueWitness, EliminationOrder,
                            InternalInconsistency, LowDegreeVertex,
-                           SubdividedStarWitness, verify_certificate)
+                           SubdividedStarWitness, certified, require)
 from .graph import Graph, VertexSet
 
 
@@ -56,9 +56,8 @@ def filter_many_nonneighbors(g: Graph, u_set: VertexSet, outside: VertexSet,
         for v in chosen:
             common &= g.adj(v)
         # each failure has <= p-1 non-neighbors, so >= ell survive
-        assert len(common) >= ell, "counting argument violated"
-        biclique = BicliqueWitness(tuple(chosen), tuple(sorted(common)[:ell]))
-        assert verify_certificate(g, biclique)
+        biclique = certified(
+            g, BicliqueWitness(tuple(chosen), tuple(sorted(common)[:ell])), ell=ell)
     return FilterResult(frozenset(kept), frozenset(excluded), biclique)
 
 
@@ -84,7 +83,7 @@ def common_filter(g: Graph, u_sets: Sequence[VertexSet], outside: VertexSet,
         if result.biclique is not None:
             return None, result.biclique
         survivors = result.kept
-    assert survivors, "survivor count bound violated"
+    require(bool(survivors), "survivor count bound violated")
     return min(survivors), None
 
 
@@ -133,8 +132,7 @@ class SStarOutcome:
 def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
                    roots_above: list[int], trace: Optional[list[dict]]
                    ) -> SStarOutcome:
-    if not vertices:
-        raise InternalInconsistency("recursed into an empty vertex set")
+    require(bool(vertices), "recursed into an empty vertex set")
     if k == 1:
         # no K_{1,ell} means max degree < ell; otherwise the star lifts
         # through the ancestor roots into a full biclique
@@ -146,12 +144,9 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
             return SStarOutcome(LowDegreeVertex(v, deg, degree_bound(1, d, ell)), 1, trace)
         left = tuple(sorted({v} | set(roots_above)))
         right = tuple(sorted(g.neighbors_in(v, vertices))[:ell])
-        assert len(left) == ell
-        witness = BicliqueWitness(left, right)
-        assert verify_certificate(g, witness)
         if trace is not None:
             trace.append({"k": 1, "outcome": "biclique"})
-        return SStarOutcome(witness, 1, trace)
+        return SStarOutcome(BicliqueWitness(left, right), 1, trace)
 
     r = max(vertices, key=lambda u: (g.degree_in(u, vertices), -u))
     a_set = g.neighbors_in(r, vertices)
@@ -166,16 +161,14 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
         trace.append({"k": k, "root": r, "A": len(a_set), "U": len(u_set)})
 
     if len(u_set) >= ell ** (d - 1) + (d - 1) * ell ** d:
-        outcome = _sstar_star_branch(g, r, b_of, u_set, d, ell, k, trace)
-        if outcome is not None:
-            return outcome
-        raise InternalInconsistency("star branch returned nothing")
+        return _sstar_star_branch(g, r, b_of, u_set, d, ell, k, trace)
 
     remainder = a_set - u_set
     if not remainder:
         # every neighbor of r is in U, so deg(r) < the U threshold <= bound
         deg = g.degree_in(r, vertices)
-        assert deg <= degree_bound(k, d, ell)
+        require(deg <= degree_bound(k, d, ell),
+                f"root degree {deg} exceeds the bound at level {k}")
         return SStarOutcome(LowDegreeVertex(r, deg, degree_bound(k, d, ell)), k, trace)
 
     sub = _sstar_recurse(g, remainder, k - 1, d, ell, roots_above + [r], trace)
@@ -186,14 +179,12 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
     v = cert.vertex
     deg_here = g.degree_in(v, vertices)
     bound = degree_bound(k, d, ell)
-    if deg_here > bound:
-        raise InternalInconsistency(
-            f"degree {deg_here} exceeds bound {bound} at level {k}")
+    require(deg_here <= bound, f"degree {deg_here} exceeds bound {bound} at level {k}")
     return SStarOutcome(LowDegreeVertex(v, deg_here, bound), k, trace)
 
 
 def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
-                       d: int, ell: int, k: int, trace) -> Optional[SStarOutcome]:
+                       d: int, ell: int, k: int, trace) -> SStarOutcome:
     """The j-loop: build u_1..u_d with private B-neighborhoods, then a
     rainbow independent set of leaves; any filter failure yields a biclique."""
 
@@ -214,7 +205,7 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
         result = filter_many_nonneighbors(g, rest, frozenset(batch), p_j, ell)
         if result.biclique is not None:
             return SStarOutcome(result.biclique, k, trace)
-        assert result.kept, "filter kept nothing from the batch"
+        require(bool(result.kept), "filter kept nothing from the batch")
         u_j = min(result.kept)
         chosen.append(u_j)
         survivors = rest - g.adj(u_j)
@@ -228,7 +219,7 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
                 return SStarOutcome(result.biclique, k, trace)
             survivors = result.kept
         current = survivors
-    assert current, "U_d emptied out"
+    require(bool(current), "U_d emptied out")
     chosen.append(min(current))
 
     leaf_sets = []
@@ -239,7 +230,6 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
     if biclique is not None:
         return SStarOutcome(biclique, k, trace)
     witness = SubdividedStarWitness(r, tuple(chosen), tuple(transversal))
-    assert verify_certificate(g, witness)
     return SStarOutcome(witness, k, trace)
 
 
@@ -247,8 +237,9 @@ def _sstar_on(g: Graph, vertices: frozenset[int], d: int, ell: int,
               trace: Optional[list[dict]]) -> SStarOutcome:
     """sstar_low_degree on the subgraph induced by `vertices`, in the ids of g.
 
-    A low-degree certificate gives the degree inside `vertices`; the result
-    is checked unconditionally, so `python -O` cannot skip the check.
+    A low-degree certificate gives the degree inside `vertices`; every
+    result leaves through this one check, which also asks a biclique for
+    sides of ell and a subdivided star for d leaves.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -264,11 +255,10 @@ def _sstar_on(g: Graph, vertices: frozenset[int], d: int, ell: int,
         if deg < cert.degree:
             cert = LowDegreeVertex(v, deg, cert.bound)
             outcome = SStarOutcome(cert, outcome.level, outcome.trace)
-        verified = cert.degree == g.degree_in(cert.vertex, vertices) <= cert.bound
+        require(cert.degree == g.degree_in(cert.vertex, vertices) <= cert.bound,
+                f"certificate {cert} does not verify")
     else:
-        verified = verify_certificate(g, cert)
-    if not verified:
-        raise InternalInconsistency(f"certificate {cert} does not verify")
+        certified(g, cert, ell=ell, d=d)
     return outcome
 
 
@@ -304,7 +294,6 @@ def sstar_elimination_order(g: Graph, d: int, ell: int
         worst = max(worst, cert.degree)
         order.append(cert.vertex)
         remaining = remaining - {cert.vertex}
-    result = EliminationOrder(tuple(order), worst)
-    if worst > degree_bound(ell, d, ell) or not verify_certificate(g, result):
-        raise InternalInconsistency(f"elimination order of bound {worst} does not verify")
-    return result
+    require(worst <= degree_bound(ell, d, ell),
+            f"elimination order of bound {worst} exceeds the level-{ell} bound")
+    return certified(g, EliminationOrder(tuple(order), worst))

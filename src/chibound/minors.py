@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .certificates import InducedCycle, InternalInconsistency, verify_certificate
+from .certificates import InducedCycle, certified, require, verify_certificate
 from .detect import BudgetExceeded, SearchBudget, max_clique
 from .graph import Graph, mask_vertices
 
@@ -234,47 +234,45 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
     graphs (series-parallel reduction) and, on small graphs, by exhaustive
     assignment search.  Otherwise greedy edge contraction with 16 randomized
     restarts; when those fail and the exact fallback is infeasible, raises
-    BudgetExceeded (inconclusive, not absent).  A minor found is validated
-    before it is returned, and one that fails raises InternalInconsistency.
+    BudgetExceeded (inconclusive, not absent) with best=None.  A minor found
+    is validated before it is returned, and one that fails raises
+    InternalInconsistency.
     """
     if p < 1:
         raise ValueError("p must be positive")
+    found = None
     if p == 1:
-        return CliqueMinor.from_sets([{0}]) if g.n else None
-    if p == 2:
-        for u in range(g.n):
-            if g.adj(u):
-                return CliqueMinor.from_sets([{u}, {min(g.adj(u))}])
-        return None
-    if p == 3:
+        found = CliqueMinor.from_sets([{0}]) if g.n else None
+    elif p == 2:
+        u = next((u for u in range(g.n) if g.adj(u)), None)
+        found = None if u is None else CliqueMinor.from_sets([{u}, {min(g.adj(u))}])
+    elif p == 3:
         cycle = _find_cycle(g)
-        if cycle is None:
-            return None
-        return CliqueMinor(tuple(_split_cycle(cycle, 3)))
-    if p >= 4 and _series_parallel_reducible(g):
-        # no K4 minor, hence no K_p minor for any p >= 4
-        return None
-
-    clique = max_clique(g, budget)
-    if len(clique) >= p:
-        return CliqueMinor.from_sets([{v} for v in clique[:p]])
-
-    found = _greedy_contraction(g, p, None)
-    rng = random.Random(seed)
-    for _ in range(16):
-        if found is not None:
-            break
-        found = _greedy_contraction(g, p, rng)
-    if found is None:
-        found = _assignment_search(g, p, SearchBudget(budget))
+        found = None if cycle is None else CliqueMinor(tuple(_split_cycle(cycle, 3)))
+    elif not _series_parallel_reducible(g):
+        # a series-parallel graph has no K4 minor, hence no K_p minor
+        try:
+            clique = max_clique(g, budget)
+        except BudgetExceeded:
+            raise BudgetExceeded()  # the clique search's best is no minor
+        if len(clique) >= p:
+            found = CliqueMinor.from_sets([{v} for v in clique[:p]])
+        else:
+            found = _greedy_contraction(g, p, None)
+            rng = random.Random(seed)
+            for _ in range(16):
+                if found is not None:
+                    break
+                found = _greedy_contraction(g, p, rng)
+            if found is None:
+                found = _assignment_search(g, p, SearchBudget(budget))
+        if found is None and p == 4:
+            # reduction said a K4 minor exists; the search cannot conclude absence
+            raise BudgetExceeded("K4 minor exists but no witness found in budget")
     if found is not None:
-        if not validate_minor(g, found):
-            raise InternalInconsistency(f"clique minor {found.to_json()} does not validate")
-        return found
-    if p == 4:
-        # reduction said a K4 minor exists; the search cannot conclude absence
-        raise BudgetExceeded("K4 minor exists but no witness found in budget")
-    return None
+        require(len(found) == p and validate_minor(g, found),
+                f"clique minor {found.to_json()} does not validate")
+    return found
 
 
 def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
@@ -308,7 +306,7 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
                     sets[idx].discard(v)
                     changed = True
     result = CliqueMinor.from_sets(sets)
-    assert validate_minor(g, result)
+    require(validate_minor(g, result), "minimized minor does not validate")
     return result
 
 
@@ -345,11 +343,9 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
             raise ValueError("minor is not minimal: endpoint lacks a private set")
         allowed = frozenset(sets[ku] | sets[kv] | {u, v})
         connector = g.shortest_path(u, v, allowed)
-        assert connector is not None and len(connector) >= 4
-        cycle = path + connector[-2:0:-1]
-        cert = InducedCycle(tuple(cycle))
-        assert verify_certificate(g, cert) and len(cycle) >= t
-        return cert
+        require(connector is not None and len(connector) >= 4,
+                f"no connector of 4 or more vertices between {u} and {v}")
+        return certified(g, InducedCycle(tuple(path + connector[-2:0:-1])), t=t)
     return None
 
 
@@ -440,7 +436,7 @@ def _segment_cycle(g: Graph, minor: CliqueMinor, sample: list[int],
     segments: list[list[int]] = []
     for i in range(t):
         seg = g.shortest_path(into[i], out[i], sets[i])
-        assert seg is not None
+        require(seg is not None, f"branch set {sorted(sets[i])} is not connected")
         segments.append(seg)
     seg_sets = [frozenset(seg) for seg in segments]
     for i in range(t):
@@ -559,13 +555,10 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
                 merged |= minimal.branch_sets[assignment[(i, j)]]
         new_sets.append(merged)
     result = CliqueMinor.from_sets(new_sets)
-    assert validate_minor(g, result)
-    for pos, i in enumerate(base):
-        b = anchors[i]
-        for q, s in enumerate(result.branch_sets):
-            if q != pos:
-                assert g.adj(b) & s, "designated vertex lost fullness"
-    for s in result.branch_sets:
-        _, _, dist = eccentric_pair(g, s)
-        assert dist + 1 < 2 * t, "branch set diameter exceeds 2t"
+    require(validate_minor(g, result), "full-vertex minor does not validate")
+    require(all(g.adj(anchors[i]) & s for pos, i in enumerate(base)
+                for q, s in enumerate(result.branch_sets) if q != pos),
+            "designated vertex lost fullness")
+    require(all(eccentric_pair(g, s)[2] + 1 < 2 * t for s in result.branch_sets),
+            "branch set diameter exceeds 2t")
     return result

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .certificates import (BicliqueWitness, Certificate, InducedCycle,
-                           verify_certificate)
+                           certified, require)
 from .detect import (BudgetExceeded, SearchBudget, chromatic_number_exact,
                      optimal_coloring)
 from .graph import Graph, VertexSet, is_independent
@@ -48,11 +48,6 @@ class SetSystem:
 
     def distinct_members(self) -> set[frozenset[int]]:
         return set(self.members)
-
-    def to_json(self) -> dict:
-        index = {x: i for i, x in enumerate(self.universe)}
-        return {"universe_size": len(self.universe),
-                "members": [sorted(index[x] for x in m) for m in self.members]}
 
 
 def neighborhood_system(g: Graph, x_set: VertexSet, y_set: VertexSet) -> SetSystem:
@@ -225,9 +220,7 @@ def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
     for i in range(m):
         cycle.append(zs[i])
         cycle.append(picked[i])
-    cert = InducedCycle(tuple(cycle))
-    assert verify_certificate(g, cert)
-    return cert
+    return certified(g, InducedCycle(tuple(cycle)), t=t)
 
 
 def _check_coloring(g: Graph, x_set: frozenset[int], q: int,
@@ -267,8 +260,7 @@ def _extract_cycle_via_shattering(g: Graph, x_set: frozenset[int],
     system = neighborhood_system(g, x_set, y_set)
     zmin = _trace_exponent(q, t)
     shattered = find_shattered_set(system, zmin)
-    if shattered is None:
-        raise AssertionError("counting promised a shattered set; none found")
+    require(shattered is not None, "counting promised a shattered set; none found")
     if coloring is None:
         sub, back = g.induced(x_set)
         coloring = {back[v]: c for v, c in optimal_coloring(sub).items()}
@@ -276,7 +268,7 @@ def _extract_cycle_via_shattering(g: Graph, x_set: frozenset[int],
     for z in shattered:
         by_color.setdefault(coloring[z], []).append(z)
     best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
-    assert len(best) >= t // 2, "pigeonhole on color classes failed"
+    require(len(best) >= t // 2, "pigeonhole on color classes failed")
     return cycle_from_shattered(g, frozenset(best), system, t)
 
 
@@ -322,47 +314,37 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
     bucket, trace, _ = trace_buckets(g, x_set, y_set)
     if len(bucket) >= ell:
         # every y has >= ell neighbors in X, so the common trace is large too
-        witness = BicliqueWitness(tuple(sorted(bucket))[:ell],
-                                  tuple(sorted(trace))[:ell])
-        assert verify_certificate(g, witness)
-        return False, witness
+        return False, certified(g, BicliqueWitness(tuple(sorted(bucket))[:ell],
+                                                   tuple(sorted(trace))[:ell]), ell=ell)
     return False, _extract_cycle_via_shattering(g, x_set, y_set, q, t, coloring)
 
 
 def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
                       ell: int, q: int, t: int,
-                      coloring: Optional[dict[int, int]] = None,
-                      require_hypotheses: bool = True
+                      coloring: Optional[dict[int, int]] = None
                       ) -> tuple[frozenset[int], frozenset[int]]:
     """Split off the largest trace bucket Y' and the trace-free part X' of X.
 
     X' and Y' have no edges between them, unconditionally.  Under the
     stated hypotheses |X'| > |X| - ell and |Y'| >= |Y| / |X|^(qt/2); a
     bucket and trace both of size >= ell instead raise CounterWitness with
-    the biclique (or, when the bucket stays small against the counting,
-    with an induced t-cycle).
+    the biclique (or, when the hypotheses hold and the bucket stays small
+    against the counting, with an induced t-cycle).  Inputs that miss the
+    hypotheses are split all the same.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
     failures = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, False)
-    exponent = _trace_exponent(q, t)
-    size_ok = len(y_set) >= ell * len(x_set) ** exponent
-    if require_hypotheses:
-        if failures:
-            raise ValueError("hypotheses violated: " + "; ".join(failures))
-        if not size_ok:
-            raise ValueError(f"|Y| = {len(y_set)} below ell * |X|^(qt/2)")
+    size_ok = len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)
     if not y_set:
         return x_set, frozenset()
     bucket, trace, _ = trace_buckets(g, x_set, y_set)
     if len(bucket) >= ell and len(trace) >= ell:
-        witness = BicliqueWitness(tuple(sorted(bucket))[:ell],
-                                  tuple(sorted(trace))[:ell])
-        assert verify_certificate(g, witness)
-        raise CounterWitness(witness)
+        raise CounterWitness(certified(g, BicliqueWitness(tuple(sorted(bucket))[:ell],
+                                                          tuple(sorted(trace))[:ell]),
+                                       ell=ell))
     if len(bucket) < ell and size_ok and not failures:
         raise CounterWitness(
             _extract_cycle_via_shattering(g, x_set, y_set, q, t, coloring))
     x_prime = x_set - trace
-    for y in bucket:
-        assert not (g.adj(y) & x_prime), "split left an X'-Y' edge"
+    require(all(not (g.adj(y) & x_prime) for y in bucket), "split left an X'-Y' edge")
     return x_prime, bucket

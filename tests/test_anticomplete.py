@@ -13,7 +13,7 @@ from chibound.anticomplete import (AssemblyError, InterferenceMatrix,
                                    select_noninterfering, select_pairwise_anticomplete,
                                    separate_families)
 from chibound.certificates import (BicliqueWitness, InducedCycle,
-                                   verify_certificate)
+                                   InternalInconsistency, verify_certificate)
 from chibound.detect import find_biclique_subgraph
 from chibound.generate import (gnp, pipeline_full_instance,
                                pipeline_ideal_instance, pipeline_poison_instance)
@@ -155,6 +155,16 @@ def test_separate_planted_sparse_conflicts():
     assert len(q2) >= 2
 
 
+def test_separate_size_floors_hold():
+    # ell = 1 and one P path of 3 = q*t/2 vertices meet the cardinality
+    # hypotheses, so the size floors are checked
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    p = PathFamily((OrientedPath((0, 1, 2)),), 3)
+    q = PathFamily((OrientedPath((3, 4, 5)),), 3)
+    p2, q2 = separate_families(g, p, q, ell=1, t=2)
+    assert p2.paths == p.paths and q2.paths == q.paths
+
+
 def test_separate_rejects_malformed():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2)])
     touching = PathFamily((OrientedPath((0, 1)),), 2)
@@ -261,6 +271,18 @@ def test_pipeline_full_route():
     assert len(res.certificate.vertices) == t
     names = [s.name for s in res.stages]
     assert "interference" in names and "assemble" in names
+
+
+def test_pipeline_checks_the_cycle_length(monkeypatch):
+    # an induced C4 verifies, but does not answer a question about t = 6
+    t = 6
+    g, sets = pipeline_full_instance(t, copies=2)
+    short = InducedCycle((0, 3, 1, 4))
+    assert verify_certificate(g, short)
+    monkeypatch.setattr(anticomplete, "assemble_cycle", lambda *a: short)
+    with pytest.raises(InternalInconsistency):
+        main_pipeline(g, t, 3, PipelineOverrides(
+            branch_sets=sets, a_count=t // 2, paths_per_pair=2, seed=0))
 
 
 def test_pipeline_poison_biclique():

@@ -16,7 +16,8 @@ different order fails here too.
 
 The upper layers are pinned on the same terms: chromatic_number_exact (value,
 nodes and BudgetExceeded.best), cor_traces_check (including the uncolored
-shattering route), check_branch_diameter and full_vertex_minor on the
+shattering route), cor_traces3_split (the split or the CounterWitness
+certificate), check_branch_diameter and full_vertex_minor on the
 G(20, 1/2) minors, the JSON record of main_pipeline on the planted, ideal,
 tree and G(20, 1/2) instances, and the pipeline instance builders' graphs
 and branch sets.
@@ -50,7 +51,7 @@ from chibound.lemmas import sstar_elimination_order, sstar_low_degree
 from chibound.minors import (CliqueMinor, check_branch_diameter,
                              find_clique_minor, full_vertex_minor,
                              minimize_minor)
-from chibound.vc import cor_traces_check
+from chibound.vc import CounterWitness, cor_traces3_split, cor_traces_check
 
 FIXTURE = Path(__file__).with_name("golden_certificates.json")
 
@@ -299,6 +300,17 @@ def trace_record(name: str) -> dict:
         {"holds": holds, "witness": None if witness is None else _cert_json(witness)}))
 
 
+def trace3_record(name: str) -> dict:
+    """cor_traces3_split on a trace instance: the split (X', Y'), or the
+    certificate of the CounterWitness it raises."""
+    g, xs, ys, ell, coloring = trace_instance(name)
+    try:
+        x_prime, y_prime = cor_traces3_split(g, xs, ys, ell, 1, 4, coloring=coloring)
+    except CounterWitness as cw:
+        return json.loads(json.dumps({"witness": _cert_json(cw.certificate)}))
+    return {"x_prime": sorted(x_prime), "y_prime": sorted(y_prime)}
+
+
 def _key(spec) -> str:
     return "{}-n{}-p{:.4f}-s{}".format(*spec)
 
@@ -339,6 +351,10 @@ def _trace_key(name: str) -> str:
     return f"traces-{name}"
 
 
+def _trace3_key(name: str) -> str:
+    return f"traces3-{name}"
+
+
 def _fixture() -> dict:
     out = {_key(s): golden_record(*s[1:]) for s in GRAPHS}
     out.update({_search_key(s): search_record(*s) for s in SEARCH_GRAPHS})
@@ -349,6 +365,7 @@ def _fixture() -> dict:
     out.update({_pipeline_key(s): pipeline_record(*s) for s in PIPELINES})
     out.update({_instance_key(s): instance_record(*s) for s in INSTANCES})
     out.update({_trace_key(s): trace_record(s) for s in TRACE_INSTANCES})
+    out.update({_trace3_key(s): trace3_record(s) for s in TRACE_INSTANCES})
     return out
 
 
@@ -397,6 +414,11 @@ def test_golden_cor_traces_check(golden, name):
     assert trace_record(name) == golden[_trace_key(name)]
 
 
+@pytest.mark.parametrize("name", TRACE_INSTANCES, ids=_trace3_key)
+def test_golden_cor_traces3_split(golden, name):
+    assert trace3_record(name) == golden[_trace3_key(name)]
+
+
 def _search_outcomes(golden, prefix: str) -> set:
     out = set()
     for key, rec in golden.items():
@@ -427,7 +449,8 @@ def test_golden_fixture_covers_every_outcome(golden):
                            | {_minor_layer_key(s) for s in MINOR_LAYER_GRAPHS}
                            | {_pipeline_key(s) for s in PIPELINES}
                            | {_instance_key(s) for s in INSTANCES}
-                           | {_trace_key(s) for s in TRACE_INSTANCES})
+                           | {_trace_key(s) for s in TRACE_INSTANCES}
+                           | {_trace3_key(s) for s in TRACE_INSTANCES})
     searches = _search_outcomes(golden, "search-")
     for call in SEARCHES:
         kinds = {kind for name, kind in searches if name == call}
@@ -439,7 +462,7 @@ def test_golden_fixture_covers_every_outcome(golden):
     assert chromatic == {"budget+best", "value"}
     bests = {type(r["best"]).__name__ for s in CHROMATIC_GRAPHS
              for r in golden[_chromatic_key(s)].values() if r["result"] == "budget"}
-    assert bests == {"dict", "list"}  # a clique so far, or (k, upper)
+    assert bests == {"list"}  # (lower, upper)
     layer = {(call, v if v is None else v.get("raised", v.get("tag")))
              for rec in (golden[_minor_layer_key(s)] for s in MINOR_LAYER_GRAPHS)
              for r in rec.values() for call, v in r.items()}
@@ -451,6 +474,10 @@ def test_golden_fixture_covers_every_outcome(golden):
     assert pipelines == {None, "InducedCycle", "BicliqueWitness"}
     shattered = golden[_trace_key("shatter8")]
     assert shattered["witness"]["tag"] == "InducedCycle"
+    splits = {golden[_trace3_key(s)]["witness"]["tag"]
+              if "witness" in golden[_trace3_key(s)] else "split"
+              for s in TRACE_INSTANCES}
+    assert splits == {"split", "BicliqueWitness", "InducedCycle"}
 
 
 if __name__ == "__main__":

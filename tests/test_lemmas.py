@@ -213,6 +213,11 @@ def test_lemma_results_are_checked_without_assert(monkeypatch):
         sstar_low_degree(c5, 2, 2)
     with pytest.raises(lemmas.InternalInconsistency):
         sstar_elimination_order(c5, 2, 2)
+    # valid, but K_{1,1} does not answer a question about K_{2,2}
+    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda *a: lemmas.SStarOutcome(
+        BicliqueWitness((0,), (1,)), 1))
+    with pytest.raises(lemmas.InternalInconsistency):
+        sstar_low_degree(c5, 2, 2)
     monkeypatch.setattr(lemmas, "degree_bound", lambda k, d, ell: -1)
     monkeypatch.setattr(lemmas, "_sstar_recurse", lambda g, vs, *a: lemmas.SStarOutcome(
         LowDegreeVertex(min(vs), g.degree_in(min(vs), vs), 2), 1))

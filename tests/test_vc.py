@@ -211,15 +211,14 @@ def test_cor_traces_check_shattering_cycle():
 def test_cor_traces3_trivial_splits():
     g = empty_graph(7)
     xp, yp = cor_traces3_split(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}),
-                               ell=1, q=1, t=6, coloring={0: 0, 1: 0, 2: 0},
-                               require_hypotheses=False)
+                               ell=1, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
     assert xp == frozenset({0, 1, 2}) and yp == frozenset({3, 4, 5, 6})
 
     # every y adjacent to one fixed x
     edges = [(0, y) for y in range(3, 7)]
     g2 = Graph.from_edges(7, edges)
     xp, yp = cor_traces3_split(g2, frozenset({0, 1, 2}), frozenset(range(3, 7)),
-                               ell=2, q=1, t=6, require_hypotheses=False)
+                               ell=2, q=1, t=6)
     assert xp == frozenset({1, 2}) and yp == frozenset(range(3, 7))
     assert all(not g2.adj(y) & xp for y in yp)
 
@@ -232,7 +231,7 @@ def test_cor_traces3_surfaces_biclique():
     g = Graph.from_edges(3 + nY, edges)
     with pytest.raises(CounterWitness) as exc:
         cor_traces3_split(g, frozenset({0, 1, 2}), frozenset(range(3, 3 + nY)),
-                          ell=2, q=1, t=6, require_hypotheses=False)
+                          ell=2, q=1, t=6)
     assert isinstance(exc.value.certificate, BicliqueWitness)
     assert verify_certificate(g, exc.value.certificate)
 
@@ -247,8 +246,7 @@ def test_cor_traces3_postconditions_random(rng):
         if not ys:
             continue
         try:
-            xp, yp = cor_traces3_split(g, xs, ys, ell=2, q=2, t=4,
-                                       require_hypotheses=False)
+            xp, yp = cor_traces3_split(g, xs, ys, ell=2, q=2, t=4)
         except CounterWitness as w:
             assert verify_certificate(g, w.certificate)
             done += 1
