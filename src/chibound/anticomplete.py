@@ -511,7 +511,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
         stages.append(StageReport("minor", minor_size, len(minor), "injected"))
     else:
         try:
-            found = find_clique_minor(g, minor_size, ov.budget, ov.seed)
+            found = find_clique_minor(g, minor_size, ov.budget)
         except BudgetExceeded:
             stages.append(StageReport("minor", minor_size, 0, "budget"))
             return finish(None)

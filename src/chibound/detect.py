@@ -418,10 +418,11 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
 
     Lower bound from an exact maximum clique, upper bound from greedy
     coloring in reverse degeneracy order; k-colorability tested in between,
-    and the greedy coloring returned when no smaller k works.  On budget
-    exhaustion raises BudgetExceeded with best=(lower, upper): the size of
-    the clique found so far, or once the clique is exact the number of
-    colors under test.
+    and the greedy coloring returned when no smaller k works, or as soon as
+    a clique of `upper` vertices turns up, even in a clique search that ran
+    out of budget.  On budget exhaustion raises BudgetExceeded with
+    best=(lower, upper): the size of the clique found so far, or once the
+    clique is exact the number of colors under test.
     """
     if g.n == 0:
         return {}
@@ -438,7 +439,9 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
     try:
         clique = max_clique(g, budget)
     except BudgetExceeded as exc:
-        raise BudgetExceeded(best=(len(exc.best.vertices), upper))
+        clique = exc.best.vertices  # a clique, maybe not a maximum one
+        if len(clique) < upper:
+            raise BudgetExceeded(best=(len(clique), upper))
     k = len(clique)
     try:
         while k < upper:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .certificates import InducedCycle, certified, require, verify_certificate
-from .detect import BudgetExceeded, SearchBudget, max_clique
+from .detect import BudgetExceeded, SearchBudget
 from .graph import Graph, mask_vertices
 
 
@@ -129,44 +129,42 @@ def _series_parallel_reducible(g: Graph) -> bool:
     return not alive
 
 
-def _greedy_contraction(g: Graph, p: int,
-                        rng: Optional[random.Random]) -> Optional[CliqueMinor]:
-    """Contract the edge with the leanest merged neighborhood until p
-    supernodes remain; succeed iff the quotient is complete."""
-    nodes: dict[int, set[int]] = {v: {v} for v in range(g.n)}
-    neigh: dict[int, set[int]] = {v: set(g.adj(v)) for v in range(g.n)}
-    while len(nodes) > p:
-        best_key = None
-        best_edge = None
-        candidates = []
-        for a in sorted(nodes):
-            for b in sorted(neigh[a]):
-                if b <= a:
-                    continue
-                merged = (neigh[a] | neigh[b]) - {a, b}
-                candidates.append((len(merged), a, b))
-        if not candidates:
-            return None
-        candidates.sort()
-        if rng is not None:
-            cutoff = candidates[0][0]
-            pool = [c for c in candidates if c[0] == cutoff]
-            _, a, b = rng.choice(pool)
-        else:
-            _, a, b = candidates[0]
-        nodes[a] |= nodes[b]
-        neigh[a] = (neigh[a] | neigh[b]) - {a, b}
-        for c in neigh[b]:
-            if c != a:
-                neigh[c].discard(b)
-                neigh[c].add(a)
-        del nodes[b], neigh[b]
-    ids = sorted(nodes)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            if b not in neigh[a]:
-                return None
-    return CliqueMinor.from_sets([nodes[a] for a in ids])
+def _contract_to_clique(g: Graph) -> list[frozenset[int]]:
+    """The branch sets of a complete quotient of g, ordered by least vertex.
+
+    Min-degree / least-common-neighbour contraction (Bodlaender, Koster &
+    Wolle, Contraction and treewidth lower bounds, ESA 2004): the supernode
+    of least (degree, id) is deleted when isolated and otherwise contracted
+    into the neighbour of least (shared neighbours, id), until the least
+    degree is one below the number of supernodes.  A supernode whose closed
+    neighbourhood is complete is a clique that its contraction would shrink,
+    so the largest such clique is kept and returned when it beats the final
+    quotient.
+    """
+    sets = {v: {v} for v in range(g.n)}
+    neigh = {v: set(g.adj(v)) for v in range(g.n)}
+    best: list[frozenset[int]] = []
+    while neigh:
+        v = min(neigh, key=lambda w: (len(neigh[w]), w))
+        nv = neigh[v]
+        if len(nv) == len(neigh) - 1:
+            break
+        if len(nv) >= len(best) and all(nv - {w} <= neigh[w] for w in nv):
+            best = [frozenset(sets[w]) for w in nv | {v}]
+        del neigh[v]
+        members = sets.pop(v)
+        if not nv:
+            continue
+        u = min(nv, key=lambda w: (len(neigh[w] & nv), w))
+        sets[u] |= members
+        neigh[u].discard(v)
+        for w in nv - {u}:
+            neigh[w].discard(v)
+            if w not in neigh[u]:
+                neigh[w].add(u)
+                neigh[u].add(w)
+    final = [frozenset(s) for s in sets.values()]
+    return sorted(max(final, best, key=len), key=min)
 
 
 def _mask_connected(masks: Sequence[int], s: int) -> bool:
@@ -230,13 +228,14 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
                       seed: int = 0) -> Optional[CliqueMinor]:
     """A clique minor of size p, or None when absence is proven.
 
-    Exact for p <= 3 (cycle detection), for every p >= 4 on K4-minor-free
-    graphs (series-parallel reduction) and, on small graphs, by exhaustive
-    assignment search.  Otherwise greedy edge contraction with 16 randomized
-    restarts; when those fail and the exact fallback is infeasible, raises
-    BudgetExceeded (inconclusive, not absent) with best=None.  A minor found
-    is validated before it is returned, and one that fails raises
-    InternalInconsistency.
+    Exact for p <= 3 (cycle detection) and for every p >= 4 on K4-minor-free
+    graphs (series-parallel reduction).  Otherwise the first p sets of the
+    complete quotient that _contract_to_clique reaches, and when that
+    quotient is smaller than p the exhaustive assignment search, which
+    spends the one node budget and raises BudgetExceeded (inconclusive, not
+    absent) with best=None when it runs out.  A minor found is validated
+    before it is returned, and one that fails raises InternalInconsistency.
+    The search is deterministic: seed is accepted and ignored.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -251,21 +250,11 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
         found = None if cycle is None else CliqueMinor(tuple(_split_cycle(cycle, 3)))
     elif not _series_parallel_reducible(g):
         # a series-parallel graph has no K4 minor, hence no K_p minor
-        try:
-            clique = max_clique(g, budget)
-        except BudgetExceeded:
-            raise BudgetExceeded()  # the clique search's best is no minor
-        if len(clique) >= p:
-            found = CliqueMinor.from_sets([{v} for v in clique[:p]])
+        quotient = _contract_to_clique(g)
+        if len(quotient) >= p:
+            found = CliqueMinor(tuple(quotient[:p]))
         else:
-            found = _greedy_contraction(g, p, None)
-            rng = random.Random(seed)
-            for _ in range(16):
-                if found is not None:
-                    break
-                found = _greedy_contraction(g, p, rng)
-            if found is None:
-                found = _assignment_search(g, p, SearchBudget(budget))
+            found = _assignment_search(g, p, SearchBudget(budget))
         if found is None and p == 4:
             # reduction said a K4 minor exists; the search cannot conclude absence
             raise BudgetExceeded("K4 minor exists but no witness found in budget")

@@ -261,6 +261,17 @@ def test_pipeline_ideal_instances():
         assert verify_certificate(g, res.certificate)
 
 
+@pytest.mark.parametrize("t", (8, 10))
+@pytest.mark.parametrize("seed", range(6))
+def test_searched_pipeline_reaches_a_cycle(t, seed):
+    # no injected minor and no surrogate minor size: step 1 searches
+    g = pipeline_ideal_instance(t)
+    res = main_pipeline(g, t, 3, PipelineOverrides(seed=seed, budget=20_000))
+    assert isinstance(res.certificate, InducedCycle)
+    assert len(res.certificate.vertices) >= t
+    assert verify_certificate(g, res.certificate)
+
+
 def test_pipeline_full_route():
     t = 6
     g, sets = pipeline_full_instance(t, copies=2)

@@ -12,12 +12,13 @@ from chibound.detect import (BudgetExceeded, chromatic_number_exact,
                              find_biclique_subgraph, find_long_induced_cycle,
                              find_induced_subdivided_star, has_induced_path,
                              longest_induced_cycle, longest_induced_path,
-                             max_independent_set, max_independent_subset,
-                             optimal_coloring)
+                             max_clique, max_independent_set,
+                             max_independent_subset, optimal_coloring)
+from chibound.generate import generate
 from chibound.graph import (Graph, complete_bipartite, complete_graph,
                             cycle_graph, empty_graph, path_graph,
                             verify_induced_path)
-from conftest import random_graph
+from conftest import graphs, random_graph
 import oracles
 
 
@@ -208,6 +209,21 @@ def test_optimal_coloring_against_oracle(rng):
         assert chromatic_number_exact(g) == chi
 
 
+def test_optimal_coloring_answers_when_its_bounds_meet():
+    # the clique search runs out of its 40 nodes after finding a clique as
+    # large as the greedy coloring, so the greedy coloring is optimal
+    for family, params, seed, chi in (("gnp", {"n": 30, "p": 0.1}, 12, 3),
+                                      ("planted-cycle", {"n": 24, "t": 8}, 9, 2)):
+        g = next(generate(family, params, seed))
+        with pytest.raises(BudgetExceeded):
+            max_clique(g, budget=40)
+        assert len(max_clique(g)) == chi  # so chi colors are optimal
+        colors = optimal_coloring(g, budget=40)
+        assert all(colors[u] != colors[v] for u, v in g.edges())
+        assert set(colors.values()) == set(range(chi))
+        assert chromatic_number_exact(g, budget=40) == chi
+
+
 def test_soundness_random(rng):
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
@@ -289,14 +305,6 @@ def _labelled_graphs(max_n: int):
                                        if chosen >> k & 1])
 
 
-@st.composite
-def _graphs(draw, max_n: int = 10):
-    n = draw(st.integers(0, max_n))
-    pairs = list(combinations(range(n), 2))
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
-
-
 def _check_searches_against_oracles(g: Graph) -> None:
     path_len = oracles.brute_longest_induced_path(g)
     path = longest_induced_path(g)
@@ -330,6 +338,24 @@ def test_searches_match_oracles_on_every_labelled_graph_up_to_5():
 
 
 @settings(max_examples=150, deadline=None)
-@given(_graphs())
+@given(graphs())
 def test_searches_match_oracles_on_random_graphs(g):
     _check_searches_against_oracles(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_biclique_independent_set_and_clique_match_oracles(g, data):
+    for a, b in ((1, 1), (1, 3), (2, 2), (3, 2), (3, 3)):
+        found = find_biclique_subgraph(g, a, b)
+        assert (found is not None) == oracles.brute_has_biclique(g, a, b)
+        if found is not None:
+            assert (len(found.left), len(found.right)) == (a, b)
+            assert verify_certificate(g, found)
+    within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    mis = max_independent_subset(g, within)
+    assert set(mis.vertices) <= within and verify_certificate(g, mis)
+    assert len(mis.vertices) == oracles.brute_mis_size(g.induced(within)[0])
+    clique = max_clique(g)
+    assert len(clique) == oracles.brute_clique_size(g)
+    assert all(g.has_edge(u, v) for u, v in combinations(clique, 2))

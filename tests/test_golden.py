@@ -23,7 +23,9 @@ tree and G(20, 1/2) instances, and the pipeline instance builders' graphs
 and branch sets.
 
 Regenerate the fixture (only when a certificate change is intended) with
-`PYTHONPATH=src python tests/test_golden.py`.
+`PYTHONPATH=src python tests/test_golden.py`, which prints one line per
+changed record (per call for the search, minor and chromatic records) with
+the old and new outcome kind and nodes.
 """
 import dataclasses
 import hashlib
@@ -94,9 +96,10 @@ SEARCHES = {
         lambda g, budget: find_induced_subdivided_star(g, 3, budget),
 }
 #: (n, p, seed, budget) for find_clique_minor with p = 5, 6, 7.  Every graph
-#: has a K4 minor.  On G(20, 1/2) the answer mostly comes from the clique or
-#: the greedy contraction; on G(10, 1/2) it comes from the exhaustive
-#: assignment search, which finds a minor or runs out of budget.
+#: has a K4 minor.  On G(20, 1/2) the answer comes from the contraction to a
+#: complete quotient; on G(10, 1/2) the quotient is too small and the answer
+#: comes from the exhaustive assignment search, which finds a minor or runs
+#: out of budget.
 MINOR_GRAPHS = [(20, 0.5, seed, 20_000) for seed in (1, 2, 3)]
 MINOR_GRAPHS += [(10, 0.5, seed, 50_000) for seed in (1, 2, 3)]
 MINOR_SIZES = (5, 6, 7)
@@ -419,19 +422,20 @@ def test_golden_cor_traces3_split(golden, name):
     assert trace3_record(name) == golden[_trace3_key(name)]
 
 
+def _outcome_kind(r: dict) -> str:
+    """budget, budget+best, absent, a certificate tag or value, for one
+    _outcome() record."""
+    result = r["result"]
+    if result == "budget":
+        return "budget" if r["best"] is None else "budget+best"
+    return ("absent" if result is None else result["tag"]
+            if isinstance(result, dict) else "value")
+
+
 def _search_outcomes(golden, prefix: str) -> set:
-    out = set()
-    for key, rec in golden.items():
-        if key.startswith(prefix):
-            for call, r in rec.items():
-                result = r["result"]
-                if result == "budget":
-                    kind = "budget" if r["best"] is None else "budget+best"
-                else:
-                    kind = ("absent" if result is None else result["tag"]
-                            if isinstance(result, dict) else "value")
-                out.add((call.split("@")[0], kind))
-    return out
+    return {(call.split("@")[0], _outcome_kind(r))
+            for key, rec in golden.items() if key.startswith(prefix)
+            for call, r in rec.items()}
 
 
 def test_golden_fixture_covers_every_outcome(golden):
@@ -480,6 +484,53 @@ def test_golden_fixture_covers_every_outcome(golden):
     assert splits == {"split", "BicliqueWitness", "InducedCycle"}
 
 
+def _kind(rec) -> str:
+    """What a record or call answered, for the regeneration report."""
+    if rec is None:
+        return "missing"
+    if "result" in rec:
+        return _outcome_kind(rec)
+    if "success" in rec:  # a main_pipeline record: its certificate or last stage
+        return (rec["certificate"]["tag"] if rec["success"]
+                else "{name}/{outcome}".format(**rec["stages"][-1]))
+    if "full" in rec:  # a minor-layer call pair
+        return "diameter {}, full {}".format(*(
+            v if v is None else v.get("raised", v.get("tag"))
+            for v in (rec["diameter"], rec["full"])))
+    return "changed"
+
+
+def changed_records(old: dict, new: dict) -> list[str]:
+    """One line per changed record, or per changed call of the search,
+    minor and chromatic records: the old and new outcome kind and nodes."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        if a is not None and b is not None and key.startswith(
+                ("search-", "minor-", "chromatic-")):
+            pairs = [(f"{key} {call}", a.get(call), b.get(call))
+                     for call in sorted(a.keys() | b.keys()) if a.get(call) != b.get(call)]
+        else:
+            pairs = [(key, a, b)]
+        for name, x, y in pairs:
+            nodes = [r.get("nodes", "-") if r else "-" for r in (x, y)]
+            lines.append(f"{name}: {_kind(x)} -> {_kind(y)}, "
+                         f"nodes {nodes[0]} -> {nodes[1]}")
+    return lines
+
+
+def test_changed_records_names_each_changed_call(golden):
+    key = _minor_key(MINOR_GRAPHS[0])
+    changed = json.loads(json.dumps(golden))
+    changed[key]["p5"] = {"result": "budget", "best": None, "nodes": 20_001}
+    assert changed_records(golden, changed) == [
+        f"{key} p5: CliqueMinor -> budget, nodes 0 -> 20001"]
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(_fixture(), indent=None,
-                                  separators=(",", ":")) + "\n")
+    before = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    after = _fixture()
+    print("\n".join(changed_records(before, after)) or "no record changed")
+    FIXTURE.write_text(json.dumps(after, indent=None, separators=(",", ":")) + "\n")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from chibound import minors
 from chibound.certificates import (InducedCycle, InternalInconsistency,
@@ -12,7 +13,7 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              eccentric_pair, find_clique_minor, find_high_adjacency_sets,
                              full_vertex_minor, full_vertices, minimize_minor,
                              validate_minor)
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def petersen() -> Graph:
@@ -100,15 +101,61 @@ def test_assignment_search_matches_exact_routes():
                 assert len(found) == p and validate_minor(g, found)
 
 
+def _check_contraction(g: Graph) -> None:
+    # the quotient is a complete minor, and the route through it finds a
+    # K4 or K5 minor exactly when the exhaustive search does
+    sets = minors._contract_to_clique(g)
+    assert validate_minor(g, CliqueMinor(tuple(sets)))
+    assert [min(s) for s in sets] == sorted(min(s) for s in sets)
+    assert (len(sets) > 0) == (g.n > 0)
+    for p in (4, 5):
+        exact = minors._assignment_search(g, p, SearchBudget())
+        assert (find_clique_minor(g, p) is not None) == (exact is not None)
+
+
+def test_contraction_on_every_graph_up_to_6():
+    for g in all_small(6):
+        _check_contraction(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_contraction_on_random_graphs(g):
+    _check_contraction(g)
+
+
+def icosahedron_edges() -> list[tuple[int, int]]:
+    # apexes 0 and 11 over the rings 1..5 and 6..10, each ring vertex
+    # joined to two vertices of the other ring
+    edges = [(0, 1 + i) for i in range(5)] + [(11, 6 + i) for i in range(5)]
+    for i in range(5):
+        j = (i + 1) % 5
+        edges += [(1 + i, 1 + j), (6 + i, 6 + j), (1 + i, 6 + i), (1 + i, 6 + j)]
+    return edges
+
+
+@pytest.mark.parametrize("bridged", [False, True])
+def test_contraction_keeps_a_clique_it_would_shrink(bridged):
+    # the K5 holds the vertices of least degree, so contracting them first
+    # destroys it, and the planar icosahedron leaves a quotient of at most
+    # four sets; the K5 must still come back without the exhaustive search
+    edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    edges += [(a + 5, b + 5) for a, b in icosahedron_edges()]
+    g = Graph.from_edges(17, edges + [(4, 5)] * bridged)
+    found = find_clique_minor(g, 5, budget=20_000)
+    assert found is not None and validate_minor(g, found)
+    assert found.to_json() == [[0], [1], [2], [3], [4]]
+
+
 def test_find_minor_checks_its_answer_without_assert(monkeypatch):
     # the check must raise even under `python -O`, which strips asserts
     g = petersen()
     bogus = CliqueMinor.from_sets([{0}, {2}, {4}, {6}, {8}])
     assert not validate_minor(g, bogus)
-    monkeypatch.setattr(minors, "_greedy_contraction", lambda *a: bogus)
+    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: list(bogus.branch_sets))
     with pytest.raises(InternalInconsistency):
         find_clique_minor(g, 5)
-    monkeypatch.setattr(minors, "_greedy_contraction", lambda *a: None)
+    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: [])
     monkeypatch.setattr(minors, "_assignment_search", lambda *a: bogus)
     with pytest.raises(InternalInconsistency):
         find_clique_minor(g, 5)
