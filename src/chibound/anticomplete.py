@@ -1,6 +1,12 @@
-"""The long-cycle pipeline: interference-free index selection, linked path
-families between an independent core, partially-anticomplete extraction,
-family separation, and assembly of an induced cycle.
+"""The long-cycle pipeline: linked path families between an independent
+core, the selection of anchors their paths do not interfere with,
+partially-anticomplete extraction, family separation, and assembly of an
+induced cycle.
+
+The paper picks the t/2 anchors of step 4 at random and proves by counting
+that this works once sqrt(M) >= r > s^3; select_noninterfering searches
+for them exactly instead, in ascending id, so it finds anchors whenever
+the random choice would, and the same ones on every run.
 
 The quantitative guarantees hold only at astronomically large sizes, so
 every stage checks its hypotheses and otherwise runs best-effort: size
@@ -10,25 +16,18 @@ postcondition through require, and both raise InternalInconsistency.
 """
 from __future__ import annotations
 
-import hashlib
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from itertools import combinations
+from typing import Mapping, Optional, Sequence, Union
 
 from .certificates import Certificate, InducedCycle, certified, require
-from .detect import BudgetExceeded, max_independent_subset
+from .detect import BudgetExceeded, SearchBudget, max_independent_subset
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
                     are_anticomplete, first_bad_pair, is_independent,
                     is_partially_anticomplete, verify_induced_path)
 from .minors import (CliqueMinor, eccentric_pair, find_clique_minor,
                      full_vertex_minor, full_vertices, validate_minor)
 from .vc import CounterWitness, cor_traces3_split, cor_traces_check
-
-
-def derive_rng(seed: int, label: str) -> random.Random:
-    """Independent per-stage stream; stable across processes and runs."""
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 class StageShortfall(Exception):
@@ -49,101 +48,52 @@ class AssemblyError(Exception):
         self.chord = chord
 
 
-class InterferenceMatrix:
-    """Square matrix of index sets; entry(i, j) never contains i or j.
+def select_noninterfering(core: VertexSet,
+                          touched: Mapping[tuple[int, int], VertexSet], s: int,
+                          budget: Optional[int] = None) -> tuple[int, ...]:
+    """The lexicographically first s vertices of `core` that do not interfere.
 
-    Backed either by materialized rows or by a generator function, so that
-    large random instances never hold all order**2 entries at once.
+    touched[(u, v)], for u < v, holds the core vertices that the (u, v)
+    connector paths touch (a missing pair touches none).  A selection does
+    not interfere when no pair of it touches a vertex of it.  Backtracks
+    over the core in ascending id, one budget node per partial selection.
+    When no s vertices fit, returns the longest partial selection reached,
+    which has fewer than s vertices.
     """
+    order = sorted(core)
+    if not 1 <= s <= len(order):
+        raise ValueError(f"cannot select {s} of {len(order)} vertices")
+    for (u, v), hit in touched.items():
+        if not u < v or u in hit or v in hit:
+            raise ValueError(f"entry ({u},{v}) is unordered or contains its own pair")
+    bud = SearchBudget(budget)
+    chosen: list[int] = []
+    best: tuple[int, ...] = ()
 
-    def __init__(self, order: int,
-                 entries: Union[dict[tuple[int, int], frozenset[int]],
-                                Callable[[int, int], frozenset[int]]],
-                 bound: Optional[int] = None):
-        self.order = order
-        self._entries = entries
-        if bound is None:
-            if callable(entries):
-                raise ValueError("generated matrices need an explicit bound")
-            bound = max((len(s) for s in entries.values()), default=0)
-        self.bound = bound
+    def fits(x: int) -> bool:
+        # the chosen vertices are all below x, so x adds the pairs (a, x)
+        return (all(x not in touched.get(pair, frozenset())
+                    for pair in combinations(chosen, 2))
+                and all(touched.get((a, x), frozenset()).isdisjoint(chosen)
+                        for a in chosen))
 
-    def entry(self, i: int, j: int) -> frozenset[int]:
-        if i == j:
-            return frozenset()
-        if callable(self._entries):
-            out = self._entries(i, j)
-        else:
-            out = self._entries.get((i, j), frozenset())
-        if i in out or j in out:
-            raise ValueError(f"entry ({i},{j}) contains its own index")
-        return out
+    def extend(start: int) -> bool:
+        nonlocal best
+        bud.spend()
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        if len(chosen) == s:
+            return True
+        for idx in range(start, len(order) - (s - len(chosen)) + 1):
+            if fits(order[idx]):
+                chosen.append(order[idx])
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+        return False
 
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[Sequence[int]]]) -> "InterferenceMatrix":
-        order = len(rows)
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                if cell:
-                    entries[(i, j)] = frozenset(cell)
-        return cls(order, entries)
-
-
-def random_interference_matrix(order: int, bound: int, seed: int
-                               ) -> InterferenceMatrix:
-    """Entries of size exactly `bound`, generated lazily per (i, j)."""
-    if bound > order - 2:
-        raise ValueError("bound too large for the order")
-
-    def gen(i: int, j: int) -> frozenset[int]:
-        rng = derive_rng(seed, f"entry:{i}:{j}")
-        pool = [k for k in range(order) if k != i and k != j]
-        return frozenset(rng.sample(pool, bound))
-
-    return InterferenceMatrix(order, gen, bound)
-
-
-def count_bad_triples(matrix: InterferenceMatrix, chosen: Sequence[int]) -> int:
-    s = set(chosen)
-    bad = 0
-    for i in chosen:
-        for j in chosen:
-            if i != j:
-                bad += len(matrix.entry(i, j) & s)
-    return bad
-
-
-def select_noninterfering(matrix: InterferenceMatrix, s: int, seed: int = 0,
-                          best_effort: bool = False) -> tuple[int, ...]:
-    """s indices whose pairwise entries avoid the whole selection.
-
-    64 uniform samples, then a deterministic greedy fallback.
-    The probabilistic guarantee needs sqrt(M) >= r > s**3; pass
-    best_effort=True to run outside that regime anyway.
-    """
-    m, r = matrix.order, matrix.bound
-    if s < 1 or s > m:
-        raise ValueError(f"cannot select {s} of {m} indices")
-    if r == 0:
-        return tuple(range(s))
-    if not best_effort and not (m >= r * r and r > s ** 3):
-        raise ValueError(
-            f"guarantee needs sqrt(M) >= r > s^3; got M={m}, r={r}, s={s} "
-            "(pass best_effort=True to try anyway)")
-    rng = derive_rng(seed, "noninterfering")
-    for _ in range(64):
-        chosen = sorted(rng.sample(range(m), s))
-        if count_bad_triples(matrix, chosen) == 0:
-            return tuple(chosen)
-    chosen = []
-    for idx in range(m):
-        if count_bad_triples(matrix, chosen + [idx]) == 0:
-            chosen.append(idx)
-            if len(chosen) == s:
-                return tuple(chosen)
-    raise BudgetExceeded("interference selection failed even greedily",
-                         best=tuple(chosen))
+    extend(0)
+    return best
 
 
 @dataclass
@@ -177,18 +127,17 @@ def _pair_list(core: Sequence[int]) -> list[tuple[int, int]]:
 def build_linked_families(g: Graph, a_pool: VertexSet,
                           branch_sets: Sequence[VertexSet],
                           t: int, ell: int, paths_per_pair: int = 1,
-                          a_prime_size: Optional[int] = None,
-                          seed: int = 0,
                           budget: Optional[int] = None) -> LinkedFamilies:
     """From a vertex pool fully adjacent to every branch set, produce an
-    independent core A' and, per pair, vertex-disjoint connector paths whose
-    only core contacts are the designated endpoints.
+    independent core and, per pair, vertex-disjoint connector paths, then
+    keep t/2 anchors A' of the core (select_noninterfering) whose paths
+    touch the chosen anchors only at their designated endpoints.
 
     Raises StageShortfall naming the stage when a target size is missed and
     CounterWitness when the overload filter surfaces a biclique.
     """
     reports: list[StageReport] = []
-    target_core = a_prime_size if a_prime_size is not None else t // 2
+    target_core = t // 2
     branch_sets = [frozenset(b) for b in branch_sets]
     a_pool = frozenset(a_pool)
     for b in branch_sets:
@@ -236,30 +185,14 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
                                    len(clean), "ok"))
         families[(u, v)] = clean[:paths_per_pair]
 
-    order = list(independent_core)
-    position = {x: i for i, x in enumerate(order)}
-    entries: dict[tuple[int, int], frozenset[int]] = {}
-    bound = 0
+    touched: dict[tuple[int, int], frozenset[int]] = {}
     for (u, v), paths in families.items():
-        touched = set()
         span = frozenset(w for p in paths for w in p.vertices)
-        for x in order:
-            if x not in (u, v) and g.adj(x) & span:
-                touched.add(position[x])
-        key = (position[u], position[v])
-        if touched:
-            entries[key] = frozenset(touched)
-            entries[(key[1], key[0])] = frozenset(touched)
-            bound = max(bound, len(touched))
-    matrix = InterferenceMatrix(len(order), entries, bound)
-    try:
-        picked = select_noninterfering(matrix, target_core, seed,
-                                       best_effort=True)
-    except BudgetExceeded as exc:
-        raise StageShortfall("interference", target_core,
-                             len(exc.best) if exc.best else 0)
-    reports.append(StageReport("interference", target_core, len(picked), "ok"))
-    a_prime = tuple(order[i] for i in picked)
+        touched[(u, v)] = frozenset(x for x in core_set - {u, v} if g.adj(x) & span)
+    a_prime = select_noninterfering(core_set, touched, target_core, budget)
+    if len(a_prime) < target_core:
+        raise StageShortfall("interference", target_core, len(a_prime))
+    reports.append(StageReport("interference", target_core, len(a_prime), "ok"))
     keep = {p: PathFamily(tuple(paths)) for p, paths in families.items()
             if p[0] in a_prime and p[1] in a_prime}
     result = LinkedFamilies(a_prime, keep, reports)
@@ -566,13 +499,10 @@ def main_pipeline(g: Graph, t: int, ell: int,
     try:
         linked = build_linked_families(
             g, frozenset(anchors_pool), connector_sets, t, ell,
-            paths_per_pair=ov.paths_per_pair,
-            a_prime_size=t // 2, seed=ov.seed, budget=ov.budget)
+            paths_per_pair=ov.paths_per_pair, budget=ov.budget)
         stages.extend(linked.reports)
 
-        core = sorted(linked.a_prime)[:t // 2]
-        if len(core) < t // 2:
-            raise StageShortfall("core", t // 2, len(core))
+        core = linked.a_prime  # t/2 anchors in ascending order
         cyclic: list[PathFamily] = []
         for i in range(len(core)):
             u, v = core[i], core[(i + 1) % len(core)]

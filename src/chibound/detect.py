@@ -281,7 +281,12 @@ def max_independent_subset(g: Graph, within: Optional[VertexSet] = None,
     for v in pool:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex id {v} out of range")
-    bud = SearchBudget(budget)
+    return _max_independent(g, pool, SearchBudget(budget))
+
+
+def _max_independent(g: Graph, pool: frozenset[int],
+                     bud: SearchBudget) -> IndependentSetWitness:
+    """The search of max_independent_subset, spending from `bud`."""
     best: set[int] = set()
 
     def search(p: set[int], chosen: set[int]) -> None:
@@ -420,7 +425,8 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
     coloring in reverse degeneracy order; k-colorability tested in between,
     and the greedy coloring returned when no smaller k works, or as soon as
     a clique of `upper` vertices turns up, even in a clique search that ran
-    out of budget.  On budget exhaustion raises BudgetExceeded with
+    out of budget.  The clique and colorability searches spend one budget
+    between them.  On budget exhaustion raises BudgetExceeded with
     best=(lower, upper): the size of the clique found so far, or once the
     clique is exact the number of colors under test.
     """
@@ -437,7 +443,7 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
         greedy[v] = c
     upper = max(greedy.values()) + 1
     try:
-        clique = max_clique(g, budget)
+        clique = _max_independent(g.complement(), frozenset(range(g.n)), bud).vertices
     except BudgetExceeded as exc:
         clique = exc.best.vertices  # a clique, maybe not a maximum one
         if len(clique) < upper:

@@ -273,18 +273,8 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
 
     def removable(idx: int, v: int) -> bool:
         k = sets[idx]
-        if len(k) == 1:
-            return False
-        rest = frozenset(k - {v})
-        if not g.is_connected_subset(rest):
-            return False  # cutvertex
-        for j, other in enumerate(sets):
-            if j == idx:
-                continue
-            fo = frozenset(other)
-            if g.adj(v) & fo and not sets_adjacent(g, rest, fo):
-                return False  # private branch set
-        return True
+        return (len(k) > 1 and g.is_connected_subset(k - {v})
+                and _private_set(g, sets, idx, v) is None)
 
     changed = True
     while changed:
@@ -338,8 +328,8 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
     return None
 
 
-def _private_set(g: Graph, sets: Sequence[frozenset[int]], idx: int,
-                 v: int) -> Optional[int]:
+def _private_set(g: Graph, sets: Sequence[set[int] | frozenset[int]],
+                 idx: int, v: int) -> Optional[int]:
     rest = sets[idx] - {v}
     for j, other in enumerate(sets):
         if j == idx:

@@ -213,3 +213,14 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
                     set(map(frozenset, g2.edges())):
                 return True
     return False
+
+
+def brute_noninterfering(core, touched: dict, s: int):
+    """The first s-subset of core, in lexicographic order, in which no pair
+    (u, v) touches a member (touched[(u, v)] for u < v), or None."""
+    for chosen in combinations(sorted(core), s):
+        members = set(chosen)
+        if not any(touched.get(pair, set()) & members
+                   for pair in combinations(chosen, 2)):
+            return chosen
+    return None

@@ -1,63 +1,95 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chibound import anticomplete
-from chibound.anticomplete import (AssemblyError, InterferenceMatrix,
-                                   LinkedFamilies, PipelineOverrides,
-                                   StageShortfall, assemble_cycle,
-                                   build_linked_families, count_bad_triples,
+from chibound.anticomplete import (AssemblyError, LinkedFamilies,
+                                   PipelineOverrides, StageShortfall,
+                                   assemble_cycle, build_linked_families,
                                    extract_partially_anticomplete,
-                                   main_pipeline, random_interference_matrix,
-                                   select_noninterfering, select_pairwise_anticomplete,
+                                   main_pipeline, select_noninterfering,
+                                   select_pairwise_anticomplete,
                                    separate_families)
 from chibound.certificates import (BicliqueWitness, InducedCycle,
                                    InternalInconsistency, verify_certificate)
-from chibound.detect import find_biclique_subgraph
+from chibound.detect import BudgetExceeded, find_biclique_subgraph
 from chibound.generate import (gnp, pipeline_full_instance,
                                pipeline_ideal_instance, pipeline_poison_instance)
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
                             is_partially_anticomplete)
 from chibound.vc import CounterWitness
 from conftest import random_graph
+import oracles
 
 
-def test_interference_matrix_invariants():
-    m = InterferenceMatrix.from_dense([[[], [2]], [[], []]])
-    assert m.entry(0, 1) == frozenset({2})
-    assert m.entry(1, 1) == frozenset()
-    bad = InterferenceMatrix(3, {(0, 1): frozenset({0})})
-    with pytest.raises(ValueError):
-        bad.entry(0, 1)
+def random_touched(core, bound: int, rng: random.Random) -> dict:
+    """An interference matrix on core: each pair touches `bound` other
+    vertices, drawn at random."""
+    core = sorted(core)
+    return {(u, v): frozenset(rng.sample([x for x in core if x not in (u, v)], bound))
+            for u, v in combinations(core, 2)}
+
+
+def test_select_rejects_bad_input():
+    core = frozenset({0, 1, 2})
+    for touched in ({(0, 1): frozenset({0})}, {(0, 1): frozenset({1, 2})},
+                    {(1, 0): frozenset({2})}):
+        with pytest.raises(ValueError):
+            select_noninterfering(core, touched, 2)
+    for s in (0, 4):
+        with pytest.raises(ValueError):
+            select_noninterfering(core, {}, s)
 
 
 def test_select_all_empty():
-    m = InterferenceMatrix(10, {})
-    assert select_noninterfering(m, 4) == (0, 1, 2, 3)
+    assert select_noninterfering(frozenset(range(10)), {}, 4) == (0, 1, 2, 3)
 
 
 def test_select_single():
-    m = random_interference_matrix(30, 5, seed=3)
-    out = select_noninterfering(m, 1, seed=0)
-    assert len(out) == 1
+    touched = random_touched(range(30), 5, random.Random(3))
+    assert select_noninterfering(frozenset(range(30)), touched, 1) == (0,)
 
 
-def test_select_random_verified(rng):
-    # M = 100, r = 9 > s^3 = 8: guarantee regime
+def test_select_random_verified():
+    # M = 100, r = 9 > s^3 = 8 for s = 2: the regime of the paper's random
+    # choice; s = 3 is outside it, where a selection exists all the same
     for trial in range(20):
-        m = random_interference_matrix(100, 9, seed=trial)
-        out = select_noninterfering(m, 2, seed=trial)
-        assert len(out) == 2
-        assert count_bad_triples(m, out) == 0
+        touched = random_touched(range(100), 9, random.Random(trial))
+        for s in (2, 3):
+            out = select_noninterfering(frozenset(range(100)), touched, s)
+            assert out == oracles.brute_noninterfering(range(100), touched, s)
 
 
-def test_select_guard():
-    m = random_interference_matrix(100, 9, seed=0)
-    with pytest.raises(ValueError):
-        select_noninterfering(m, 3, seed=0)  # 9 <= 27
-    out = select_noninterfering(m, 3, seed=0, best_effort=True)
-    assert count_bad_triples(m, out) == 0
+def test_select_reports_a_shortfall():
+    # every pair touches every other vertex, so no three vertices fit
+    core = frozenset(range(10))
+    touched = {(u, v): core - {u, v} for u, v in combinations(sorted(core), 2)}
+    assert select_noninterfering(core, touched, 3) == (0, 1)
+    with pytest.raises(BudgetExceeded):
+        select_noninterfering(core, touched, 3, budget=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_select_matches_brute_force(data):
+    core = sorted(data.draw(st.sets(st.integers(0, 12), min_size=1, max_size=8)))
+    s = data.draw(st.integers(1, len(core)))
+    touched = {}
+    for u, v in combinations(core, 2):
+        others = [x for x in core if x not in (u, v)]
+        hits = data.draw(st.lists(st.booleans(), min_size=len(others),
+                                  max_size=len(others)))
+        touched[(u, v)] = frozenset(x for x, hit in zip(others, hits) if hit)
+    out = select_noninterfering(frozenset(core), touched, s)
+    expected = oracles.brute_noninterfering(core, touched, s)
+    if expected is not None:
+        assert out == expected
+    else:
+        assert len(out) < s and set(out) <= set(core)
+        assert oracles.brute_noninterfering(out, touched, len(out)) == out
 
 
 def _standalone_linked_instance(t: int, copies: int):
@@ -72,13 +104,25 @@ def test_build_linked_families_planted():
     t = 6
     g, pool, connectors = _standalone_linked_instance(t, 2)
     linked = build_linked_families(g, pool, connectors, t=t, ell=3,
-                                   paths_per_pair=2, a_prime_size=3)
+                                   paths_per_pair=2)
     assert len(linked.a_prime) == 3
     assert len(linked.families) == 3
     for (u, v), fam in linked.families.items():
         assert len(fam) == 2
         for p in fam:
             assert g.has_edge(u, p.first) and g.has_edge(v, p.last)
+
+
+def test_build_linked_families_interference_shortfall():
+    # one connector of the pair (0, 1) also touches anchor 2, so only two of
+    # the three anchors fit; ell = 4 keeps it out of the overload filter
+    t = 6
+    g, pool, connectors = _standalone_linked_instance(t, 2)
+    g = Graph.from_edges(g.n, list(g.edges()) + [(6, 2)])
+    with pytest.raises(StageShortfall) as exc:
+        build_linked_families(g, pool, connectors, t=t, ell=4, paths_per_pair=2)
+    assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
+        "interference", 3, 2)
 
 
 def test_build_linked_families_no_connectors():

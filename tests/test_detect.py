@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    InducedCycle, verify_certificate)
-from chibound.detect import (BudgetExceeded, chromatic_number_exact,
+from chibound.detect import (BudgetExceeded, SearchBudget,
+                             chromatic_number_exact,
                              clique_number, degeneracy,
                              find_biclique_subgraph, find_long_induced_cycle,
                              find_induced_subdivided_star, has_induced_path,
@@ -222,6 +223,25 @@ def test_optimal_coloring_answers_when_its_bounds_meet():
         assert all(colors[u] != colors[v] for u, v in g.edges())
         assert set(colors.values()) == set(range(chi))
         assert chromatic_number_exact(g, budget=40) == chi
+
+
+def test_optimal_coloring_spends_one_budget(monkeypatch):
+    # the clique search spends from the coloring's budget, so no call spends
+    # more than its allowance plus the one node that finds it gone
+    spent = [0]
+    original = SearchBudget.spend
+
+    def spend(budget, amount: int = 1) -> None:
+        spent[0] += amount
+        original(budget, amount)
+
+    monkeypatch.setattr(SearchBudget, "spend", spend)
+    for n, budget in ((20, 40), (40, 300)):
+        g = next(generate("gnp", {"n": n, "p": 0.5}, 2))
+        spent[0] = 0
+        with pytest.raises(BudgetExceeded):
+            optimal_coloring(g, budget)
+        assert spent[0] == budget + 1
 
 
 def test_soundness_random(rng):

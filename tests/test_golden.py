@@ -9,10 +9,12 @@ here even when the new certificate would still verify.
 The budgeted searches are pinned the same way, together with the number of
 search nodes each call spends (counted by wrapping SearchBudget.spend) and,
 when the budget runs out, the best object carried by BudgetExceeded: the
-induced path and cycle searches, the subdivided-star search and the
-clique-minor search.  Node counts and budget verdicts depend on the search
-order, so a kernel change that keeps the certificates but visits nodes in a
-different order fails here too.
+induced path and cycle searches, the subdivided-star search, the
+clique-minor search, find_biclique_subgraph, max_independent_subset inside
+a `within` set, and, on the traces of the odd vertices on the even ones,
+vc_dimension and find_shattered_set.  Node counts and budget verdicts
+depend on the search order, so a kernel change that keeps the certificates
+but visits nodes in a different order fails here too.
 
 The upper layers are pinned on the same terms: chromatic_number_exact (value,
 nodes and BudgetExceeded.best), cor_traces_check (including the uncolored
@@ -24,8 +26,8 @@ and branch sets.
 
 Regenerate the fixture (only when a certificate change is intended) with
 `PYTHONPATH=src python tests/test_golden.py`, which prints one line per
-changed record (per call for the search, minor and chromatic records) with
-the old and new outcome kind and nodes.
+changed record (per call for the search, exact, minor and chromatic
+records) with the old and new outcome kind and nodes.
 """
 import dataclasses
 import hashlib
@@ -40,9 +42,11 @@ import pytest
 from chibound.anticomplete import PipelineOverrides, main_pipeline
 from chibound.detect import (BudgetExceeded, SearchBudget,
                              chromatic_number_exact, degeneracy,
+                             find_biclique_subgraph,
                              find_induced_subdivided_star,
                              find_long_induced_cycle, has_induced_path,
-                             longest_induced_cycle, longest_induced_path)
+                             longest_induced_cycle, longest_induced_path,
+                             max_independent_subset)
 from chibound.generate import (generate, gnp, pipeline_full_instance,
                                pipeline_ideal_instance,
                                pipeline_poison_instance, planted_cycle,
@@ -53,7 +57,8 @@ from chibound.lemmas import sstar_elimination_order, sstar_low_degree
 from chibound.minors import (CliqueMinor, check_branch_diameter,
                              find_clique_minor, full_vertex_minor,
                              minimize_minor)
-from chibound.vc import CounterWitness, cor_traces3_split, cor_traces_check
+from chibound.vc import (CounterWitness, cor_traces3_split, cor_traces_check,
+                         find_shattered_set, neighborhood_system, vc_dimension)
 
 FIXTURE = Path(__file__).with_name("golden_certificates.json")
 
@@ -94,6 +99,30 @@ SEARCHES = {
     "find_long_induced_cycle_6": lambda g, budget: find_long_induced_cycle(g, 6, budget),
     "find_induced_subdivided_star_3":
         lambda g, budget: find_induced_subdivided_star(g, 3, budget),
+}
+
+
+def _trace_system(g: Graph):
+    """The traces of the odd vertices on the even ones."""
+    return neighborhood_system(g, range(0, g.n, 2), range(1, g.n, 2))
+
+
+#: The remaining exact searches, pinned on the SEARCH_GRAPHS at the
+#: PIN_BUDGETS: the smallest one runs out in most independent-set searches,
+#: the middle one in the larger shattered-set and biclique searches.
+PIN_BUDGETS = (4, 40, 5000)
+PINNED = {
+    "find_biclique_subgraph_2_2":
+        lambda g, budget: find_biclique_subgraph(g, 2, 2, budget),
+    "find_biclique_subgraph_3_3":
+        lambda g, budget: find_biclique_subgraph(g, 3, 3, budget),
+    "max_independent_subset_mod3":
+        lambda g, budget: max_independent_subset(
+            g, [v for v in range(g.n) if v % 3], budget),
+    "find_shattered_set_2":
+        lambda g, budget: find_shattered_set(_trace_system(g), 2, budget),
+    "find_shattered_set_3":
+        lambda g, budget: find_shattered_set(_trace_system(g), 3, budget),
 }
 #: (n, p, seed, budget) for find_clique_minor with p = 5, 6, 7.  Every graph
 #: has a K4 minor.  On G(20, 1/2) the answer comes from the contraction to a
@@ -195,6 +224,14 @@ def search_record(family: str, params: dict, seed: int) -> dict:
     g = next(generate(family, params, seed))
     rec = {f"{name}@{budget}": _outcome(search, g, budget)
            for budget in SEARCH_BUDGETS for name, search in SEARCHES.items()}
+    return json.loads(json.dumps(rec))
+
+
+def pinned_record(family: str, params: dict, seed: int) -> dict:
+    g = next(generate(family, params, seed))
+    rec = {"vc_dimension": vc_dimension(_trace_system(g))}
+    rec.update({f"{name}@{budget}": _outcome(search, g, budget)
+                for budget in PIN_BUDGETS for name, search in PINNED.items()})
     return json.loads(json.dumps(rec))
 
 
@@ -324,6 +361,10 @@ def _search_key(spec) -> str:
         family, "-".join(f"{k}{v}" for k, v in sorted(params.items())), seed)
 
 
+def _pinned_key(spec) -> str:
+    return "exact-" + _search_key(spec)[len("search-"):]
+
+
 def _minor_key(spec) -> str:
     return "minor-n{}-p{:.4f}-s{}-b{}".format(*spec)
 
@@ -361,6 +402,7 @@ def _trace3_key(name: str) -> str:
 def _fixture() -> dict:
     out = {_key(s): golden_record(*s[1:]) for s in GRAPHS}
     out.update({_search_key(s): search_record(*s) for s in SEARCH_GRAPHS})
+    out.update({_pinned_key(s): pinned_record(*s) for s in SEARCH_GRAPHS})
     out.update({_minor_key(s): minor_record(*s) for s in MINOR_GRAPHS})
     out.update({_chromatic_key(s): chromatic_record(*s) for s in CHROMATIC_GRAPHS})
     out.update({_minor_layer_key(s): minor_layer_record(*s)
@@ -385,6 +427,11 @@ def test_golden_certificates(golden, spec):
 @pytest.mark.parametrize("spec", SEARCH_GRAPHS, ids=_search_key)
 def test_golden_searches(golden, spec):
     assert search_record(*spec) == golden[_search_key(spec)]
+
+
+@pytest.mark.parametrize("spec", SEARCH_GRAPHS, ids=_pinned_key)
+def test_golden_exact_searches(golden, spec):
+    assert pinned_record(*spec) == golden[_pinned_key(spec)]
 
 
 @pytest.mark.parametrize("spec", MINOR_GRAPHS, ids=_minor_key)
@@ -435,7 +482,7 @@ def _outcome_kind(r: dict) -> str:
 def _search_outcomes(golden, prefix: str) -> set:
     return {(call.split("@")[0], _outcome_kind(r))
             for key, rec in golden.items() if key.startswith(prefix)
-            for call, r in rec.items()}
+            for call, r in rec.items() if isinstance(r, dict)}
 
 
 def test_golden_fixture_covers_every_outcome(golden):
@@ -448,6 +495,7 @@ def test_golden_fixture_covers_every_outcome(golden):
                     "SubdividedStarWitness", "LowDegreeVertex"}
     assert set(golden) == ({_key(s) for s in GRAPHS}
                            | {_search_key(s) for s in SEARCH_GRAPHS}
+                           | {_pinned_key(s) for s in SEARCH_GRAPHS}
                            | {_minor_key(s) for s in MINOR_GRAPHS}
                            | {_chromatic_key(s) for s in CHROMATIC_GRAPHS}
                            | {_minor_layer_key(s) for s in MINOR_LAYER_GRAPHS}
@@ -455,11 +503,12 @@ def test_golden_fixture_covers_every_outcome(golden):
                            | {_instance_key(s) for s in INSTANCES}
                            | {_trace_key(s) for s in TRACE_INSTANCES}
                            | {_trace3_key(s) for s in TRACE_INSTANCES})
-    searches = _search_outcomes(golden, "search-")
-    for call in SEARCHES:
-        kinds = {kind for name, kind in searches if name == call}
-        assert "budget" in kinds or "budget+best" in kinds, call
-        assert len(kinds) >= 2, call
+    for prefix, calls in (("search-", SEARCHES), ("exact-", PINNED)):
+        searches = _search_outcomes(golden, prefix)
+        for call in calls:
+            kinds = {kind for name, kind in searches if name == call}
+            assert "budget" in kinds or "budget+best" in kinds, call
+            assert len(kinds) >= 2, call
     minors = {kind for _, kind in _search_outcomes(golden, "minor-n")}
     assert minors == {"CliqueMinor", "budget"}
     chromatic = {kind for _, kind in _search_outcomes(golden, "chromatic-")}
@@ -509,7 +558,7 @@ def changed_records(old: dict, new: dict) -> list[str]:
         if a == b:
             continue
         if a is not None and b is not None and key.startswith(
-                ("search-", "minor-", "chromatic-")):
+                ("search-", "exact-", "minor-", "chromatic-")):
             pairs = [(f"{key} {call}", a.get(call), b.get(call))
                      for call in sorted(a.keys() | b.keys()) if a.get(call) != b.get(call)]
         else:
