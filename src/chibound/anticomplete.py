@@ -21,23 +21,14 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .certificates import Certificate, InducedCycle, certified, require
-from .detect import BudgetExceeded, SearchBudget, max_independent_subset
+from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
+                     max_independent_subset)
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
                     are_anticomplete, first_bad_pair, is_independent,
                     is_partially_anticomplete, verify_induced_path)
 from .minors import (CliqueMinor, eccentric_pair, find_clique_minor,
                      full_vertex_minor, full_vertices, validate_minor)
 from .vc import CounterWitness, cor_traces3_split, cor_traces_check
-
-
-class StageShortfall(Exception):
-    """A pipeline stage undershot its target size."""
-
-    def __init__(self, stage: str, required: int, achieved: int):
-        super().__init__(f"stage {stage!r}: needed {required}, achieved {achieved}")
-        self.stage = stage
-        self.required = required
-        self.achieved = achieved
 
 
 class AssemblyError(Exception):
@@ -171,7 +162,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
                 raw.append(OrientedPath(tuple(path[1:-1])))
         heavy = frozenset(w for p in raw for w in p.vertices
                           if g.degree_in(w, core_set) >= ell)
-        if heavy and len(core_set) >= t // 2:
+        if heavy:
             screen = max_independent_subset(g, heavy, budget).vertices
             holds, witness = cor_traces_check(
                 g, core_set, frozenset(screen), ell, 1, t,
@@ -467,9 +458,13 @@ def main_pipeline(g: Graph, t: int, ell: int,
                                   "preverified"))
     else:
         try:
-            out = full_vertex_minor(g, minor, full_size, t, ov.seed)
+            out = full_vertex_minor(g, minor, full_size, t, budget=ov.budget)
+        except StageShortfall as sf:
+            stages.append(StageReport(sf.stage, sf.required, sf.achieved,
+                                      "shortfall"))
+            return finish(None)
         except BudgetExceeded:
-            stages.append(StageReport("full-minor", full_size, 0, "shortfall"))
+            stages.append(StageReport("full-minor", full_size, 0, "budget"))
             return finish(None)
         if isinstance(out, InducedCycle):
             stages.append(StageReport("full-minor", full_size,

@@ -35,6 +35,22 @@ class BudgetExceeded(Exception):
         self.best = best
 
 
+class StageShortfall(BudgetExceeded):
+    """A construction undershot its target size.
+
+    Inconclusive like BudgetExceeded, which it subclasses so that every
+    handler of inconclusive answers reads it as one, though no node budget
+    ran out: the stage that produced a structure of `achieved` instead of
+    `required` is named.
+    """
+
+    def __init__(self, stage: str, required: int, achieved: int):
+        super().__init__(f"stage {stage!r}: needed {required}, achieved {achieved}")
+        self.stage = stage
+        self.required = required
+        self.achieved = achieved
+
+
 class SearchBudget:
     """Counts search nodes; spend() raises once the allowance is gone."""
 

@@ -2,18 +2,24 @@
 that turn a large minimal minor into either a full-vertex minor or a long
 induced cycle.
 
+The paper finds that cycle through t randomly chosen low-adjacency branch
+sets; full_vertex_minor runs the package's one exact induced-cycle search
+(detect.find_long_induced_cycle) inside the union of all of them instead,
+so it finds a cycle whenever such a choice would, and proves absence there
+otherwise.  Every search is deterministic, in ascending id.
+
 Path lengths are counted in vertices throughout (a single vertex is a path
 of 1), matching how diameters and cycle lengths are compared against t.
 """
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .certificates import InducedCycle, certified, require, verify_certificate
-from .detect import BudgetExceeded, SearchBudget
+from .certificates import InducedCycle, certified, require
+from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
+                     find_long_induced_cycle)
 from .graph import Graph, mask_vertices
 
 
@@ -357,114 +363,17 @@ def branch_adjacency_counts(g: Graph, minor: CliqueMinor) -> dict[int, int]:
     return counts
 
 
-def find_high_adjacency_sets(g: Graph, minor: CliqueMinor, p: int, t: int,
-                             seed: int = 0
-                             ) -> tuple[list[tuple[int, int]], Optional[InducedCycle]]:
-    """At least p branch sets holding a vertex adjacent to >= p*p branch
-    sets, as (set index, vertex) pairs; if too few exist, the randomized
-    t-segment construction (64 samples) produces an induced cycle of >= t
-    vertices.
-    """
+def find_high_adjacency_sets(g: Graph, minor: CliqueMinor,
+                             p: int) -> list[tuple[int, int]]:
+    """Up to p branch sets holding a vertex adjacent to >= p*p foreign
+    branch sets, as (set index, least such vertex) pairs in set order."""
     counts = branch_adjacency_counts(g, minor)
-    threshold = p * p
     selected: list[tuple[int, int]] = []
-    low_sets: list[int] = []
     for i, s in enumerate(minor.branch_sets):
-        hits = sorted(v for v in s if counts[v] >= threshold)
+        hits = [v for v in s if counts[v] >= p * p]
         if hits:
-            selected.append((i, hits[0]))
-        else:
-            low_sets.append(i)
-    if len(selected) >= p:
-        return selected[:p], None
-
-    rng = random.Random(seed)
-    if len(low_sets) < t:
-        raise BudgetExceeded("too few low-adjacency branch sets to sample from")
-    for _ in range(64):
-        sample = rng.sample(low_sets, t)
-        cycle = _segment_cycle(g, minor, sample, t)
-        if cycle is not None:
-            return selected, cycle
-    raise BudgetExceeded("randomized cycle construction exhausted retries")
-
-
-def _connector(g: Graph, a: frozenset[int], b: frozenset[int]) -> tuple[int, int]:
-    """Deterministic adjacent pair (va in a, vb in b)."""
-    for va in sorted(a):
-        hit = g.adj(va) & b
-        if hit:
-            return va, min(hit)
-    raise ValueError("branch sets are not adjacent")
-
-
-def _segment_cycle(g: Graph, minor: CliqueMinor, sample: list[int],
-                   t: int) -> Optional[InducedCycle]:
-    """Walk the sampled branch sets in cyclic order through their
-    connectors; reject samples with edges between non-consecutive
-    segments, then take a shortest segment-monotone cycle, which is
-    induced."""
-    sets = [minor.branch_sets[i] for i in sample]
-    into: list[int] = [0] * t   # entry vertex of segment i (adjacent to i-1)
-    out: list[int] = [0] * t    # exit vertex of segment i (adjacent to i+1)
-    for i in range(t):
-        j = (i + 1) % t
-        vi, vj = _connector(g, sets[i], sets[j])
-        out[i] = vi
-        into[j] = vj
-    segments: list[list[int]] = []
-    for i in range(t):
-        seg = g.shortest_path(into[i], out[i], sets[i])
-        require(seg is not None, f"branch set {sorted(sets[i])} is not connected")
-        segments.append(seg)
-    seg_sets = [frozenset(seg) for seg in segments]
-    for i in range(t):
-        for j in range(i + 1, t):
-            if j - i == 1 or (i == 0 and j == t - 1):
-                continue
-            if any(g.adj(v) & seg_sets[j] for v in seg_sets[i]):
-                return None
-    cycle = _monotone_shortest_cycle(g, seg_sets, t)
-    if cycle is None:
-        return None
-    cert = InducedCycle(tuple(cycle))
-    if len(cycle) >= t and verify_certificate(g, cert):
-        return cert
-    return None
-
-
-def _monotone_shortest_cycle(g: Graph, seg_sets: list[frozenset[int]],
-                             t: int) -> Optional[list[int]]:
-    """Shortest cycle visiting the segments in cyclic order; BFS over
-    (vertex, segment index) states from each anchor in segment 0."""
-    best: Optional[list[int]] = None
-    for anchor in sorted(seg_sets[0]):
-        start = (anchor, 0)
-        prev: dict[tuple[int, int], Optional[tuple[int, int]]] = {start: None}
-        queue = deque([start])
-        closed = None
-        while queue:
-            state = queue.popleft()
-            v, layer = state
-            if layer == t - 1 and anchor in g.adj(v):
-                closed = state
-                break
-            for w in sorted(g.adj(v)):
-                for nxt in (layer, layer + 1):
-                    if nxt < t and w in seg_sets[nxt] and (w, nxt) not in prev:
-                        prev[(w, nxt)] = state
-                        queue.append((w, nxt))
-        if closed is None:
-            continue
-        cycle = []
-        state: Optional[tuple[int, int]] = closed
-        while state is not None:
-            cycle.append(state[0])
-            state = prev[state]
-        cycle.reverse()
-        if len(set(cycle)) == len(cycle) and (best is None or len(cycle) < len(best)):
-            best = cycle
-    return best
+            selected.append((i, min(hits)))
+    return selected[:p]
 
 
 def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
@@ -482,11 +391,21 @@ def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
 
 
 def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
-                      seed: int = 0) -> Union[CliqueMinor, InducedCycle]:
+                      seed: int = 0, budget: Optional[int] = None
+                      ) -> Union[CliqueMinor, InducedCycle]:
     """A clique minor of size p whose every branch set contains a full
-    vertex and has all shortest paths under 2t vertices; an induced cycle
-    of >= t vertices comes back instead when one falls out of the
-    diameter or adjacency arguments along the way.
+    vertex and has all shortest paths under 2t vertices, or an induced
+    cycle of >= t vertices.
+
+    After minimization a branch set of diameter >= t gives the cycle at
+    once.  Otherwise, when p branch sets hold a vertex adjacent to p*p
+    others, each of them absorbs one spare set per other such vertex and
+    the merged sets form the minor.  When fewer than p do, the cycle is
+    sought with find_long_induced_cycle inside the union of the remaining
+    (low-adjacency) branch sets, spending the one node budget: a cycle
+    found is returned, and absence there raises StageShortfall; only an
+    exhausted budget raises plain BudgetExceeded.  The construction is
+    deterministic: seed is accepted and ignored.
     """
     if not validate_minor(g, minor):
         raise ValueError("input is not a valid clique minor")
@@ -499,9 +418,16 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
             return cycle
     if p == 1:
         return CliqueMinor((minimal.branch_sets[0],))
-    selected, cycle = find_high_adjacency_sets(g, minimal, p, t, seed)
-    if cycle is not None:
-        return cycle
+    selected = find_high_adjacency_sets(g, minimal, p)
+    if len(selected) < p:
+        high = {idx for idx, _ in selected}
+        low, ids = g.induced(v for i, s in enumerate(minimal.branch_sets)
+                             if i not in high for v in s)
+        # stops at the first cycle found, so BudgetExceeded carries no best
+        found = find_long_induced_cycle(low, max(t, 3), budget)
+        if found is None:
+            raise StageShortfall("full-minor", p, len(selected))
+        return certified(g, InducedCycle(tuple(ids[v] for v in found.vertices)), t=t)
     base = [idx for idx, _ in selected]
     anchors = {idx: v for idx, v in selected}
     owner: dict[int, int] = {}
@@ -520,10 +446,9 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
         for j in base:
             if i == j:
                 continue
+            # neighborhoods[j] holds >= p*p sets and used at most p*p - 1
             pick = next((c for c in neighborhoods[j] if c not in used), None)
-            if pick is None:
-                raise BudgetExceeded(
-                    "not enough spare branch sets for the full-vertex construction")
+            require(pick is not None, f"no spare branch set for the pair ({i}, {j})")
             assignment[(i, j)] = pick
             used.add(pick)
     new_sets = []

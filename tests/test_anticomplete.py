@@ -17,7 +17,8 @@ from chibound.certificates import (BicliqueWitness, InducedCycle,
                                    InternalInconsistency, verify_certificate)
 from chibound.detect import BudgetExceeded, find_biclique_subgraph
 from chibound.generate import (gnp, pipeline_full_instance,
-                               pipeline_ideal_instance, pipeline_poison_instance)
+                               pipeline_ideal_instance, pipeline_poison_instance,
+                               planted_cycle)
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
                             is_partially_anticomplete)
 from chibound.vc import CounterWitness
@@ -361,9 +362,45 @@ def test_pipeline_tree_inconclusive():
     assert payload["stages"][0]["name"] == "minor"
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_pipeline_finds_planted_cycle(seed):
+    # step 2 finds the planted 10-cycle inside the low-adjacency sets of the
+    # searched K3 minor
+    g = planted_cycle(30, 10, random.Random(seed))
+    res = main_pipeline(g, 6, 3, PipelineOverrides(budget=20_000))
+    assert isinstance(res.certificate, InducedCycle)
+    assert len(res.certificate.vertices) >= 6
+    assert verify_certificate(g, res.certificate)
+    assert [(s.name, s.outcome) for s in res.stages] == [
+        ("minor", "ok"), ("full-minor", "cycle")]
+
+
+@pytest.mark.parametrize("raised, outcome, achieved", [
+    (StageShortfall("full-minor", 3, 1), "shortfall", 1),
+    (BudgetExceeded(), "budget", 0)], ids=["shortfall", "budget"])
+def test_pipeline_full_minor_inconclusive_outcomes(monkeypatch, raised,
+                                                   outcome, achieved):
+    def inconclusive(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(anticomplete, "full_vertex_minor", inconclusive)
+    res = main_pipeline(gnp(20, 0.5, random.Random(1)), 6, 3,
+                        PipelineOverrides(budget=20_000))
+    last = res.stages[-1]
+    assert not res.success
+    assert (last.name, last.target_size, last.achieved_size, last.outcome) == \
+        ("full-minor", 3, achieved, outcome)
+
+
+def test_stage_shortfall_is_reexported_by_anticomplete():
+    from chibound import detect
+    assert StageShortfall is detect.StageShortfall
+
+
 def test_pipeline_full_minor_errors_propagate(monkeypatch):
-    # only BudgetExceeded from step 2 is a shortfall; a ValueError there
-    # (say, "minor is not minimal") is a fault and must not be swallowed
+    # only StageShortfall and BudgetExceeded from step 2 are inconclusive; a
+    # ValueError there (say, "minor is not minimal") is a fault and must not
+    # be swallowed
     g = gnp(20, 0.5, random.Random(1))
     res = main_pipeline(g, 6, 3, PipelineOverrides(budget=20_000))
     assert [s.outcome for s in res.stages] == ["ok", "shortfall"]

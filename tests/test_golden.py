@@ -520,7 +520,7 @@ def test_golden_fixture_covers_every_outcome(golden):
              for rec in (golden[_minor_layer_key(s)] for s in MINOR_LAYER_GRAPHS)
              for r in rec.values() for call, v in r.items()}
     assert layer == {("diameter", None), ("diameter", "InducedCycle"),
-                     ("full", "InducedCycle"), ("full", "BudgetExceeded")}
+                     ("full", "InducedCycle"), ("full", "StageShortfall")}
     pipelines = {golden[_pipeline_key(s)]["certificate"]["tag"]
                  if golden[_pipeline_key(s)]["success"] else None
                  for s in PIPELINES}

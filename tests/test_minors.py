@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chibound import minors
 from chibound.certificates import (InducedCycle, InternalInconsistency,
                                    verify_certificate)
-from chibound.detect import BudgetExceeded, SearchBudget
+from chibound.detect import BudgetExceeded, SearchBudget, StageShortfall
 from chibound.generate import all_small, planted_cycle, random_tree
 from chibound.graph import Graph, complete_graph, cycle_graph, path_graph
 from chibound.minors import (CliqueMinor, check_branch_diameter,
@@ -14,6 +15,7 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              full_vertex_minor, full_vertices, minimize_minor,
                              validate_minor)
 from conftest import graphs, random_graph
+from oracles import brute_longest_induced_cycle
 
 
 def petersen() -> Graph:
@@ -267,24 +269,66 @@ def test_eccentric_pair_against_networkx(rng):
 def test_high_adjacency_examples():
     k9 = complete_graph(9)
     singles = CliqueMinor.from_sets([{i} for i in range(9)])
-    sel, cyc = find_high_adjacency_sets(k9, singles, 2, 4)
-    assert cyc is None and len(sel) == 2
+    assert find_high_adjacency_sets(k9, singles, 2) == [(0, 0), (1, 1)]
+    # a vertex of K9 touches 8 < 3 * 3 other sets
+    assert find_high_adjacency_sets(k9, singles, 3) == []
 
     # p = 1: any branch set adjacent to >= 1 other always qualifies
     g2 = Graph.from_edges(2, [(0, 1)])
-    sel, cyc = find_high_adjacency_sets(
-        g2, CliqueMinor.from_sets([{0}, {1}]), 1, 4)
-    assert cyc is None and len(sel) == 1
+    assert find_high_adjacency_sets(
+        g2, CliqueMinor.from_sets([{0}, {1}]), 1) == [(0, 0)]
 
 
 def test_high_adjacency_cycle_branch():
+    # no vertex of the star ring touches 4 sets, so full_vertex_minor looks
+    # for the cycle through the low-adjacency sets, all of them here
     t = 6
     g, minor = star_ring(t)
     assert validate_minor(g, minor)
-    sel, cyc = find_high_adjacency_sets(g, minor, 2, t, seed=1)
-    assert cyc is not None
+    cyc = full_vertex_minor(g, minor, 2, t)
+    assert isinstance(cyc, InducedCycle)
     assert len(cyc.vertices) >= t
     assert verify_certificate(g, cyc)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_full_vertex_minor_shortfall_is_stage_shortfall(k):
+    # K_k has no induced cycle of 4 or more vertices and no vertex touching
+    # k * k sets: absence is proven, which is a shortfall, not a budget
+    singles = CliqueMinor.from_sets([{i} for i in range(k)])
+    with pytest.raises(StageShortfall) as exc:
+        full_vertex_minor(complete_graph(k), singles, k, 4)
+    assert (exc.value.stage, exc.value.required, exc.value.achieved) == \
+        ("full-minor", k, 0)
+    assert isinstance(exc.value, BudgetExceeded)  # still reads inconclusive
+
+
+def test_full_vertex_minor_budget_is_plain_budget_exceeded():
+    g, minor = star_ring(6)
+    with pytest.raises(BudgetExceeded) as exc:
+        full_vertex_minor(g, minor, 2, 6, budget=1)
+    assert type(exc.value) is BudgetExceeded
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(3, 7))
+def test_full_vertex_minor_matches_brute_force(g, t):
+    # with p = 3 no vertex touches 9 sets, so a cycle comes back exactly
+    # when a branch set is long or the minimized sets hold one of >= t
+    minor = find_clique_minor(g, 3)
+    assume(minor is not None)
+    minimal = minimize_minor(g, minor)
+    union, _ = g.induced(set().union(*minimal.branch_sets))
+    expected = (check_branch_diameter(g, minimal, t) is not None
+                or brute_longest_induced_cycle(union) >= t)
+    try:
+        out = full_vertex_minor(g, minor, 3, t)
+    except StageShortfall:
+        out = None
+    assert (out is not None) == expected
+    if out is not None:
+        assert isinstance(out, InducedCycle) and len(out.vertices) >= t
+        assert verify_certificate(g, out)
 
 
 def test_full_vertex_minor_on_clique():
