@@ -6,9 +6,21 @@ returns either the promised structure or a BicliqueWitness.  The main entry
 point, sstar_low_degree, is total: on every graph it produces a low-degree
 vertex, an induced subdivided star, or a biclique, and the result always
 verifies.
+
+sstar_elimination_order deletes that low-degree vertex until no vertex is
+left or a step returns a witness.  Both entry points run one step on a
+_Remaining: the remaining vertices with their degrees in a lazy bucket
+queue (Matula-Beck, as in detect.degeneracy), which a deletion updates in
+O(deg).  The queue hands a step its level-ell root and its least
+(degree, id) vertex, so a step reads only the root's neighbourhood and its
+neighbours: O(Delta^2) for fixed d and ell, and O(n + m + n * Delta^2) for
+the whole order.  A scan of the remaining set would pick the same two
+vertices, so the certificates equal those of sstar_low_degree rerun on each
+induced subgraph (the reference loop in tests/oracles.py).
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -129,9 +141,21 @@ class SStarOutcome:
     trace: Optional[list[dict]] = None
 
 
-def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
-                   roots_above: list[int], trace: Optional[list[dict]]
-                   ) -> SStarOutcome:
+def _root(g: Graph, vertices: frozenset[int]) -> int:
+    """The vertex with the most neighbours in `vertices`, least id on ties."""
+    return max(vertices, key=lambda u: (g.degree_in(u, vertices), -u))
+
+
+def _sstar_recurse(g: Graph, vertices: VertexSet | set[int], r: Optional[int],
+                   k: int, d: int, ell: int, roots_above: list[int],
+                   trace: Optional[list[dict]]) -> SStarOutcome:
+    """Level k of the recursion on `vertices`, rooted at r = _root(vertices)
+    when k >= 2 (level 1 has no root).
+
+    A level k >= 2 reads only r's neighbours and theirs, so it costs
+    O(deg(r) * max degree) however large `vertices` is.  Level 1 scans
+    `vertices`, which is then a remainder inside one neighbourhood.
+    """
     require(bool(vertices), "recursed into an empty vertex set")
     if k == 1:
         # no K_{1,ell} means max degree < ell; otherwise the star lifts
@@ -148,20 +172,18 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
             trace.append({"k": 1, "outcome": "biclique"})
         return SStarOutcome(BicliqueWitness(left, right), 1, trace)
 
-    r = max(vertices, key=lambda u: (g.degree_in(u, vertices), -u))
     a_set = g.neighbors_in(r, vertices)
-    b_set = vertices - a_set - {r}
-
-    def b_of(u: int) -> frozenset[int]:
-        return g.neighbors_in(u, b_set)
+    # B = vertices - N[r]; B(u) is u's neighbourhood in it
+    closed = a_set | {r}
+    b = {u: (g.adj(u) & vertices) - closed for u in a_set}
 
     threshold = ell ** (2 * d - 2)
-    u_set = frozenset(u for u in a_set if len(b_of(u)) >= threshold)
+    u_set = frozenset(u for u in a_set if len(b[u]) >= threshold)
     if trace is not None:
         trace.append({"k": k, "root": r, "A": len(a_set), "U": len(u_set)})
 
     if len(u_set) >= ell ** (d - 1) + (d - 1) * ell ** d:
-        return _sstar_star_branch(g, r, b_of, u_set, d, ell, k, trace)
+        return _sstar_star_branch(g, r, b, u_set, d, ell, k, trace)
 
     remainder = a_set - u_set
     if not remainder:
@@ -171,7 +193,8 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
                 f"root degree {deg} exceeds the bound at level {k}")
         return SStarOutcome(LowDegreeVertex(r, deg, degree_bound(k, d, ell)), k, trace)
 
-    sub = _sstar_recurse(g, remainder, k - 1, d, ell, roots_above + [r], trace)
+    sub = _sstar_recurse(g, remainder, _root(g, remainder) if k > 2 else None,
+                         k - 1, d, ell, roots_above + [r], trace)
     cert = sub.certificate
     if isinstance(cert, (BicliqueWitness, SubdividedStarWitness)):
         return SStarOutcome(cert, sub.level, trace)
@@ -183,22 +206,23 @@ def _sstar_recurse(g: Graph, vertices: frozenset[int], k: int, d: int, ell: int,
     return SStarOutcome(LowDegreeVertex(v, deg_here, bound), k, trace)
 
 
-def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
-                       d: int, ell: int, k: int, trace) -> SStarOutcome:
+def _sstar_star_branch(g: Graph, r: int, b: dict[int, frozenset[int]],
+                       u_set: frozenset[int], d: int, ell: int, k: int,
+                       trace) -> SStarOutcome:
     """The j-loop: build u_1..u_d with private B-neighborhoods, then a
     rainbow independent set of leaves; any filter failure yields a biclique."""
 
     def b_union(us: Sequence[int]) -> frozenset[int]:
         out: set[int] = set()
         for u in us:
-            out |= b_of(u)
+            out |= b[u]
         return frozenset(out)
 
     chosen: list[int] = []
     current = u_set
     for j in range(1, d):
         prior = b_union(chosen)
-        ranked = sorted(current, key=lambda u: (len(b_of(u) - prior), u))
+        ranked = sorted(current, key=lambda u: (len(b[u] - prior), u))
         batch = ranked[:ell]
         rest = frozenset(ranked[ell:])
         p_j = ell ** (d - j - 1) + (d - 1) * ell ** (d - j) - j
@@ -212,7 +236,7 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
         # prune vertices whose private neighborhoods shrank too far
         for i in range(len(chosen)):
             others = chosen[:i] + chosen[i + 1:]
-            private = b_of(chosen[i]) - b_union(others)
+            private = b[chosen[i]] - b_union(others)
             q = ell ** (2 * d - j - 2)
             result = filter_many_nonneighbors(g, private, survivors, q, ell)
             if result.biclique is not None:
@@ -225,7 +249,7 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
     leaf_sets = []
     for i in range(d):
         others = chosen[:i] + chosen[i + 1:]
-        leaf_sets.append(b_of(chosen[i]) - b_union(others))
+        leaf_sets.append(b[chosen[i]] - b_union(others))
     transversal, biclique = rainbow_independent_set(g, leaf_sets, ell)
     if biclique is not None:
         return SStarOutcome(biclique, k, trace)
@@ -233,27 +257,81 @@ def _sstar_star_branch(g: Graph, r: int, b_of, u_set: frozenset[int],
     return SStarOutcome(witness, k, trace)
 
 
-def _sstar_on(g: Graph, vertices: frozenset[int], d: int, ell: int,
-              trace: Optional[list[dict]]) -> SStarOutcome:
-    """sstar_low_degree on the subgraph induced by `vertices`, in the ids of g.
+class _Remaining:
+    """A shrinking vertex set of g with every member's degree inside it.
 
-    A low-degree certificate gives the degree inside `vertices`; every
-    result leaves through this one check, which also asks a biclique for
-    sides of ell and a subdivided star for d leaves.
+    The degrees sit in a lazy bucket queue, as in detect.degeneracy:
+    buckets[d] is a min-heap of the ids whose degree was d when pushed, and
+    an entry is stale once its vertex is gone or its degree dropped.  Every
+    member's degree lies between the low and the high pointer; a removal
+    lowers a degree by at most one, so the low pointer steps back one, and
+    degrees never rise, so the high pointer only moves down.
     """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.vertices = set(range(g.n))
+        self.deg = [g.degree(v) for v in range(g.n)]
+        self._buckets: list[list[int]] = [[] for _ in range(max(self.deg, default=0) + 1)]
+        for v in range(g.n):  # ascending ids, so each bucket is already a heap
+            self._buckets[self.deg[v]].append(v)
+        self._lo, self._hi = 0, len(self._buckets) - 1
+
+    def _least(self, d: int) -> Optional[int]:
+        """The least id of degree d, dropping stale entries on the way."""
+        heap = self._buckets[d]
+        while heap and (heap[0] not in self.vertices or self.deg[heap[0]] != d):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def min_vertex(self) -> int:
+        """The vertex of least (degree, id); the set must not be empty."""
+        while (v := self._least(self._lo)) is None:
+            self._lo += 1
+        return v
+
+    def max_vertex(self) -> int:
+        """The vertex _root picks, in amortized O(1); the set must not be
+        empty."""
+        while (v := self._least(self._hi)) is None:
+            self._hi -= 1
+        return v
+
+    def remove(self, v: int) -> None:
+        """Delete v in O(deg v)."""
+        self.vertices.remove(v)
+        for w in self.g.adj(v):
+            if w in self.vertices:
+                self.deg[w] -= 1
+                heapq.heappush(self._buckets[self.deg[w]], w)
+        self._lo = max(self._lo - 1, 0)
+
+
+def _check_params(d: int, ell: int) -> None:
     if d < 2:
         raise ValueError("d must be at least 2")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    if not vertices:
-        raise ValueError("graph has no vertices")
-    outcome = _sstar_recurse(g, vertices, ell, d, ell, [], trace)
+
+
+def _sstar_step(rem: _Remaining, d: int, ell: int,
+                trace: Optional[list[dict]]) -> SStarOutcome:
+    """sstar_low_degree on the subgraph induced by the remaining vertices,
+    in the ids of g.
+
+    The queue gives the level-ell root and the min-(degree, id) override,
+    so a step reads only the root's neighbourhood and its neighbours.  A
+    low-degree certificate gives the degree inside the remaining set;
+    every result leaves through this one check, which also asks a biclique
+    for sides of ell and a subdivided star for d leaves.
+    """
+    g, vertices = rem.g, rem.vertices
+    outcome = _sstar_recurse(g, vertices, rem.max_vertex(), ell, d, ell, [], trace)
     cert = outcome.certificate
     if isinstance(cert, LowDegreeVertex):
-        v = min(vertices, key=lambda u: (g.degree_in(u, vertices), u))
-        deg = g.degree_in(v, vertices)
-        if deg < cert.degree:
-            cert = LowDegreeVertex(v, deg, cert.bound)
+        v = rem.min_vertex()
+        if rem.deg[v] < cert.degree:
+            cert = LowDegreeVertex(v, rem.deg[v], cert.bound)
             outcome = SStarOutcome(cert, outcome.level, outcome.trace)
         require(cert.degree == g.degree_in(cert.vertex, vertices) <= cert.bound,
                 f"certificate {cert} does not verify")
@@ -271,7 +349,10 @@ def sstar_low_degree(g: Graph, d: int, ell: int,
     vertex is reported instead (its degree can only be smaller, so the
     certified bound still holds).
     """
-    return _sstar_on(g, frozenset(range(g.n)), d, ell, [] if with_trace else None)
+    _check_params(d, ell)
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
+    return _sstar_step(_Remaining(g), d, ell, [] if with_trace else None)
 
 
 def sstar_elimination_order(g: Graph, d: int, ell: int
@@ -281,19 +362,25 @@ def sstar_elimination_order(g: Graph, d: int, ell: int
     degeneracy <= the level-ell closed form, otherwise the first structural
     witness is returned.
 
-    Works on a shrinking set of the remaining vertices of g, so every
-    certificate is already in the ids of g.
+    Every step is sstar_low_degree on the remaining vertices, in the ids
+    of g, on one bucket queue of their degrees that each deletion updates
+    in O(deg) (see _Remaining).  A step costs O(Delta^2) for fixed d and
+    ell, and the whole order O(n + m + n * Delta^2).  The queue yields the
+    vertices a scan of the remaining set would, the root of most degree
+    and least id and the vertex of least (degree, id), so the order equals
+    that of sstar_low_degree rerun on each induced subgraph.
     """
-    remaining = frozenset(range(g.n))
+    _check_params(d, ell)
+    rem = _Remaining(g)
     order: list[int] = []
     worst = 0
-    while remaining:
-        cert = _sstar_on(g, remaining, d, ell, None).certificate
+    while rem.vertices:
+        cert = _sstar_step(rem, d, ell, None).certificate
         if not isinstance(cert, LowDegreeVertex):
             return cert
         worst = max(worst, cert.degree)
         order.append(cert.vertex)
-        remaining = remaining - {cert.vertex}
+        rem.remove(cert.vertex)
     require(worst <= degree_bound(ell, d, ell),
             f"elimination order of bound {worst} exceeds the level-{ell} bound")
     return certified(g, EliminationOrder(tuple(order), worst))

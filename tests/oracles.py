@@ -2,13 +2,18 @@
 
 Everything here works on bitmask adjacency and enumerates exhaustively, on
 purpose taking a different route than the package's detectors.  Only usable
-for small n.
+for small n.  The one exception, naive_sstar_elimination_order, reruns the
+package's sstar_low_degree from scratch on every induced subgraph, the
+reference for the incremental elimination loop.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
+from chibound.certificates import (BicliqueWitness, EliminationOrder,
+                                   SubdividedStarWitness)
 from chibound.graph import Graph
+from chibound.lemmas import sstar_low_degree
 
 
 def adj_masks(g: Graph) -> list[int]:
@@ -224,3 +229,27 @@ def brute_noninterfering(core, touched: dict, s: int):
                    for pair in combinations(chosen, 2)):
             return chosen
     return None
+
+
+def naive_sstar_elimination_order(g: Graph, d: int, ell: int):
+    """sstar_elimination_order the slow way: sstar_low_degree on
+    g.induced(remaining), rebuilt after every deletion, with the ids mapped
+    back.  Graph.induced relabels monotonically, so ties break the same way
+    and the certificates must be equal, not only valid."""
+    remaining = list(range(g.n))
+    order: list[int] = []
+    worst = 0
+    while remaining:
+        sub, ids = g.induced(remaining)
+        cert = sstar_low_degree(sub, d, ell).certificate
+        if isinstance(cert, BicliqueWitness):
+            return BicliqueWitness(tuple(ids[v] for v in cert.left),
+                                   tuple(ids[v] for v in cert.right))
+        if isinstance(cert, SubdividedStarWitness):
+            return SubdividedStarWitness(ids[cert.center],
+                                         tuple(ids[v] for v in cert.middles),
+                                         tuple(ids[v] for v in cert.leaves))
+        worst = max(worst, cert.degree)
+        order.append(ids[cert.vertex])
+        remaining.remove(ids[cert.vertex])
+    return EliminationOrder(tuple(order), worst)

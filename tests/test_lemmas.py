@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    LowDegreeVertex, SubdividedStarWitness,
                                    verify_certificate)
 from chibound.detect import find_biclique_subgraph, has_induced_path
+from chibound.generate import gnp
 from chibound.graph import (Graph, complete_bipartite, cycle_graph,
                             empty_graph, path_graph)
 from chibound.lemmas import (common_filter, degree_bound,
                              filter_many_nonneighbors,
                              rainbow_independent_set, sstar_elimination_order,
                              sstar_low_degree)
-from conftest import random_graph
+from conftest import graphs, random_graph
+import oracles
 
 
 def test_degree_bound_closed_form():
@@ -97,6 +100,9 @@ def test_rainbow_forced_transversal():
     assert b is None and t == (1, 3)
 
 
+SSTAR_PARAMS = ((2, 2), (2, 3), (3, 2))
+
+
 def test_sstar_examples():
     out = sstar_low_degree(cycle_graph(5), 2, 2)
     assert isinstance(out.certificate, LowDegreeVertex)
@@ -118,6 +124,12 @@ def test_sstar_rejects_bad_params():
         sstar_low_degree(g, 2, 1)
     with pytest.raises(ValueError):
         sstar_low_degree(empty_graph(0), 2, 2)
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            sstar_elimination_order(empty_graph(n), 1, 2)
+        with pytest.raises(ValueError):
+            sstar_elimination_order(empty_graph(n), 2, 1)
+    assert sstar_elimination_order(empty_graph(0), 2, 2) == EliminationOrder((), 0)
 
 
 def test_sstar_totality_random(rng):
@@ -197,29 +209,46 @@ def test_elimination_order_valid_outcome_on_dense_inputs():
         assert verify_certificate(g, out)
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_elimination_order_matches_naive_loop(g):
+    for d, ell in SSTAR_PARAMS:
+        assert sstar_elimination_order(g, d, ell) == \
+            oracles.naive_sstar_elimination_order(g, d, ell)
+
+
+def test_elimination_order_matches_naive_loop_on_sparse_graph():
+    # (2, 2) stops at an induced P5; the others delete all 400 vertices,
+    # enough to move the queue's pointers and leave stale entries behind
+    g = gnp(400, 6 / 399, random.Random(400))
+    for d, ell in SSTAR_PARAMS:
+        result = sstar_elimination_order(g, d, ell)
+        assert isinstance(result, SubdividedStarWitness if (d, ell) == (2, 2)
+                          else EliminationOrder)
+        assert result == oracles.naive_sstar_elimination_order(g, d, ell)
+
+
 def test_lemma_results_are_checked_without_assert(monkeypatch):
     # the checks must raise even under `python -O`, which strips asserts
     from chibound import lemmas
     c5 = cycle_graph(5)
-    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda *a: lemmas.SStarOutcome(
-        LowDegreeVertex(0, 0, 0), 1))
-    with pytest.raises(lemmas.InternalInconsistency):
-        sstar_low_degree(c5, 2, 2)
-    with pytest.raises(lemmas.InternalInconsistency):
-        sstar_elimination_order(c5, 2, 2)
-    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda *a: lemmas.SStarOutcome(
-        BicliqueWitness((0, 2), (1, 3)), 1))
-    with pytest.raises(lemmas.InternalInconsistency):
-        sstar_low_degree(c5, 2, 2)
-    with pytest.raises(lemmas.InternalInconsistency):
-        sstar_elimination_order(c5, 2, 2)
-    # valid, but K_{1,1} does not answer a question about K_{2,2}
-    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda *a: lemmas.SStarOutcome(
-        BicliqueWitness((0,), (1,)), 1))
-    with pytest.raises(lemmas.InternalInconsistency):
-        sstar_low_degree(c5, 2, 2)
+
+    def inject(make_cert):
+        def recurse(g, vertices, r, k, d, ell, roots_above, trace):
+            return lemmas.SStarOutcome(make_cert(g, vertices), k, trace)
+        monkeypatch.setattr(lemmas, "_sstar_recurse", recurse)
+
+    for wrong in (LowDegreeVertex(0, 0, 0),             # degree is 2, not 0
+                  BicliqueWitness((0, 2), (1, 3)),      # 0-3 is no edge
+                  BicliqueWitness((0,), (1,))):         # valid, but not K_{2,2}
+        inject(lambda g, vertices: wrong)
+        with pytest.raises(lemmas.InternalInconsistency):
+            sstar_low_degree(c5, 2, 2)
+        with pytest.raises(lemmas.InternalInconsistency):
+            sstar_elimination_order(c5, 2, 2)
+    # every step verifies, but the order breaks the level-ell closed form
     monkeypatch.setattr(lemmas, "degree_bound", lambda k, d, ell: -1)
-    monkeypatch.setattr(lemmas, "_sstar_recurse", lambda g, vs, *a: lemmas.SStarOutcome(
-        LowDegreeVertex(min(vs), g.degree_in(min(vs), vs), 2), 1))
+    inject(lambda g, vertices: LowDegreeVertex(
+        min(vertices), g.degree_in(min(vertices), vertices), 2))
     with pytest.raises(lemmas.InternalInconsistency):
         sstar_elimination_order(c5, 2, 2)

@@ -1,8 +1,9 @@
 """Scale smoke test: the linear-time core on a sparse graph of 2*10^4 vertices.
 
-A quadratic path in degeneracy, its verification or graph6 packing would
-take minutes here (and per-bit lists about 1.6 GB), so this test guards
-against one coming back without timing anything.
+A quadratic path in degeneracy, its verification, graph6 packing or the
+sstar elimination loop would take minutes here (and per-bit lists about
+1.6 GB), so this test guards against one coming back without timing
+anything.
 """
 import random
 
@@ -12,6 +13,7 @@ from chibound.certificates import EliminationOrder, verify_certificate
 from chibound.detect import degeneracy
 from chibound.graph import Graph
 from chibound.io import from_graph6, to_graph6
+from chibound.lemmas import sstar_elimination_order
 
 N = 20_000
 M = 60_000
@@ -39,3 +41,6 @@ def test_linear_core_at_scale():
     assert verify_certificate(g, cert)
     assert not verify_certificate(g, EliminationOrder(cert.order, k - 1))
     assert from_graph6(to_graph6(g)) == g
+    elimination = sstar_elimination_order(g, 2, 3)
+    assert isinstance(elimination, EliminationOrder)
+    assert verify_certificate(g, elimination)
