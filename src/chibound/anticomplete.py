@@ -9,10 +9,10 @@ for them exactly instead, in ascending id, so it finds anchors whenever
 the random choice would, and the same ones on every run.
 
 The quantitative guarantees hold only at astronomically large sizes, so
-every stage checks its hypotheses and otherwise runs best-effort: size
-floors are required when the hypotheses held, while structural soundness
-is unconditional.  Every certificate leaves through certified, every
-postcondition through require, and both raise InternalInconsistency.
+every stage runs best-effort: a stage that falls short of its target size
+raises StageShortfall, while structural soundness is unconditional.  Every
+certificate leaves through certified, every postcondition through
+require, and both raise InternalInconsistency.
 """
 from __future__ import annotations
 
@@ -265,23 +265,17 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
     against the remaining P-vertices.  That no edge is left between the
-    two results is required always; the size floors (|P'| >= |P| -
-    (ell-1)(2t-1), |Q'| >= 1) only when the stated cardinality hypotheses
-    held, which needs ell <= 1.  A biclique or cycle found along the way
+    two results is required; how many paths survive is not (the paper's
+    size floors need ell <= 1).  A biclique or cycle found along the way
     propagates as CounterWitness.
     """
     _validate_separation_input(g, p_fam, q_fam, t)
-    if not q_fam.paths:
-        return p_fam, q_fam
-    if not p_fam.paths:
+    if not (p_fam.paths and q_fam.paths):
         return p_fam, q_fam
     q = 2 * t - 1
     k_q = len(q_fam.paths[0])
     coloring = _position_coloring(p_fam)
     x_set = frozenset(w for p in p_fam for w in p.vertices)
-    guaranteed = (ell <= 1 and
-                  len(q_fam) >= len(p_fam) ** ((q ** 2) * t // 2) and
-                  len(x_set) >= q * t // 2)
     q_current = list(q_fam.paths)
     for i in range(k_q):
         if not q_current:
@@ -294,9 +288,6 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     q_kept = tuple(q_current)
     require(all(are_anticomplete(g, p, qq) for p in p_kept for qq in q_kept),
             "separation left an edge")
-    require(not guaranteed or (len(p_kept) >= len(p_fam) - (ell - 1) * (2 * t - 1)
-                               and len(q_kept) >= 1),
-            "separation undershot its size floors")
     return (PathFamily(p_kept, p_fam.common_length),
             PathFamily(q_kept, q_fam.common_length))
 
@@ -400,18 +391,14 @@ class PipelineResult:
         }
 
 
-def _diameter_ok(g: Graph, s: frozenset[int], limit: int) -> bool:
-    _, _, dist = eccentric_pair(g, s)
-    return dist + 1 < limit
-
-
 def main_pipeline(g: Graph, t: int, ell: int,
                   overrides: Optional[PipelineOverrides] = None) -> PipelineResult:
     """Best-effort six-step search for an induced cycle on >= t vertices.
 
-    Any stage may instead surface a biclique, which is returned
-    immediately; shortfalls produce an inconclusive result with a stage
-    report.  Certificates are verified before being returned.
+    Any stage may instead surface a biclique, which is returned; shortfalls
+    and exhausted budgets produce an inconclusive result whose last stage
+    report names where the run stopped.  Certificates are verified before
+    being returned.
     """
     if t < 4 or t % 2:
         raise ValueError("t must be even and at least 4")
@@ -419,92 +406,69 @@ def main_pipeline(g: Graph, t: int, ell: int,
         raise ValueError("ell must be at least 2")
     ov = overrides or PipelineOverrides()
     stages: list[StageReport] = []
-
-    def finish(cert: Optional[Certificate]) -> PipelineResult:
-        if cert is not None:
-            certified(g, cert, t=t, ell=ell)
-        return PipelineResult(cert, stages, ov.seed)
-
-    # Step 1: clique minor (searched, or injected and validated)
+    cert: Optional[Certificate] = None
     minor_size = ov.minor_size if ov.minor_size is not None \
         else min(PipelineOverrides.MINOR_CAP, max(3, t // 2))
-    if ov.branch_sets is not None:
-        minor = CliqueMinor.from_sets(ov.branch_sets)
-        if not validate_minor(g, minor):
-            raise ValueError("injected branch sets are not a valid clique minor")
-        stages.append(StageReport("minor", minor_size, len(minor), "injected"))
-    else:
-        try:
-            found = find_clique_minor(g, minor_size, ov.budget)
-        except BudgetExceeded:
-            stages.append(StageReport("minor", minor_size, 0, "budget"))
-            return finish(None)
-        if found is None:
-            stages.append(StageReport("minor", minor_size, 0, "absent"))
-            return finish(None)
-        minor = found
-        stages.append(StageReport("minor", minor_size, len(minor), "ok"))
-
-    # Step 2: full-vertex minor (skipped when the injected minor already
-    # meets the postconditions)
-    full_size = len(minor)
-    fulls = full_vertices(g, minor)
-    preverified = (ov.branch_sets is not None
-                   and all(v is not None for v in fulls)
-                   and all(_diameter_ok(g, s, 2 * t) for s in minor.branch_sets))
-    if preverified:
-        working = minor
-        stages.append(StageReport("full-minor", full_size, len(minor),
-                                  "preverified"))
-    else:
-        try:
-            out = full_vertex_minor(g, minor, full_size, t, budget=ov.budget)
-        except StageShortfall as sf:
-            stages.append(StageReport(sf.stage, sf.required, sf.achieved,
-                                      "shortfall"))
-            return finish(None)
-        except BudgetExceeded:
-            stages.append(StageReport("full-minor", full_size, 0, "budget"))
-            return finish(None)
-        if isinstance(out, InducedCycle):
-            stages.append(StageReport("full-minor", full_size,
-                                      len(out.vertices), "cycle"))
-            return finish(out)
-        working = out
-        stages.append(StageReport("full-minor", full_size, len(working), "ok"))
-        fulls = full_vertices(g, working)
-
-    # Step 3: partition into anchor sets and connector sets
     a_count = ov.a_count if ov.a_count is not None else t // 2
-    if len(working) < a_count + 1:
-        stages.append(StageReport("partition", a_count + 1, len(working),
-                                  "shortfall"))
-        return finish(None)
-    anchors_pool = []
-    for i in range(a_count):
-        v = fulls[i]
-        if v is None:
-            stages.append(StageReport("partition", a_count, i, "shortfall"))
-            return finish(None)
-        anchors_pool.append(v)
-    connector_sets = list(working.branch_sets[a_count:])
-    stages.append(StageReport("partition", a_count, len(anchors_pool), "ok"))
-
-    # Steps 4-6
+    if a_count < 0:
+        raise ValueError("a_count must be non-negative")
+    # the (name, target size) that an exhausted budget is reported against
+    where = ("minor", minor_size)
     try:
+        # Step 1: clique minor (searched, or injected and validated)
+        if ov.branch_sets is not None:
+            minor = CliqueMinor.from_sets(ov.branch_sets)
+            if not validate_minor(g, minor):
+                raise ValueError("injected branch sets are not a valid clique minor")
+            stages.append(StageReport("minor", minor_size, len(minor), "injected"))
+        else:
+            minor = find_clique_minor(g, minor_size, ov.budget)
+            if minor is None:
+                stages.append(StageReport("minor", minor_size, 0, "absent"))
+                return PipelineResult(None, stages, ov.seed)
+            stages.append(StageReport("minor", minor_size, len(minor), "ok"))
+
+        # Step 2: full-vertex minor (skipped when the injected minor already
+        # meets the postconditions)
+        full_size = len(minor)
+        where = ("full-minor", full_size)
+        fulls = full_vertices(g, minor)
+        if (ov.branch_sets is not None and None not in fulls
+                and all(eccentric_pair(g, s)[2] + 1 < 2 * t
+                        for s in minor.branch_sets)):
+            working = minor
+            stages.append(StageReport("full-minor", full_size, len(minor),
+                                      "preverified"))
+        else:
+            out = full_vertex_minor(g, minor, full_size, t, budget=ov.budget)
+            if isinstance(out, InducedCycle):  # certified for t by the minor layer
+                stages.append(StageReport("full-minor", full_size,
+                                          len(out.vertices), "cycle"))
+                return PipelineResult(out, stages, ov.seed)
+            working = out
+            stages.append(StageReport("full-minor", full_size, len(working), "ok"))
+            fulls = full_vertices(g, working)
+
+        # Step 3: partition into anchor sets and connector sets
+        where = ("budget", 0)
+        if len(working) < a_count + 1:
+            raise StageShortfall("partition", a_count + 1, len(working))
+        anchors = fulls[:a_count]
+        if None in anchors:
+            raise StageShortfall("partition", a_count, anchors.index(None))
+        stages.append(StageReport("partition", a_count, len(anchors), "ok"))
+
+        # Steps 4-6
         linked = build_linked_families(
-            g, frozenset(anchors_pool), connector_sets, t, ell,
+            g, frozenset(anchors), working.branch_sets[a_count:], t, ell,
             paths_per_pair=ov.paths_per_pair, budget=ov.budget)
         stages.extend(linked.reports)
-
         core = linked.a_prime  # t/2 anchors in ascending order
         cyclic: list[PathFamily] = []
         for i in range(len(core)):
             u, v = core[i], core[(i + 1) % len(core)]
-            key = (min(u, v), max(u, v))
-            family = linked.families[key]
             by_len: dict[int, list[OrientedPath]] = {}
-            for p in family:
+            for p in linked.families[(min(u, v), max(u, v))]:
                 by_len.setdefault(len(p), []).append(p)
             length = max(by_len, key=lambda k: (len(by_len[k]), -k))
             extracted = extract_partially_anticomplete(g, by_len[length],
@@ -518,15 +482,13 @@ def main_pipeline(g: Graph, t: int, ell: int,
         picked = select_pairwise_anticomplete(g, cyclic, ell, t)
         cert = assemble_cycle(g, core, picked)
         stages.append(StageReport("assemble", t, len(cert.vertices), "ok"))
-        return finish(cert)
     except CounterWitness as cw:
-        stages.append(StageReport("witness", 0, 0,
-                                  type(cw.certificate).__name__))
-        return finish(cw.certificate)
+        cert = cw.certificate
+        stages.append(StageReport("witness", 0, 0, type(cert).__name__))
     except StageShortfall as sf:
-        stages.append(StageReport(sf.stage, sf.required, sf.achieved,
-                                  "shortfall"))
-        return finish(None)
+        stages.append(StageReport(sf.stage, sf.required, sf.achieved, "shortfall"))
     except BudgetExceeded:
-        stages.append(StageReport("budget", 0, 0, "budget"))
-        return finish(None)
+        stages.append(StageReport(*where, 0, "budget"))
+    if cert is not None:
+        certified(g, cert, t=t, ell=ell)
+    return PipelineResult(cert, stages, ov.seed)

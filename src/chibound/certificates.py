@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, TypeVar, Union
 
-from .graph import Graph, is_independent, verify_induced_cycle
+from .graph import Graph, check_vertices, is_independent, verify_induced_cycle
 
 
 class InternalInconsistency(AssertionError):
@@ -82,13 +82,8 @@ def _verify_biclique(g: Graph, c: BicliqueWitness) -> bool:
         return False
     if left & right:
         return False
-    for u in left:
-        if not (0 <= u < g.n):
-            raise ValueError(f"vertex {u} out of range")
-        for v in right:
-            if not g.has_edge(u, v):
-                return False
-    return True
+    check_vertices(g, left | right)
+    return all(g.has_edge(u, v) for u in left for v in right)
 
 
 def _verify_sstar(g: Graph, c: SubdividedStarWitness) -> bool:
@@ -98,6 +93,7 @@ def _verify_sstar(g: Graph, c: SubdividedStarWitness) -> bool:
     vs = (c.center,) + c.middles + c.leaves
     if len(set(vs)) != 2 * d + 1:
         return False
+    check_vertices(g, vs)
     expected = {frozenset((c.center, m)) for m in c.middles}
     expected |= {frozenset((c.middles[i], c.leaves[i])) for i in range(d)}
     for i in range(len(vs)):
@@ -109,8 +105,7 @@ def _verify_sstar(g: Graph, c: SubdividedStarWitness) -> bool:
 
 
 def _verify_low_degree(g: Graph, c: LowDegreeVertex) -> bool:
-    if not (0 <= c.vertex < g.n):
-        raise ValueError(f"vertex {c.vertex} out of range")
+    check_vertices(g, (c.vertex,))
     return g.degree(c.vertex) == c.degree and c.degree <= c.bound
 
 

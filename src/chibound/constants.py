@@ -4,10 +4,10 @@ At the scales involved the decimal expansions do not fit in memory (the top
 of the grid has ~10^22 digits), so constants are held as exact products of
 prime powers with big-integer exponents.  Comparisons reduce to exponent
 deltas; materialization to a plain int is available behind a digit guard.
-When the reciprocal of epsilon is an integer (every grid point), all
+epsilon must be 1/m for a positive integer m (every grid point): then all
 ceilings are ceilings of integers and the representation is exact end to
-end; otherwise the constants are materialized behind the guard with
-integer nth-root rounding, or refused with a clear error.
+end.  Any other epsilon gives R an exponent of at least 3^(2t), which for
+t >= 10 has more than 10^10 digits, so it is refused up front.
 """
 from __future__ import annotations
 
@@ -39,23 +39,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _nth_root_floor(x: int, n: int) -> int:
-    """floor(x ** (1/n)) by Newton iteration on integers."""
-    if x < 0 or n < 1:
-        raise ValueError("need x >= 0, n >= 1")
-    if x == 0:
-        return 0
-    guess = 1 << (-(-x.bit_length() // n))
-    while True:
-        nxt = ((n - 1) * guess + x // guess ** (n - 1)) // n
-        if nxt >= guess:
-            break
-        guess = nxt
-    while guess ** n > x:
-        guess -= 1
-    return guess
 
 
 @dataclass(frozen=True)
@@ -138,10 +121,6 @@ class FactoredInt:
         return (a > b) - (a < b)
 
 
-def _as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class PaperConstants:
     """The derived constant tower for given (t, ell, epsilon, c)."""
@@ -158,10 +137,7 @@ class PaperConstants:
 
     def step2_inequalities(self) -> tuple[bool, bool]:
         """The two self-consistency inequalities on N, ell, epsilon, R."""
-        m = 1 / self.epsilon
-        if m.denominator != 1:
-            raise ValueError("inequality check requires 1/epsilon integral")
-        m = int(m)
+        m = self.epsilon.denominator
         lhs = (self.n_const ** 2) * \
             (FactoredInt.from_int(self.ell) * self.n_const ** (self.t // 2)) ** m
         first = lhs.compare(self.n_const ** m) >= 0
@@ -186,60 +162,30 @@ class PaperConstants:
         }
 
 
-def _ceil_power(coeff: int, base: int, exponent: Fraction,
-                guard: int) -> FactoredInt:
-    """ceil(coeff * base^exponent) as a FactoredInt.
-
-    Integral exponents stay in factored form; fractional ones are resolved
-    by integer nth-root rounding, which requires materialization.
-    """
-    if exponent.denominator == 1:
-        return FactoredInt.from_int(coeff) * \
-            FactoredInt.from_int(base) ** int(exponent)
-    p, q = exponent.numerator, exponent.denominator
-    estimated_digits = (q * _log2_int(coeff) + p * _log2_int(base)) * 0.302
-    if estimated_digits > guard:
-        raise ValueError(
-            "constants for this epsilon require ceilings of irrational powers "
-            f"with ~{estimated_digits:.2e} digits; use epsilon = 1/m for the "
-            "exact factored path")
-    big = coeff ** q * base ** p
-    root = _nth_root_floor(big, q)
-    value = root if root ** q == big else root + 1
-    return FactoredInt.from_int(value)
-
-
 def paper_constants(t: int, ell: int, epsilon: Union[int, float, str, Fraction],
-                    c: int = 1, guard: int = DIGIT_GUARD) -> PaperConstants:
+                    c: int = 1) -> PaperConstants:
     """Exact R, N, Z, W, d for the given parameters.
 
-    t must be even and at least 10, ell at least 2, epsilon in (0, 1],
-    c a positive integer.
+    t must be even and at least 10, ell at least 2, epsilon = 1/m for a
+    positive integer m, c a positive integer.
     """
-    eps = _as_fraction(epsilon)
+    eps = Fraction(epsilon)
     if t < 10 or t % 2:
         raise ValueError("t must be even and at least 10")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    if not 0 < eps <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
+    if not 0 < eps <= 1 or eps.numerator != 1:
+        raise ValueError(f"epsilon must be 1/m for a positive integer m, not {eps}")
     if c < 1:
         raise ValueError("c must be a positive integer")
-    inv = 1 / eps
-    base = 2 * t ** 3 * ell
-    r_exp = 2 * t ** 4 * inv ** (2 * t)
-    r_const = _ceil_power(2 * t, base, r_exp, guard)
+    m = eps.denominator
+    r_exp = 2 * t ** 4 * m ** (2 * t)
+    r_const = FactoredInt.from_int(2 * t) * \
+        FactoredInt.from_int(2 * t ** 3 * ell) ** r_exp
     n_const = (r_const * FactoredInt.from_int(2 * t * ell)) ** 2
-    if inv.denominator == 1:
-        m = int(inv)
-        z_inner = (n_const ** 2) * \
-            (FactoredInt.from_int(ell) * n_const ** (t // 2)) ** m
-        z_const = FactoredInt.from_int(3) * z_inner
-    else:
-        n_int = n_const.to_int(guard)
-        x_int = ell * n_int ** (t // 2)
-        inner = _ceil_power(n_int ** 2, x_int, inv, guard)
-        z_const = FactoredInt.from_int(3) * inner
+    z_inner = (n_const ** 2) * \
+        (FactoredInt.from_int(ell) * n_const ** (t // 2)) ** m
+    z_const = FactoredInt.from_int(3) * z_inner
     w_const = FactoredInt.from_int(2 * t ** 3) * z_const ** 2
     d_const = FactoredInt.from_int(c) * w_const ** 2
     return PaperConstants(t, ell, eps, c, r_const, n_const, z_const,

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .certificates import (BicliqueWitness, EliminationOrder, InducedCycle,
                            IndependentSetWitness, SubdividedStarWitness)
-from .graph import Graph, OrientedPath, VertexSet
+from .graph import Graph, OrientedPath, VertexSet, check_vertices
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -294,9 +294,7 @@ def max_independent_subset(g: Graph, within: Optional[VertexSet] = None,
     the best set found so far in `best`.
     """
     pool = frozenset(range(g.n)) if within is None else frozenset(within)
-    for v in pool:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex id {v} out of range")
+    check_vertices(g, pool)
     return _max_independent(g, pool, SearchBudget(budget))
 
 

@@ -8,13 +8,13 @@ the constructions and are re-checked by the detectors in the test suite.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations, product
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Iterator, Optional
 
-from .graph import Graph, mask_vertices
+from .graph import Graph
 
 FAMILIES = ("gnp", "tree", "split", "cograph", "chordal", "interval",
-            "planted-cycle", "planted-biclique", "all-small")
+            "planted-cycle", "planted-biclique")
 
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
@@ -133,63 +133,6 @@ def planted_biclique(n: int, ell: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
-def _canonical_key(n: int, masks: Sequence[int]) -> tuple:
-    """Canonical form: degree-profile classes, then the minimum adjacency
-    bitstring over class-respecting orderings."""
-    degs = [masks[v].bit_count() for v in range(n)]
-    inv = []
-    for v in range(n):
-        nd = tuple(sorted(degs[w] for w in mask_vertices(masks[v])))
-        inv.append((degs[v], nd))
-    classes: dict[tuple, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(inv[v], []).append(v)
-    ordered = sorted(classes.items())
-    signature = tuple((key, len(vs)) for key, vs in ordered)
-    best: Optional[int] = None
-    pools = [permutations(vs) for _, vs in ordered]
-    for combo in product(*pools):
-        order = [v for block in combo for v in block]
-        pos = {v: i for i, v in enumerate(order)}
-        bitstring = 0
-        bit = 0
-        for j in range(1, n):
-            aj = masks[order[j]]
-            for i in range(j):
-                bitstring = (bitstring << 1) | ((aj >> order[i]) & 1)
-                bit += 1
-        if best is None or bitstring < best:
-            best = bitstring
-    return (n, signature, best)
-
-
-def all_small(max_n: int) -> Iterator[Graph]:
-    """Every graph up to isomorphism with 1..max_n vertices, by canonical
-    augmentation: each level extends the previous one by a new vertex with
-    every possible neighborhood, deduplicated on a canonical key.
-
-    Feasible up to 7 vertices in reasonable time; 8 and 9 work but are slow.
-    """
-    level: dict[tuple, Graph] = {}
-    single = Graph.from_edges(1, [])
-    level[_canonical_key(1, [0])] = single
-    for g in [single]:
-        yield g
-    for n in range(2, max_n + 1):
-        nxt: dict[tuple, Graph] = {}
-        for g in level.values():
-            base = list(g.edges())
-            for subset_mask in range(1 << g.n):
-                edges = base + [(v, g.n) for v in mask_vertices(subset_mask)]
-                cand = Graph.from_edges(n, edges)
-                key = _canonical_key(n, cand.masks())
-                if key not in nxt:
-                    nxt[key] = cand
-        level = dict(sorted(nxt.items()))
-        for key in sorted(level):
-            yield level[key]
-
-
 def pipeline_ideal_instance(t: int, copies: int = 1) -> Graph:
     """Anchors joined pairwise by bundles of long internally-clean paths
     (2t - 1 vertices each).
@@ -278,10 +221,6 @@ def generate(family: str, params: Optional[dict] = None, seed: int = 0,
     """Deterministic stream of graphs from one family."""
     params = dict(params or {})
     rng = random.Random(seed)
-    if family == "all-small":
-        max_n = int(params.get("max_n", params.get("n", 7)))
-        yield from all_small(max_n)
-        return
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     n = int(params.get("n", 10))

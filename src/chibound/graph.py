@@ -216,7 +216,7 @@ def mask_vertices(mask: int) -> list[int]:
     return out
 
 
-def _check_vertices(g: Graph, s: Iterable[int]) -> None:
+def check_vertices(g: Graph, s: Iterable[int]) -> None:
     for v in s:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex id {v} out of range for n={g.n}")
@@ -225,7 +225,7 @@ def _check_vertices(g: Graph, s: Iterable[int]) -> None:
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff no edge of g has both endpoints in s."""
     sset = set(s)
-    _check_vertices(g, sset)
+    check_vertices(g, sset)
     for v in sset:
         if g._adj[v] & sset:
             return False
@@ -236,7 +236,7 @@ def are_anticomplete(g: Graph, p: OrientedPath, q: OrientedPath) -> bool:
     """Vertex-disjoint with no edge from any vertex of p to any vertex of q."""
     pv = p.vertex_set()
     qv = q.vertex_set()
-    _check_vertices(g, pv | qv)
+    check_vertices(g, pv | qv)
     if pv & qv:
         return False
     return all(not (g._adj[v] & qv) for v in pv)
@@ -280,7 +280,7 @@ def first_bad_pair(g: Graph, vs: Sequence[int],
 
 def verify_induced_path(g: Graph, p: OrientedPath) -> bool:
     """Consecutive pairs adjacent, all other pairs non-adjacent."""
-    _check_vertices(g, p.vertices)
+    check_vertices(g, p.vertices)
     return first_bad_pair(g, p.vertices, closed=False) is None
 
 
@@ -295,7 +295,7 @@ def verify_induced_cycle(g: Graph, cycle: Sequence[int]) -> bool:
         raise ValueError("a cycle needs at least 3 vertices")
     if len(set(vs)) != len(vs):
         raise ValueError("cycle vertices must be distinct")
-    _check_vertices(g, vs)
+    check_vertices(g, vs)
     return first_bad_pair(g, vs, closed=True) is None
 
 

@@ -13,14 +13,12 @@ of 1), matching how diameters and cycle lengths are compared against t.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .certificates import InducedCycle, certified, require
-from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
-                     find_long_induced_cycle)
-from .graph import Graph, mask_vertices
+from .detect import SearchBudget, StageShortfall, find_long_induced_cycle
+from .graph import Graph, check_vertices, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -53,9 +51,7 @@ def validate_minor(g: Graph, minor: CliqueMinor) -> bool:
         if not s or (s & seen):
             return False
         seen |= s
-        for v in s:
-            if not (0 <= v < g.n):
-                raise ValueError(f"vertex {v} out of range")
+        check_vertices(g, s)
         if not g.is_connected_subset(s):
             return False
     for i in range(len(sets)):
@@ -76,27 +72,15 @@ def _find_cycle(g: Graph) -> Optional[list[int]]:
             x = parent[x]
         return x
 
-    forest: list[set[int]] = [set() for _ in range(g.n)]
+    forest: list[tuple[int, int]] = []
     for u, v in g.edges():
         ru, rv = find(u), find(v)
         if ru == rv:
-            prev = {u: -1}
-            queue = deque([u])
-            while queue:
-                x = queue.popleft()
-                if x == v:
-                    break
-                for w in sorted(forest[x]):
-                    if w not in prev:
-                        prev[w] = x
-                        queue.append(w)
-            path = [v]
-            while prev[path[-1]] != -1:
-                path.append(prev[path[-1]])
-            return path
+            # the one forest path from v back to u closes the cycle
+            return Graph.from_edges(g.n, forest).shortest_path(
+                v, u, frozenset(range(g.n)))
         parent[ru] = rv
-        forest[u].add(v)
-        forest[v].add(u)
+        forest.append((u, v))
     return None
 
 
@@ -261,9 +245,9 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
             found = CliqueMinor(tuple(quotient[:p]))
         else:
             found = _assignment_search(g, p, SearchBudget(budget))
-        if found is None and p == 4:
-            # reduction said a K4 minor exists; the search cannot conclude absence
-            raise BudgetExceeded("K4 minor exists but no witness found in budget")
+        # the reduction proved a K4 minor exists, and the assignment search
+        # returns None only after a complete enumeration
+        require(found is not None or p > 4, "a K4 minor exists but none was found")
     if found is not None:
         require(len(found) == p and validate_minor(g, found),
                 f"clique minor {found.to_json()} does not validate")

@@ -201,8 +201,8 @@ def test_separate_planted_sparse_conflicts():
 
 
 def test_separate_size_floors_hold():
-    # ell = 1 and one P path of 3 = q*t/2 vertices meet the cardinality
-    # hypotheses, so the size floors are checked
+    # ell = 1 and one P path of 3 = q*t/2 vertices meet the paper's
+    # cardinality hypotheses, under which no path is lost
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     p = PathFamily((OrientedPath((0, 1, 2)),), 3)
     q = PathFamily((OrientedPath((3, 4, 5)),), 3)
@@ -428,3 +428,6 @@ def test_pipeline_rejects_bad_params():
         main_pipeline(g, 5, 2)
     with pytest.raises(ValueError):
         main_pipeline(g, 6, 1)
+    # a negative count would slice the anchors from the wrong end
+    with pytest.raises(ValueError, match="a_count"):
+        main_pipeline(g, 6, 2, PipelineOverrides(a_count=-1))

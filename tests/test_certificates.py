@@ -11,7 +11,7 @@ from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    SubdividedStarWitness, certificate_from_json,
                                    certificate_to_json, certified, require,
                                    verify_certificate)
-from chibound.graph import complete_bipartite, cycle_graph, path_graph
+from chibound.graph import Graph, complete_bipartite, cycle_graph, path_graph
 
 PACKAGE_MODULES = sorted(Path(chibound.__file__).parent.glob("*.py"))
 
@@ -69,6 +69,26 @@ def test_certified_checks_validity_and_size():
 
     with pytest.raises(InternalInconsistency, match="does not verify"):
         certified(c5, EliminationOrder(tuple(range(5)), 1))
+
+
+def test_sstar_verifier_range_checks_every_vertex():
+    # the star with 2 leaves, subdivided, centred at 4: 4-0-2 and 4-1-3;
+    # a centre of -1 must not wrap round to 4
+    g = Graph.from_edges(5, [(0, 4), (1, 4), (0, 2), (1, 3)])
+    assert verify_certificate(g, SubdividedStarWitness(4, (0, 1), (2, 3)))
+    for bad in (SubdividedStarWitness(-1, (0, 1), (2, 3)),
+                SubdividedStarWitness(7, (0, 1), (2, 3)),
+                SubdividedStarWitness(4, (0, 1), (2, 5))):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_certificate(g, bad)
+
+
+def test_biclique_verifier_range_checks_both_sides():
+    k22 = complete_bipartite(2, 2)
+    for bad in (BicliqueWitness((0, 1), (2, 4)), BicliqueWitness((0, 1), (-1, 3)),
+                BicliqueWitness((0, 4), (2, 3))):
+        with pytest.raises(ValueError, match="out of range"):
+            verify_certificate(k22, bad)
 
 
 @pytest.mark.parametrize("graph, cert", [

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chibound.constants import (FactoredInt, _nth_root_floor, paper_constants)
+from chibound.constants import FactoredInt, paper_constants
 
 
 def test_factored_int_basics():
@@ -24,14 +24,6 @@ def test_factored_int_mixed_comparison():
     a = FactoredInt.from_int(2) ** 10 * FactoredInt.from_int(3)
     b = FactoredInt.from_int(5) ** 4 * FactoredInt.from_int(2)
     assert a.compare(b) == (1 if 3072 > 1250 else -1)
-
-
-def test_nth_root_floor():
-    assert _nth_root_floor(0, 3) == 0
-    assert _nth_root_floor(26, 3) == 2
-    assert _nth_root_floor(27, 3) == 3
-    big = 7 ** 341
-    assert _nth_root_floor(big ** 5 + 1, 5) == big
 
 
 def test_small_corner_matches_direct_arithmetic():
@@ -86,6 +78,14 @@ def test_astronomical_values_stay_symbolic():
 def test_non_reciprocal_epsilon_refused_at_scale():
     with pytest.raises(ValueError):
         paper_constants(10, 2, Fraction(2, 3))
+
+
+def test_non_reciprocal_epsilon_refused_up_front():
+    # any epsilon other than 1/m gives R an exponent of at least 3^20 here,
+    # so it is refused before any constant is computed
+    for eps in (0.3, "2/5", Fraction(3, 4)):
+        with pytest.raises(ValueError, match="1/m"):
+            paper_constants(10, 2, eps)
 
 
 def test_summary_shape():
