@@ -167,15 +167,21 @@ def paper_constants(t: int, ell: int, epsilon: Union[int, float, str, Fraction],
     """Exact R, N, Z, W, d for the given parameters.
 
     t must be even and at least 10, ell at least 2, epsilon = 1/m for a
-    positive integer m, c a positive integer.
+    positive integer m, c a positive integer.  A float stands for 1/m when
+    it is the float nearest to 1/m, so 0.1 is read as 1/10.
     """
-    eps = Fraction(epsilon)
     if t < 10 or t % 2:
         raise ValueError("t must be even and at least 10")
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    if not 0 < eps <= 1 or eps.numerator != 1:
-        raise ValueError(f"epsilon must be 1/m for a positive integer m, not {eps}")
+    if isinstance(epsilon, float):
+        m = round(1 / epsilon) if 0 < epsilon <= 1 and 1 / epsilon < math.inf else 0
+        eps = Fraction(1, m) if m >= 1 and 1 / m == epsilon else None
+    else:
+        eps = Fraction(epsilon)
+    if eps is None or not 0 < eps <= 1 or eps.numerator != 1:
+        shown = repr(epsilon) if eps is None else str(eps)
+        raise ValueError(f"epsilon must be 1/m for a positive integer m, not {shown}")
     if c < 1:
         raise ValueError("c must be a positive integer")
     m = eps.denominator

@@ -4,22 +4,31 @@ Every exponential search takes a node budget and raises BudgetExceeded when it
 runs out, which is distinct from a proven "absent".  Traversal order is
 ascending vertex id throughout so certificates are reproducible.
 
-The induced path, induced cycle and subdivided-star searches work on the
-adjacency bitmasks of Graph.masks(): a vertex set is one int, so the union,
-difference and membership test done at every search node are single
-operations.  Their candidates are peeled off lowest set bit first
-(`low = c & -c`), which is ascending id, so the search order, the nodes
-spent and the certificates are those of iterating over sorted neighbor
-sets.
+The induced path, induced cycle, subdivided-star, independent-set and
+clique searches work on the adjacency bitmasks of Graph.masks() (the clique
+search on the complement masks `full & ~(m | 1 << v)`, with no complement
+Graph built): a vertex set is one int, so the union, difference, membership
+test and degree count (`(masks[v] & p).bit_count()`) done at every search
+node are single operations.  Their candidates are peeled off lowest set bit
+first (`low = c & -c`), which is ascending id, so the search order, the
+nodes spent and the certificates are those of iterating over sorted
+neighbor sets.
+
+The path and cycle searches bound every node by a count of the vertices
+its extensions may still use.  A bound cuts only subtrees that cannot reach
+the search's target (the stop length, else one more vertex than the best
+so far), so the search order and every certificate are those of the
+unbounded search, which spends at least as many nodes.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import Optional, Sequence
 
 from .certificates import (BicliqueWitness, EliminationOrder, InducedCycle,
                            IndependentSetWitness, SubdividedStarWitness)
-from .graph import Graph, OrientedPath, VertexSet, check_vertices
+from .graph import (Graph, OrientedPath, VertexSet, check_vertices,
+                    mask_vertices)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -112,9 +121,12 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
 
     `forbidden` is the mask of everything adjacent to (or equal to) a
     non-final path vertex, so every legal extension keeps the path induced.
-    Stops early at stop_len vertices when given.
+    Stops early at stop_len vertices when given.  A node whose path cannot
+    grow to the target (stop_len, else one more vertex than the best path)
+    tries no candidate.
     """
     masks = g.masks()
+    full = (1 << g.n) - 1
     bud = SearchBudget(budget)
     best: tuple[int, ...] = ()
 
@@ -127,6 +139,11 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
                 return True
         last = path[-1]
         new_forbidden = forbidden | masks[last] | 1 << last
+        # Every extension is one candidate followed by vertices outside
+        # new_forbidden only.
+        target = stop_len if stop_len is not None else len(best) + 1
+        if len(path) + 1 + (full & ~new_forbidden).bit_count() < target:
+            return False
         candidates = masks[last] & ~forbidden
         while candidates:
             low = candidates & -candidates
@@ -173,6 +190,7 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
     `forbidden` is the mask of the vertices no extension may use.
     """
     masks = g.masks()
+    full = (1 << g.n) - 1
     bud = SearchBudget(budget)
     best: Optional[tuple[int, ...]] = None
 
@@ -183,6 +201,13 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
         can_close = len(path) + 1 >= min_len
         new_forbidden = forbidden | masks[last]
         candidates = masks[last] & ~forbidden
+        # An extension closes on a root neighbor outside new_forbidden, and
+        # every vertex after the candidate lies outside it too: when no such
+        # cycle can reach the target, only the closing candidates are tried.
+        target = len(best) + 1 if best else min_len
+        if not root_adj & ~new_forbidden or \
+                len(path) + 1 + (full & ~new_forbidden).bit_count() < target:
+            candidates &= root_adj
         while candidates:
             low = candidates & -candidates
             candidates ^= low
@@ -289,57 +314,73 @@ def max_independent_subset(g: Graph, within: Optional[VertexSet] = None,
                            budget: Optional[int] = None) -> IndependentSetWitness:
     """Maximum independent set inside `within` (default: all vertices).
 
-    Branch and bound: degree-0 and degree-1 reductions, then branch on a
-    maximum-degree vertex.  On budget exhaustion raises BudgetExceeded with
-    the best set found so far in `best`.
+    Branch and bound on the adjacency masks of g: degree-0 and degree-1
+    reductions, then branch on a maximum-degree vertex.  On budget
+    exhaustion raises BudgetExceeded with the best set found so far in
+    `best`.
     """
-    pool = frozenset(range(g.n)) if within is None else frozenset(within)
-    check_vertices(g, pool)
-    return _max_independent(g, pool, SearchBudget(budget))
+    if within is None:
+        pool = (1 << g.n) - 1
+    else:
+        vs = set(within)
+        check_vertices(g, vs)
+        pool = sum(1 << v for v in vs)
+    return _max_independent(g.masks(), pool, SearchBudget(budget))
 
 
-def _max_independent(g: Graph, pool: frozenset[int],
+def _max_independent(masks: Sequence[int], pool: int,
                      bud: SearchBudget) -> IndependentSetWitness:
-    """The search of max_independent_subset, spending from `bud`."""
-    best: set[int] = set()
+    """The search of max_independent_subset over the vertex mask `pool`,
+    on the adjacency masks `masks`, spending from `bud`.
 
-    def search(p: set[int], chosen: set[int]) -> None:
+    Reductions take every degree-0 vertex at once, then the least degree-1
+    vertex; the branching vertex is the one of most degree, least id, and
+    the branch that takes it runs first.
+    """
+    best = 0
+
+    def search(p: int, chosen: int) -> None:
         nonlocal best
         bud.spend()
         while True:
-            if len(chosen) + len(p) <= len(best):
+            if chosen.bit_count() + p.bit_count() <= best.bit_count():
                 return
             if not p:
                 break
-            degs = {v: len(g.adj(v) & p) for v in p}
-            zero = [v for v, dv in degs.items() if dv == 0]
+            zero = 0
+            one = top = top_deg = -1
+            rest = p
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                dv = (masks[v] & p).bit_count()
+                if dv == 0:
+                    zero |= low
+                elif dv == 1 and one < 0:
+                    one = v
+                if dv > top_deg:
+                    top, top_deg = v, dv
             if zero:
-                chosen.update(zero)
-                p.difference_update(zero)
-                continue
-            ones = sorted(v for v, dv in degs.items() if dv == 1)
-            if ones:
-                v = ones[0]
-                chosen.add(v)
-                p.discard(v)
-                p.difference_update(g.adj(v))
-                continue
-            break
+                chosen |= zero
+                p &= ~zero
+            elif one >= 0:
+                chosen |= 1 << one
+                p &= ~(masks[one] | 1 << one)
+            else:
+                break
         if not p:
-            if len(chosen) > len(best):
-                best = set(chosen)
+            if chosen.bit_count() > best.bit_count():
+                best = chosen
             return
-        v = max(p, key=lambda u: (len(g.adj(u) & p), -u))
-        # branch: v in the set
-        search(p - g.adj(v) - {v}, chosen | {v})
-        # branch: v out
-        search(p - {v}, set(chosen))
+        search(p & ~(masks[top] | 1 << top), chosen | 1 << top)
+        search(p & ~(1 << top), chosen)
 
     try:
-        search(set(pool), set())
+        search(pool, 0)
     except BudgetExceeded:
-        raise BudgetExceeded(best=IndependentSetWitness(tuple(sorted(best))))
-    return IndependentSetWitness(tuple(sorted(best)))
+        raise BudgetExceeded(best=IndependentSetWitness(tuple(mask_vertices(best))))
+    return IndependentSetWitness(tuple(mask_vertices(best)))
 
 
 def max_independent_set(g: Graph, budget: Optional[int] = None) -> IndependentSetWitness:
@@ -387,9 +428,21 @@ def clique_number(g: Graph, budget: Optional[int] = None) -> int:
 
 
 def max_clique(g: Graph, budget: Optional[int] = None) -> tuple[int, ...]:
+    """A maximum clique, in ascending id order.
+
+    The independent-set search of max_independent_subset run on the
+    complement masks.  On budget exhaustion raises BudgetExceeded whose
+    `best` is an IndependentSetWitness holding the largest clique found.
+    """
     if g.n == 0:
         return ()
-    return max_independent_set(g.complement(), budget).vertices
+    return _max_clique(g, SearchBudget(budget)).vertices
+
+
+def _max_clique(g: Graph, bud: SearchBudget) -> IndependentSetWitness:
+    full = (1 << g.n) - 1
+    complement = [full & ~(m | 1 << v) for v, m in enumerate(g.masks())]
+    return _max_independent(complement, full, bud)
 
 
 def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
@@ -435,14 +488,15 @@ def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
 def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
     """A proper coloring of g with the fewest colors, 0..chi-1.
 
-    Lower bound from an exact maximum clique, upper bound from greedy
-    coloring in reverse degeneracy order; k-colorability tested in between,
-    and the greedy coloring returned when no smaller k works, or as soon as
-    a clique of `upper` vertices turns up, even in a clique search that ran
-    out of budget.  The clique and colorability searches spend one budget
-    between them.  On budget exhaustion raises BudgetExceeded with
-    best=(lower, upper): the size of the clique found so far, or once the
-    clique is exact the number of colors under test.
+    Lower bound from an exact maximum clique (the search of max_clique),
+    upper bound from greedy coloring in reverse degeneracy order;
+    k-colorability tested in between, and the greedy coloring returned when
+    no smaller k works, or as soon as a clique of `upper` vertices turns
+    up, even in a clique search that ran out of budget.  The clique and
+    colorability searches spend one budget between them.  On budget
+    exhaustion raises BudgetExceeded with best=(lower, upper): the size of
+    the clique found so far, or once the clique is exact the number of
+    colors under test.
     """
     if g.n == 0:
         return {}
@@ -457,7 +511,7 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
         greedy[v] = c
     upper = max(greedy.values()) + 1
     try:
-        clique = _max_independent(g.complement(), frozenset(range(g.n)), bud).vertices
+        clique = _max_clique(g, bud).vertices
     except BudgetExceeded as exc:
         clique = exc.best.vertices  # a clique, maybe not a maximum one
         if len(clique) < upper:

@@ -87,11 +87,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def complement(self) -> "Graph":
-        full = frozenset(range(self.n))
-        adj = tuple(full - self._adj[v] - {v} for v in range(self.n))
-        return Graph(self.n, adj)
-
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph plus the new-index -> original-id mapping.
 

@@ -2,18 +2,48 @@
 
 Everything here works on bitmask adjacency and enumerates exhaustively, on
 purpose taking a different route than the package's detectors.  Only usable
-for small n.  The one exception, naive_sstar_elimination_order, reruns the
-package's sstar_low_degree from scratch on every induced subgraph, the
-reference for the incremental elimination loop.
+for small n.  The exceptions are references for faster versions of the
+same search: naive_sstar_elimination_order reruns the package's
+sstar_low_degree from scratch on every induced subgraph, the reference for
+the incremental elimination loop, and the reference_* searches are the
+induced path and cycle searches without their bounds and the set-based
+independent-set search, which must give the package's certificates.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import combinations
+from typing import Iterator, Optional
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
-                                   SubdividedStarWitness)
-from chibound.graph import Graph
+                                   IndependentSetWitness, SubdividedStarWitness)
+from chibound.detect import SearchBudget
+from chibound.graph import Graph, OrientedPath
 from chibound.lemmas import sstar_low_degree
+
+
+@contextmanager
+def node_count() -> Iterator[list[int]]:
+    """Count search nodes by wrapping SearchBudget.spend: count[0] holds the
+    nodes spent inside the block."""
+    count = [0]
+    original = SearchBudget.spend
+
+    def spend(budget, amount: int = 1) -> None:
+        count[0] += amount
+        original(budget, amount)
+
+    SearchBudget.spend = spend
+    try:
+        yield count
+    finally:
+        SearchBudget.spend = original
+
+
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are the non-edges of g."""
+    full = frozenset(range(g.n))
+    return Graph(g.n, tuple(full - g.adj(v) - {v} for v in range(g.n)))
 
 
 def adj_masks(g: Graph) -> list[int]:
@@ -73,7 +103,7 @@ def brute_mis_size(g: Graph) -> int:
 
 
 def brute_clique_size(g: Graph) -> int:
-    return brute_mis_size(g.complement())
+    return brute_mis_size(complement(g))
 
 
 def brute_degeneracy(g: Graph) -> int:
@@ -253,3 +283,122 @@ def naive_sstar_elimination_order(g: Graph, d: int, ell: int):
         order.append(ids[cert.vertex])
         remaining.remove(ids[cert.vertex])
     return EliminationOrder(tuple(order), worst)
+
+
+def reference_induced_path_search(g: Graph, stop_len: Optional[int]) -> OrientedPath:
+    """detect._induced_path_search without its bound: the DFS over partial
+    induced paths, stopping at stop_len vertices when given."""
+    masks = g.masks()
+    bud = SearchBudget()
+    best: tuple[int, ...] = ()
+
+    def extend(path: list[int], forbidden: int) -> bool:
+        nonlocal best
+        bud.spend()
+        if len(path) > len(best):
+            best = tuple(path)
+            if stop_len is not None and len(best) >= stop_len:
+                return True
+        last = path[-1]
+        new_forbidden = forbidden | masks[last] | 1 << last
+        candidates = masks[last] & ~forbidden
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            path.append(low.bit_length() - 1)
+            if extend(path, new_forbidden):
+                return True
+            path.pop()
+        return False
+
+    for s in range(g.n):
+        if extend([s], 0):
+            break
+        if stop_len is not None and len(best) >= stop_len:
+            break
+    return OrientedPath(best)
+
+
+def reference_induced_cycle_search(g: Graph, min_len: int,
+                                   stop_at_first: bool) -> Optional[tuple[int, ...]]:
+    """detect._induced_cycle_search without its bound: chordless cycles of
+    at least min_len vertices, rooted at their least vertex."""
+    masks = g.masks()
+    bud = SearchBudget()
+    best: Optional[tuple[int, ...]] = None
+
+    def extend(path: list[int], forbidden: int, root_adj: int) -> bool:
+        nonlocal best
+        bud.spend()
+        last = path[-1]
+        can_close = len(path) + 1 >= min_len
+        new_forbidden = forbidden | masks[last]
+        candidates = masks[last] & ~forbidden
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            if root_adj & low:
+                if can_close and len(path) >= 2 and path[1] < w:
+                    cycle = tuple(path) + (w,)
+                    if best is None or len(cycle) > len(best):
+                        best = cycle
+                        if stop_at_first:
+                            return True
+                continue
+            path.append(w)
+            if extend(path, new_forbidden, root_adj):
+                return True
+            path.pop()
+        return False
+
+    for root in range(g.n):
+        below = (2 << root) - 1
+        later = masks[root] & ~below
+        while later:
+            low = later & -later
+            later ^= low
+            if extend([root, low.bit_length() - 1], below | low, masks[root]):
+                return best
+    return best
+
+
+def reference_max_independent(g: Graph, pool: frozenset[int]) -> IndependentSetWitness:
+    """detect._max_independent on vertex sets: the same reductions, the
+    same branching vertex (most degree, least id) and the same branch
+    order."""
+    bud = SearchBudget()
+    best: set[int] = set()
+
+    def search(p: set[int], chosen: set[int]) -> None:
+        nonlocal best
+        bud.spend()
+        while True:
+            if len(chosen) + len(p) <= len(best):
+                return
+            if not p:
+                break
+            degs = {v: len(g.adj(v) & p) for v in p}
+            zero = [v for v, dv in degs.items() if dv == 0]
+            if zero:
+                chosen.update(zero)
+                p.difference_update(zero)
+                continue
+            ones = sorted(v for v, dv in degs.items() if dv == 1)
+            if ones:
+                v = ones[0]
+                chosen.add(v)
+                p.discard(v)
+                p.difference_update(g.adj(v))
+                continue
+            break
+        if not p:
+            if len(chosen) > len(best):
+                best = set(chosen)
+            return
+        v = max(p, key=lambda u: (len(g.adj(u) & p), -u))
+        search(p - g.adj(v) - {v}, chosen | {v})
+        search(p - {v}, set(chosen))
+
+    search(set(pool), set())
+    return IndependentSetWitness(tuple(sorted(best)))

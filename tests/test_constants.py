@@ -88,6 +88,14 @@ def test_non_reciprocal_epsilon_refused_up_front():
             paper_constants(10, 2, eps)
 
 
+def test_float_epsilon_read_as_the_nearest_reciprocal():
+    # 0.1 is not 1/10 in binary, but it is the float nearest to 1/10
+    for eps, m in ((0.1, 10), (0.5, 2), ("1/10", 10)):
+        assert paper_constants(10, 2, eps).epsilon == Fraction(1, m)
+    with pytest.raises(ValueError, match="not 0.3$"):
+        paper_constants(10, 2, 0.3)
+
+
 def test_summary_shape():
     pc = paper_constants(12, 2, Fraction(1, 2), c=3)
     s = pc.summary()

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    InducedCycle, verify_certificate)
-from chibound.detect import (BudgetExceeded, SearchBudget,
-                             chromatic_number_exact,
+from chibound.detect import (BudgetExceeded, chromatic_number_exact,
                              clique_number, degeneracy,
                              find_biclique_subgraph, find_long_induced_cycle,
                              find_induced_subdivided_star, has_induced_path,
@@ -225,21 +224,12 @@ def test_optimal_coloring_answers_when_its_bounds_meet():
         assert chromatic_number_exact(g, budget=40) == chi
 
 
-def test_optimal_coloring_spends_one_budget(monkeypatch):
+def test_optimal_coloring_spends_one_budget():
     # the clique search spends from the coloring's budget, so no call spends
     # more than its allowance plus the one node that finds it gone
-    spent = [0]
-    original = SearchBudget.spend
-
-    def spend(budget, amount: int = 1) -> None:
-        spent[0] += amount
-        original(budget, amount)
-
-    monkeypatch.setattr(SearchBudget, "spend", spend)
     for n, budget in ((20, 40), (40, 300)):
         g = next(generate("gnp", {"n": n, "p": 0.5}, 2))
-        spent[0] = 0
-        with pytest.raises(BudgetExceeded):
+        with oracles.node_count() as spent, pytest.raises(BudgetExceeded):
             optimal_coloring(g, budget)
         assert spent[0] == budget + 1
 
@@ -379,3 +369,55 @@ def test_biclique_independent_set_and_clique_match_oracles(g, data):
     clique = max_clique(g)
     assert len(clique) == oracles.brute_clique_size(g)
     assert all(g.has_edge(u, v) for u, v in combinations(clique, 2))
+
+
+@st.composite
+def graphs_of_any_density(draw, max_n: int = 14) -> Graph:
+    """G(n, p) graphs of 0..max_n vertices, sparse to dense."""
+    n = draw(st.integers(0, max_n))
+    p = draw(st.sampled_from((0.15, 0.3, 0.5, 0.7)))
+    return random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+
+
+def _spent(call):
+    """The result of call() and the search nodes it spent."""
+    with oracles.node_count() as count:
+        result = call()
+    return result, count[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_of_any_density(), st.data())
+def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
+    # The path and cycle bounds only cut subtrees that cannot reach the
+    # target, so the certificates are the reference's and no node is added;
+    # the mask-based independent-set search visits the reference's nodes.
+    def compare(call, reference, same_nodes=False):
+        (got, nodes), (want, ref_nodes) = _spent(call), _spent(reference)
+        assert got == want
+        assert nodes == ref_nodes if same_nodes else nodes <= ref_nodes
+
+    def reference_path(stop_len):
+        path = oracles.reference_induced_path_search(g, stop_len)
+        return None if stop_len and len(path) < stop_len else path
+
+    def reference_cycle(min_len, stop_at_first):
+        cycle = oracles.reference_induced_cycle_search(g, min_len, stop_at_first)
+        return InducedCycle(cycle) if cycle else None
+
+    compare(lambda: longest_induced_path(g), lambda: reference_path(None))
+    for t in range(1, g.n + 2):
+        compare(lambda: has_induced_path(g, t), lambda: reference_path(t))
+    compare(lambda: longest_induced_cycle(g), lambda: reference_cycle(3, False))
+    for t in range(3, g.n + 2):
+        compare(lambda: find_long_induced_cycle(g, t),
+                lambda: reference_cycle(t, True))
+    within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    compare(lambda: max_independent_subset(g, within),
+            lambda: oracles.reference_max_independent(g, frozenset(within)),
+            same_nodes=True)
+    if g.n:  # max_clique answers the empty graph without a search
+        compare(lambda: max_clique(g),
+                lambda: oracles.reference_max_independent(
+                    oracles.complement(g), frozenset(range(g.n))).vertices,
+                same_nodes=True)

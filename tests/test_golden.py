@@ -33,15 +33,13 @@ import dataclasses
 import hashlib
 import json
 import random
-from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from chibound.anticomplete import PipelineOverrides, main_pipeline
-from chibound.detect import (BudgetExceeded, SearchBudget,
-                             chromatic_number_exact, degeneracy,
+from chibound.detect import (BudgetExceeded, chromatic_number_exact, degeneracy,
                              find_biclique_subgraph,
                              find_induced_subdivided_star,
                              find_long_induced_cycle, has_induced_path,
@@ -59,6 +57,7 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              minimize_minor)
 from chibound.vc import (CounterWitness, cor_traces3_split, cor_traces_check,
                          find_shattered_set, neighborhood_system, vc_dimension)
+from oracles import node_count
 
 FIXTURE = Path(__file__).with_name("golden_certificates.json")
 
@@ -89,9 +88,11 @@ SEARCH_GRAPHS = [
     ("planted-cycle", {"n": 24, "t": 8}, 9),
     ("planted-biclique", {"n": 20, "ell": 3}, 10),
 ]
-#: Node budgets: the small one runs out on most graphs, the large one only
-#: in the longest-path and longest-cycle searches on the larger G(n, p).
-SEARCH_BUDGETS = (300, 5000)
+#: Node budgets: the smallest one (the middle PIN_BUDGETS one) runs out on
+#: most graphs, even in has_induced_path_6, which the bounded path search
+#: decides within 300 nodes everywhere; the largest one runs out only in the
+#: longest-path and longest-cycle searches on the larger G(n, p).
+SEARCH_BUDGETS = (40, 300, 5000)
 SEARCHES = {
     "longest_induced_path": longest_induced_path,
     "has_induced_path_6": lambda g, budget: has_induced_path(g, 6, budget),
@@ -188,27 +189,10 @@ def golden_record(n: int, p: float, seed: int) -> dict:
     return json.loads(json.dumps(rec))
 
 
-@contextmanager
-def _node_count():
-    """Count search nodes by wrapping SearchBudget.spend."""
-    count = [0]
-    original = SearchBudget.spend
-
-    def spend(budget, amount: int = 1) -> None:
-        count[0] += amount
-        original(budget, amount)
-
-    SearchBudget.spend = spend
-    try:
-        yield count
-    finally:
-        SearchBudget.spend = original
-
-
 def _outcome(search, g, budget: int) -> dict:
     """The certificate (or None), or "budget" with the best object so far,
     plus the nodes spent."""
-    with _node_count() as count:
+    with node_count() as count:
         try:
             found = search(g, budget=budget)
         except BudgetExceeded as e:
