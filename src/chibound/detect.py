@@ -22,13 +22,12 @@ unbounded search, which spends at least as many nodes.
 """
 from __future__ import annotations
 
-import heapq
 from typing import Optional, Sequence
 
 from .certificates import (BicliqueWitness, EliminationOrder, InducedCycle,
                            IndependentSetWitness, SubdividedStarWitness)
-from .graph import (Graph, OrientedPath, VertexSet, check_vertices,
-                    mask_vertices)
+from .graph import (DegreeQueue, Graph, OrientedPath, VertexSet,
+                    check_vertices, mask_vertices)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -390,41 +389,19 @@ def max_independent_set(g: Graph, budget: Optional[int] = None) -> IndependentSe
 def degeneracy(g: Graph) -> tuple[int, EliminationOrder]:
     """Exact degeneracy by iterative minimum-degree removal (ties by id).
 
-    Matula-Beck smallest-last ordering (JACM 1983) over a bucket queue:
-    buckets[d] is a min-heap of the ids whose current degree is d, so the
-    removed vertex is always the one of least (degree, id).  Entries are
-    deleted lazily and are stale once their vertex is gone or its degree
-    dropped.  A removal lowers a degree by at most one, so the scan for the
-    lowest non-empty bucket restarts one below the last one.
+    Matula-Beck smallest-last ordering on graph.DegreeQueue, the bucket
+    queue the elimination orders of lemmas share: the removed vertex is
+    always the one of least (degree, id).
     """
-    deg = [g.degree(v) for v in range(g.n)]
-    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v in range(g.n):  # ascending ids, so each bucket is already a heap
-        buckets[deg[v]].append(v)
-    removed = [False] * g.n
+    queue = DegreeQueue(g)
     order: list[int] = []
-    d = lo = 0
-    for _ in range(g.n):
-        while True:
-            while not buckets[lo]:
-                lo += 1
-            v = heapq.heappop(buckets[lo])
-            if not removed[v] and deg[v] == lo:
-                break
-        d = max(d, lo)
+    d = 0
+    while queue.vertices:
+        v = queue.min_vertex()
+        d = max(d, queue.deg[v])
         order.append(v)
-        removed[v] = True
-        for w in g.adj(v):
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(buckets[deg[w]], w)
-        lo = max(lo - 1, 0)
+        queue.remove(v)
     return d, EliminationOrder(tuple(order), d)
-
-
-def clique_number(g: Graph, budget: Optional[int] = None) -> int:
-    """Exact clique number: the size of max_clique."""
-    return len(max_clique(g, budget))
 
 
 def max_clique(g: Graph, budget: Optional[int] = None) -> tuple[int, ...]:

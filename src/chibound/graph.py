@@ -6,6 +6,7 @@ are reproducible.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -151,6 +152,67 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class DegreeQueue:
+    """A shrinking vertex set of g with every member's degree inside it.
+
+    The one degree queue of the package: detect.degeneracy and both
+    elimination orders of lemmas delete vertices through it.  The degrees
+    sit in a lazy bucket queue (Matula & Beck, JACM 1983): buckets[d] is a
+    min-heap of the ids whose degree was d when pushed, and an entry is
+    stale once its vertex is gone or its degree dropped.  Every member's
+    degree lies between the low and the high pointer; a removal lowers a
+    degree by at most one, so the low pointer steps back one, and degrees
+    never rise, so the high pointer only moves down.
+    """
+
+    __slots__ = ("g", "vertices", "deg", "_buckets", "_lo", "_hi")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.vertices = set(range(g.n))
+        self.deg = [g.degree(v) for v in range(g.n)]
+        self._buckets: list[list[int]] = [[] for _ in range(max(self.deg, default=0) + 1)]
+        for v in range(g.n):  # ascending ids, so each bucket is already a heap
+            self._buckets[self.deg[v]].append(v)
+        self._lo, self._hi = 0, len(self._buckets) - 1
+
+    def _least(self, d: int, step: int) -> int:
+        """The least id of the first degree, from d on in steps of `step`,
+        that a member has; stale entries met on the way are dropped."""
+        buckets, vertices, deg = self._buckets, self.vertices, self.deg
+        while True:
+            heap = buckets[d]
+            while heap:
+                if (v := heap[0]) in vertices and deg[v] == d:
+                    return v
+                heapq.heappop(heap)
+            d += step
+
+    def min_vertex(self) -> int:
+        """The vertex of least (degree, id); the set must not be empty."""
+        v = self._least(self._lo, 1)
+        self._lo = self.deg[v]
+        return v
+
+    def max_vertex(self) -> int:
+        """The vertex of most degree and least id, in amortized O(1); the
+        set must not be empty."""
+        v = self._least(self._hi, -1)
+        self._hi = self.deg[v]
+        return v
+
+    def remove(self, v: int) -> None:
+        """Delete v in O(deg v)."""
+        vertices, deg, buckets = self.vertices, self.deg, self._buckets
+        vertices.remove(v)
+        for w in self.g.adj(v):
+            if w in vertices:
+                deg[w] -= 1
+                heapq.heappush(buckets[deg[w]], w)
+        if self._lo:
+            self._lo -= 1
 
 
 @dataclass(frozen=True)

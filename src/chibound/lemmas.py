@@ -9,9 +9,9 @@ verifies.
 
 sstar_elimination_order deletes that low-degree vertex until no vertex is
 left or a step returns a witness.  Both entry points run one step on a
-_Remaining: the remaining vertices with their degrees in a lazy bucket
-queue (Matula-Beck, as in detect.degeneracy), which a deletion updates in
-O(deg).  The queue hands a step its level-ell root and its least
+graph.DegreeQueue: the remaining vertices with their degrees in the lazy
+bucket queue that detect.degeneracy also removes through, which a deletion
+updates in O(deg).  The queue hands a step its level-ell root and its least
 (degree, id) vertex, so a step reads only the root's neighbourhood and its
 neighbours: O(Delta^2) for fixed d and ell, and O(n + m + n * Delta^2) for
 the whole order.  A scan of the remaining set would pick the same two
@@ -20,14 +20,13 @@ induced subgraph (the reference loop in tests/oracles.py).
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .certificates import (BicliqueWitness, EliminationOrder,
                            InternalInconsistency, LowDegreeVertex,
                            SubdividedStarWitness, certified, require)
-from .graph import Graph, VertexSet
+from .graph import DegreeQueue, Graph, VertexSet
 
 
 def degree_bound(k: int, d: int, ell: int) -> int:
@@ -257,56 +256,6 @@ def _sstar_star_branch(g: Graph, r: int, b: dict[int, frozenset[int]],
     return SStarOutcome(witness, k, trace)
 
 
-class _Remaining:
-    """A shrinking vertex set of g with every member's degree inside it.
-
-    The degrees sit in a lazy bucket queue, as in detect.degeneracy:
-    buckets[d] is a min-heap of the ids whose degree was d when pushed, and
-    an entry is stale once its vertex is gone or its degree dropped.  Every
-    member's degree lies between the low and the high pointer; a removal
-    lowers a degree by at most one, so the low pointer steps back one, and
-    degrees never rise, so the high pointer only moves down.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.vertices = set(range(g.n))
-        self.deg = [g.degree(v) for v in range(g.n)]
-        self._buckets: list[list[int]] = [[] for _ in range(max(self.deg, default=0) + 1)]
-        for v in range(g.n):  # ascending ids, so each bucket is already a heap
-            self._buckets[self.deg[v]].append(v)
-        self._lo, self._hi = 0, len(self._buckets) - 1
-
-    def _least(self, d: int) -> Optional[int]:
-        """The least id of degree d, dropping stale entries on the way."""
-        heap = self._buckets[d]
-        while heap and (heap[0] not in self.vertices or self.deg[heap[0]] != d):
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def min_vertex(self) -> int:
-        """The vertex of least (degree, id); the set must not be empty."""
-        while (v := self._least(self._lo)) is None:
-            self._lo += 1
-        return v
-
-    def max_vertex(self) -> int:
-        """The vertex _root picks, in amortized O(1); the set must not be
-        empty."""
-        while (v := self._least(self._hi)) is None:
-            self._hi -= 1
-        return v
-
-    def remove(self, v: int) -> None:
-        """Delete v in O(deg v)."""
-        self.vertices.remove(v)
-        for w in self.g.adj(v):
-            if w in self.vertices:
-                self.deg[w] -= 1
-                heapq.heappush(self._buckets[self.deg[w]], w)
-        self._lo = max(self._lo - 1, 0)
-
-
 def _check_params(d: int, ell: int) -> None:
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -314,7 +263,7 @@ def _check_params(d: int, ell: int) -> None:
         raise ValueError("ell must be at least 2")
 
 
-def _sstar_step(rem: _Remaining, d: int, ell: int,
+def _sstar_step(rem: DegreeQueue, d: int, ell: int,
                 trace: Optional[list[dict]]) -> SStarOutcome:
     """sstar_low_degree on the subgraph induced by the remaining vertices,
     in the ids of g.
@@ -352,7 +301,7 @@ def sstar_low_degree(g: Graph, d: int, ell: int,
     _check_params(d, ell)
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    return _sstar_step(_Remaining(g), d, ell, [] if with_trace else None)
+    return _sstar_step(DegreeQueue(g), d, ell, [] if with_trace else None)
 
 
 def sstar_elimination_order(g: Graph, d: int, ell: int
@@ -363,15 +312,15 @@ def sstar_elimination_order(g: Graph, d: int, ell: int
     witness is returned.
 
     Every step is sstar_low_degree on the remaining vertices, in the ids
-    of g, on one bucket queue of their degrees that each deletion updates
-    in O(deg) (see _Remaining).  A step costs O(Delta^2) for fixed d and
-    ell, and the whole order O(n + m + n * Delta^2).  The queue yields the
+    of g, on one graph.DegreeQueue of their degrees that each deletion
+    updates in O(deg).  A step costs O(Delta^2) for fixed d and ell, and
+    the whole order O(n + m + n * Delta^2).  The queue yields the
     vertices a scan of the remaining set would, the root of most degree
     and least id and the vertex of least (degree, id), so the order equals
     that of sstar_low_degree rerun on each induced subgraph.
     """
     _check_params(d, ell)
-    rem = _Remaining(g)
+    rem = DegreeQueue(g)
     order: list[int] = []
     worst = 0
     while rem.vertices:

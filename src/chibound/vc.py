@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .certificates import (BicliqueWitness, Certificate, InducedCycle,
                            certified, require)
@@ -46,9 +46,6 @@ class SetSystem:
         if self.tags and len(self.tags) != len(self.members):
             raise ValueError("tags must parallel members")
 
-    def distinct_members(self) -> set[frozenset[int]]:
-        return set(self.members)
-
 
 def neighborhood_system(g: Graph, x_set: VertexSet, y_set: VertexSet) -> SetSystem:
     """The traces of Y-vertices on X: one member per y, tagged by y.
@@ -74,71 +71,65 @@ def _is_shattered(members_masks: list[int], z_mask: int, z_size: int) -> bool:
     return False
 
 
-def _member_masks(system: SetSystem) -> tuple[dict[int, int], list[int]]:
+def _shattered_levels(system: SetSystem, bud: SearchBudget
+                      ) -> Iterator[list[tuple[int, ...]]]:
+    """The shattered index tuples of the universe, level k holding those of
+    k elements, each level in lexicographic order.
+
+    Shattered sets are closed downward, so level k + 1 is grown from the
+    sets of level k and the search never tests a superset of an unshattered
+    set; one node is spent per set tested.  Every tested set is a shattered
+    set plus one element, so at most n * S sets are tested, S the number of
+    shattered sets, each test scanning the members once.  A family shatters
+    at least as many sets as it has distinct members (Pajor, 1985, the
+    lemma behind the Sauer-Shelah bound), so the search is polynomial in S,
+    its output.  A level is computed only when the caller asks for it; an
+    empty family yields none.
+    """
+    if not system.members:
+        return
     index = {x: i for i, x in enumerate(system.universe)}
-    masks = []
-    for m in system.members:
-        mask = 0
-        for x in m:
-            mask |= 1 << index[x]
-        masks.append(mask)
-    return index, masks
+    masks = [sum(1 << index[x] for x in m) for m in system.members]
+    n = len(system.universe)
+    level: list[tuple[int, ...]] = [()]
+    while level:
+        yield level
+        k = len(level[0]) + 1
+        nxt: list[tuple[int, ...]] = []
+        for base in level:
+            base_mask = sum(1 << i for i in base)
+            for x in range(base[-1] + 1 if base else 0, n):
+                bud.spend()
+                if _is_shattered(masks, base_mask | 1 << x, k):
+                    nxt.append(base + (x,))
+        level = nxt
 
 
 def vc_dimension(system: SetSystem, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
-    """Exact VC dimension by descending-size subset enumeration.
+    """Exact VC dimension: the size of the last level of _shattered_levels,
+    -1 for an empty family (not even the empty set is shattered).
 
-    Returns -1 for an empty family (not even the empty set is shattered).
+    Spends nodes of an unlimited budget, so it never raises BudgetExceeded;
+    by Pajor's lemma (1985) its cost is polynomial in the number of
+    shattered sets (see _shattered_levels).
     """
     n = len(system.universe)
     if n > cap:
         raise ValueError(f"universe size {n} exceeds cap {cap}")
-    if not system.members:
-        return -1
-    distinct = len(system.distinct_members())
-    k_max = min(n, int(math.log2(distinct)) if distinct > 1 else 0)
-    _, masks = _member_masks(system)
-    from itertools import combinations
-    for k in range(k_max, 0, -1):
-        for zs in combinations(range(n), k):
-            z_mask = 0
-            for i in zs:
-                z_mask |= 1 << i
-            if _is_shattered(masks, z_mask, k):
-                return k
-    return 0
+    return sum(1 for _ in _shattered_levels(system, SearchBudget(math.inf))) - 1
 
 
 def find_shattered_set(system: SetSystem, size: int,
                        budget: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """A shattered subset of the universe with exactly `size` elements.
+    """The lexicographically first shattered subset of the universe (by
+    index) with exactly `size` elements, or None.
 
-    Grows shattered sets level by level (they are closed downward), so the
-    search never looks at a superset of an unshattered set.
+    Runs _shattered_levels up to level `size` and spends no node beyond it.
     """
-    if size == 0:
-        return () if system.members else None
-    index, masks = _member_masks(system)
-    bud = SearchBudget(budget)
-    n = len(system.universe)
-    level: list[tuple[int, ...]] = [()]
-    for k in range(1, size + 1):
-        nxt: list[tuple[int, ...]] = []
-        for base in level:
-            start = base[-1] + 1 if base else 0
-            for x in range(start, n):
-                bud.spend()
-                zs = base + (x,)
-                z_mask = 0
-                for i in zs:
-                    z_mask |= 1 << i
-                if _is_shattered(masks, z_mask, k):
-                    nxt.append(zs)
-        if not nxt:
-            return None
-        level = nxt
-    chosen = level[0]
-    return tuple(system.universe[i] for i in chosen)
+    for level in _shattered_levels(system, SearchBudget(budget)):
+        if len(level[0]) == size:
+            return tuple(system.universe[i] for i in level[0])
+    return None
 
 
 def sauer_shelah_bound(n: int, k: int) -> int:

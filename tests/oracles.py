@@ -233,6 +233,20 @@ def brute_has_subdivided_star(g: Graph, d: int) -> bool:
     return False
 
 
+def brute_shattered_sets(system) -> list[tuple[int, ...]]:
+    """Every subset of the universe that the members shatter, by size and,
+    within a size, in lexicographic order of universe positions."""
+    members = set(system.members)
+    return [zs for k in range(len(system.universe) + 1)
+            for zs in combinations(system.universe, k)
+            if len({m & frozenset(zs) for m in members}) == 2 ** k]
+
+
+def brute_vc_dimension(system) -> int:
+    """The size of the largest shattered subset, -1 for an empty family."""
+    return max((len(zs) for zs in brute_shattered_sets(system)), default=-1)
+
+
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Plain permutation search, degree-partition pruned."""
     if g1.n != g2.n or g1.m != g2.m:

@@ -26,19 +26,29 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_only_the_generators_import_random():
-    # the searches are deterministic: ties break by ascending id, and the
-    # certificates are pinned on fixed seeds
-    found = []
+def _importers(module: str) -> set[str]:
+    """The package modules that import `module`."""
+    found = set()
     for path in PACKAGE_MODULES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module] if isinstance(node, ast.ImportFrom)
                      else [])
-            if any(name and name.split(".")[0] == "random" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
-    assert [f for f in found if not f.startswith("generate.py:")] == []
-    assert found  # the generators do import it, so the scan sees imports
+            if any(name and name.split(".")[0] == module for name in names):
+                found.add(path.stem)
+    return found
+
+
+def test_only_the_generators_import_random():
+    # the searches are deterministic: ties break by ascending id, and the
+    # certificates are pinned on fixed seeds
+    assert _importers("random") == {"generate"}
+
+
+def test_only_the_degree_queue_and_the_generators_import_heapq():
+    # graph.DegreeQueue is the one bucket queue of degrees; generate decodes
+    # Pruefer sequences with a heap
+    assert _importers("heapq") == {"graph", "generate"}
 
 
 def test_require():

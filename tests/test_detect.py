@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    InducedCycle, verify_certificate)
-from chibound.detect import (BudgetExceeded, chromatic_number_exact,
-                             clique_number, degeneracy,
+from chibound.detect import (BudgetExceeded, chromatic_number_exact, degeneracy,
                              find_biclique_subgraph, find_long_induced_cycle,
                              find_induced_subdivided_star, has_induced_path,
                              longest_induced_cycle, longest_induced_path,
@@ -187,12 +186,12 @@ def test_verify_elimination_matches_definition(rng):
 
 
 def test_chromatic_and_clique():
-    assert clique_number(cycle_graph(5)) == 2
+    assert len(max_clique(cycle_graph(5))) == 2
     assert chromatic_number_exact(cycle_graph(5)) == 3
-    assert clique_number(complete_graph(5)) == 5
+    assert len(max_clique(complete_graph(5))) == 5
     assert chromatic_number_exact(complete_graph(5)) == 5
     gz = grotzsch()
-    assert clique_number(gz) == 2
+    assert len(max_clique(gz)) == 2
     assert chromatic_number_exact(gz) == 4
     assert oracles.brute_chromatic(gz) == 4
 
@@ -254,7 +253,7 @@ def test_completeness_small_sample(rng):
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 8), rng.random())
         assert len(max_independent_set(g).vertices) == oracles.brute_mis_size(g)
-        assert clique_number(g) == oracles.brute_clique_size(g)
+        assert len(max_clique(g)) == oracles.brute_clique_size(g)
         assert len(longest_induced_path(g)) == oracles.brute_longest_induced_path(g)
         got = longest_induced_cycle(g)
         assert (len(got.vertices) if got else 0) == \
@@ -277,7 +276,7 @@ def test_monotone_under_edge_addition(rng):
         extra = rng.choice(non_edges)
         g2 = Graph.from_edges(n, list(g.edges()) + [extra])
         assert degeneracy(g2)[0] >= degeneracy(g)[0]
-        assert clique_number(g2) >= clique_number(g)
+        assert len(max_clique(g2)) >= len(max_clique(g))
         assert oracles.brute_max_balanced_biclique(g2) >= \
             oracles.brute_max_balanced_biclique(g)
 

@@ -2,14 +2,16 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
+from chibound.graph import (DegreeQueue, Graph, OrientedPath, PathFamily, are_anticomplete,
                             complete_graph, cycle_graph, empty_graph,
                             first_bad_pair, is_independent,
                             is_partially_anticomplete, mask_vertices,
                             path_graph, verify_induced_cycle,
                             verify_induced_path)
-from conftest import random_graph
+from conftest import graphs, random_graph
 from oracles import complement
 
 
@@ -222,3 +224,27 @@ def test_mask_vertices(rng):
         mask = rng.getrandbits(rng.randint(1, 80))
         assert mask_vertices(mask) == [i for i in range(mask.bit_length())
                                        if mask >> i & 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_degree_queue_matches_a_scan(g, data):
+    # removals take the least (degree, id) vertex, another vertex of least
+    # degree (an elimination step may certify one that is not the least
+    # id) or any vertex at all
+    queue = DegreeQueue(g)
+    vertices = set(range(g.n))
+    while vertices:
+        assert queue.vertices == vertices
+        assert all(queue.deg[v] == g.degree_in(v, vertices) for v in vertices)
+        low = min(g.degree_in(v, vertices) for v in vertices)
+        lowest = sorted(v for v in vertices if g.degree_in(v, vertices) == low)
+        assert queue.min_vertex() == lowest[0]
+        assert queue.max_vertex() == max(vertices,
+                                         key=lambda v: (g.degree_in(v, vertices), -v))
+        kind = data.draw(st.sampled_from(("least", "tied", "any")))
+        pool = {"least": lowest[:1], "tied": lowest, "any": sorted(vertices)}[kind]
+        v = data.draw(st.sampled_from(pool))
+        queue.remove(v)
+        vertices.remove(v)
+    assert not queue.vertices

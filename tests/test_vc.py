@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chibound.certificates import BicliqueWitness, InducedCycle, verify_certificate
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
@@ -10,6 +12,7 @@ from chibound.vc import (CounterWitness, SetSystem, cor_traces3_split,
                          find_shattered_set, neighborhood_system,
                          sauer_shelah_bound, trace_buckets, vc_dimension)
 from conftest import random_graph
+from oracles import brute_shattered_sets, brute_vc_dimension
 
 
 def powerset_system(n: int) -> SetSystem:
@@ -78,7 +81,38 @@ def test_sauer_shelah_inequality_random(rng):
                         for _ in range(rng.randint(1, 24)))
         s = SetSystem(tuple(range(n)), members)
         dim = vc_dimension(s)
-        assert len(s.distinct_members()) <= sauer_shelah_bound(n, dim)
+        assert len(set(s.members)) <= sauer_shelah_bound(n, dim)
+
+
+@st.composite
+def set_systems(draw) -> SetSystem:
+    """Families of 0-24 members on a universe of at most 8 distinct ids in
+    any order: random members, or prefixes of one ordering of the universe,
+    whose VC dimension of at most 1 lies below floor(log2 distinct members)
+    once there are four or more."""
+    universe = tuple(draw(st.lists(st.integers(0, 30), max_size=8, unique=True)))
+    n = len(universe)
+    if draw(st.booleans()):
+        masks = draw(st.lists(st.integers(0, 2 ** n - 1), max_size=24))
+        members = [frozenset(x for i, x in enumerate(universe) if m >> i & 1)
+                   for m in masks]
+    else:
+        chain = draw(st.permutations(universe))
+        sizes = draw(st.lists(st.integers(0, n), max_size=24))
+        members = [frozenset(chain[:k]) for k in sizes]
+    return SetSystem(universe, tuple(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_systems())
+@example(SetSystem(tuple(range(8)), tuple(frozenset(range(k)) for k in range(9))))
+def test_vc_dimension_and_shattered_sets_match_brute_force(s):
+    dim = vc_dimension(s)
+    assert dim == brute_vc_dimension(s)
+    shattered = brute_shattered_sets(s)
+    for k in range(len(s.universe) + 2):
+        first = next((zs for zs in shattered if len(zs) == k), None)
+        assert find_shattered_set(s, k) == first
 
 
 def test_find_shattered_set():
