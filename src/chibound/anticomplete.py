@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
-from .certificates import Certificate, InducedCycle, certified, require
+from .certificates import (Certificate, InducedCycle, certificate_to_json,
+                           certified, require)
 from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
                      max_independent_subset)
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
@@ -381,7 +382,6 @@ class PipelineResult:
         return self.certificate is not None
 
     def to_json(self) -> dict:
-        from .certificates import certificate_to_json
         return {
             "success": self.success,
             "certificate": certificate_to_json(self.certificate)

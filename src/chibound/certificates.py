@@ -205,28 +205,35 @@ def certificate_to_json(cert: Certificate) -> dict[str, Any]:
 
 
 def certificate_from_json(d: dict[str, Any], g: Graph | None = None) -> Certificate:
-    """Rebuild a certificate from its JSON dict.
-
-    LowDegreeVertex stores only vertex and bound; the degree is recomputed
-    from the graph when one is supplied, else left as -1 for later checking.
-    """
+    """Rebuild a certificate from its JSON dict; a missing field raises
+    ValueError.  LowDegreeVertex stores only vertex and bound; the degree is
+    recomputed from the graph when one is supplied (the vertex must be in
+    range), else left as -1 for later checking."""
     tag = d.get("tag")
+
+    def field(key: str) -> Any:
+        if key not in d:
+            raise ValueError(f"{tag} payload lacks the field {key!r}")
+        return d[key]
+
     if tag == "InducedCycle":
-        return InducedCycle(tuple(d["vertices"]))
+        return InducedCycle(tuple(field("vertices")))
     if tag == "BicliqueWitness":
-        return BicliqueWitness(tuple(d["left"]), tuple(d["right"]))
+        return BicliqueWitness(tuple(field("left")), tuple(field("right")))
     if tag == "SubdividedStarWitness":
-        vs = list(d["vertices"])
+        vs = list(field("vertices"))
         if len(vs) % 2 == 0 or len(vs) < 5:
             raise ValueError("subdivided-star payload needs 2d+1 >= 5 vertices")
         deg = (len(vs) - 1) // 2
         return SubdividedStarWitness(vs[0], tuple(vs[1:1 + deg]), tuple(vs[1 + deg:]))
     if tag == "LowDegreeVertex":
-        v = d["vertices"][0]
+        (v,) = field("vertices")  # ValueError unless exactly one
+        if g is not None:
+            check_vertices(g, (v,))
         degree = g.degree(v) if g is not None else int(d.get("degree", -1))
-        return LowDegreeVertex(v, degree, int(d["claimed_bound"]))
+        return LowDegreeVertex(v, degree, int(field("claimed_bound")))
     if tag == "EliminationOrder":
-        return EliminationOrder(tuple(d["vertices"]), int(d["claimed_bound"]))
+        return EliminationOrder(tuple(field("vertices")), int(field("claimed_bound")))
     if tag == "IndependentSetWitness":
-        return IndependentSetWitness(tuple(d["vertices"]))
+        return IndependentSetWitness(tuple(field("vertices")))
     raise ValueError(f"unknown certificate tag {tag!r}")

@@ -123,11 +123,15 @@ def from_dimacs(text: str) -> Graph:
         if tokens[0] == "p":
             if len(tokens) != 4 or tokens[1].lower() != "edge":
                 raise ValueError(f"bad problem line: {line!r}")
+            if n is not None:
+                raise ValueError(f"second problem line: {line!r}")
             n = int(tokens[2])
             m_declared = int(tokens[3])
         elif tokens[0] == "e":
             if n is None:
                 raise ValueError("edge line before problem line")
+            if len(tokens) != 3:
+                raise ValueError(f"bad edge line: {line!r}")
             u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
             edges.append((u, v))
         else:

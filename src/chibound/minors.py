@@ -10,11 +10,16 @@ otherwise.  Every search is deterministic, in ascending id.
 
 Path lengths are counted in vertices throughout (a single vertex is a path
 of 1), matching how diameters and cycle lengths are compared against t.
+
+Branch-set adjacency has one computation, the table of _touched: each vertex
+of a set -> the other sets it has a neighbour in.  Validity, full and
+high-adjacency vertices and private sets are all read off it.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .certificates import InducedCycle, certified, require
 from .detect import SearchBudget, StageShortfall, find_long_induced_cycle
@@ -38,9 +43,27 @@ class CliqueMinor:
         return cls(tuple(frozenset(s) for s in sets))
 
 
-def sets_adjacent(g: Graph, a: frozenset[int], b: frozenset[int]) -> bool:
-    small, other = (a, b) if len(a) <= len(b) else (b, a)
-    return any(g.adj(v) & other for v in small)
+def _owners(sets: Sequence[set[int] | frozenset[int]]) -> dict[int, int]:
+    """The owner map: each vertex of the (disjoint) sets -> its set index."""
+    return {v: i for i, s in enumerate(sets) for v in s}
+
+
+def _touched(g: Graph, owner: dict[int, int], i: int,
+             s: Iterable[int]) -> dict[int, set[int]]:
+    """Each vertex of branch set i -> the indices of the other sets it has
+    a neighbour in."""
+    table, drop = {}, {i, None}
+    for v in s:
+        table[v] = row = set(map(owner.get, g.adj(v)))
+        row -= drop
+    return table
+
+
+def _private(touched: dict[int, set[int]], hits: Counter[int],
+             v: int) -> Optional[int]:
+    """The least set j that v alone of its branch set touches, where hits[j]
+    counts the set's vertices that touch j; None when there is none."""
+    return min((j for j in touched[v] if hits[j] == 1), default=None)
 
 
 def validate_minor(g: Graph, minor: CliqueMinor) -> bool:
@@ -54,11 +77,9 @@ def validate_minor(g: Graph, minor: CliqueMinor) -> bool:
         check_vertices(g, s)
         if not g.is_connected_subset(s):
             return False
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if not sets_adjacent(g, sets[i], sets[j]):
-                return False
-    return True
+    owner = _owners(sets)
+    return all(len(set().union(*_touched(g, owner, i, s).values())) == len(sets) - 1
+               for i, s in enumerate(sets))
 
 
 def _find_cycle(g: Graph) -> Optional[list[int]]:
@@ -99,23 +120,17 @@ def _series_parallel_reducible(g: Graph) -> bool:
     while changed and alive:
         changed = False
         for v in sorted(alive):
-            dv = len(adj[v])
-            if dv <= 1:
-                for w in adj[v]:
-                    adj[w].discard(v)
-                adj[v].clear()
-                alive.discard(v)
-                changed = True
-            elif dv == 2:
-                a, b = sorted(adj[v])
-                adj[a].discard(v)
-                adj[b].discard(v)
-                if a != b and b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                adj[v].clear()
-                alive.discard(v)
-                changed = True
+            nbrs = adj[v]
+            if len(nbrs) > 2:
+                continue
+            for w in nbrs:
+                adj[w].discard(v)
+            if len(nbrs) == 2:  # smooth v away: its neighbours become adjacent
+                a, b = nbrs
+                adj[a].add(b)
+                adj[b].add(a)
+            alive.discard(v)
+            changed = True
     return not alive
 
 
@@ -256,23 +271,26 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
 
 def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
     """Remove branch-set vertices that are neither cutvertices nor hold a
-    private adjacent branch set, until none is removable."""
+    private adjacent branch set, until none is removable.  Only the set being
+    thinned changes meanwhile, so its table is built once per pass."""
     if not validate_minor(g, minor):
         raise ValueError("input is not a valid clique minor")
     sets = [set(s) for s in minor.branch_sets]
-
-    def removable(idx: int, v: int) -> bool:
-        k = sets[idx]
-        return (len(k) > 1 and g.is_connected_subset(k - {v})
-                and _private_set(g, sets, idx, v) is None)
-
+    owner = _owners(sets)
     changed = True
     while changed:
         changed = False
-        for idx in range(len(sets)):
-            for v in sorted(sets[idx], reverse=True):
-                if removable(idx, v):
-                    sets[idx].discard(v)
+        for idx, k in enumerate(sets):
+            if len(k) == 1:
+                continue
+            touched = _touched(g, owner, idx, k)
+            hits = Counter(j for js in touched.values() for j in js)
+            for v in sorted(k, reverse=True):
+                if (len(k) > 1 and _private(touched, hits, v) is None
+                        and g.is_connected_subset(k - {v})):
+                    k.discard(v)
+                    hits.subtract(touched[v])
+                    del owner[v]
                     changed = True
     result = CliqueMinor.from_sets(sets)
     require(validate_minor(g, result), "minimized minor does not validate")
@@ -306,8 +324,9 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
         if u < 0 or dist + 1 < t:
             continue
         path = g.shortest_path(u, v, k)
-        ku = _private_set(g, sets, idx, u)
-        kv = _private_set(g, sets, idx, v)
+        touched = _touched(g, _owners(sets), idx, k)
+        hits = Counter(j for js in touched.values() for j in js)
+        ku, kv = _private(touched, hits, u), _private(touched, hits, v)
         if ku is None or kv is None:
             raise ValueError("minor is not minimal: endpoint lacks a private set")
         allowed = frozenset(sets[ku] | sets[kv] | {u, v})
@@ -318,60 +337,25 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
     return None
 
 
-def _private_set(g: Graph, sets: Sequence[set[int] | frozenset[int]],
-                 idx: int, v: int) -> Optional[int]:
-    rest = sets[idx] - {v}
-    for j, other in enumerate(sets):
-        if j == idx:
-            continue
-        if g.adj(v) & other and not sets_adjacent(g, rest, other):
-            return j
-    return None
-
-
-def branch_adjacency_counts(g: Graph, minor: CliqueMinor) -> dict[int, int]:
-    """For each vertex of the minor, how many foreign branch sets it touches."""
-    owner: dict[int, int] = {}
-    for i, s in enumerate(minor.branch_sets):
-        for v in s:
-            owner[v] = i
-    counts: dict[int, int] = {}
-    for i, s in enumerate(minor.branch_sets):
-        for v in s:
-            seen = set()
-            for w in g.adj(v):
-                j = owner.get(w)
-                if j is not None and j != i:
-                    seen.add(j)
-            counts[v] = len(seen)
-    return counts
+def _least_touching(g: Graph, minor: CliqueMinor, k: int) -> list[Optional[int]]:
+    """Per branch set, its least vertex adjacent to >= k other branch sets."""
+    owner = _owners(minor.branch_sets)
+    tables = (_touched(g, owner, i, s) for i, s in enumerate(minor.branch_sets))
+    return [min((v for v, js in touched.items() if len(js) >= k), default=None)
+            for touched in tables]
 
 
 def find_high_adjacency_sets(g: Graph, minor: CliqueMinor,
                              p: int) -> list[tuple[int, int]]:
     """Up to p branch sets holding a vertex adjacent to >= p*p foreign
     branch sets, as (set index, least such vertex) pairs in set order."""
-    counts = branch_adjacency_counts(g, minor)
-    selected: list[tuple[int, int]] = []
-    for i, s in enumerate(minor.branch_sets):
-        hits = [v for v in s if counts[v] >= p * p]
-        if hits:
-            selected.append((i, min(hits)))
-    return selected[:p]
+    least = _least_touching(g, minor, p * p)
+    return [(i, v) for i, v in enumerate(least) if v is not None][:p]
 
 
 def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
     """Per branch set, the least vertex adjacent to every other branch set."""
-    out: list[Optional[int]] = []
-    for i, s in enumerate(minor.branch_sets):
-        found = None
-        for v in sorted(s):
-            if all(j == i or (g.adj(v) & other)
-                   for j, other in enumerate(minor.branch_sets)):
-                found = v
-                break
-        out.append(found)
-    return out
+    return _least_touching(g, minor, len(minor) - 1)
 
 
 def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
@@ -391,16 +375,13 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
     exhausted budget raises plain BudgetExceeded.  The construction is
     deterministic: seed is accepted and ignored.
     """
-    if not validate_minor(g, minor):
-        raise ValueError("input is not a valid clique minor")
     if p < 1:
         raise ValueError("p must be positive")
-    minimal = minimize_minor(g, minor)
-    if len(minimal) >= 3:
-        cycle = check_branch_diameter(g, minimal, t)
-        if cycle is not None:
-            return cycle
-    if p == 1:
+    minimal = minimize_minor(g, minor)  # raises ValueError on an invalid minor
+    cycle = check_branch_diameter(g, minimal, t) if len(minimal) >= 3 else None
+    if cycle is not None:
+        return cycle
+    if p == 1 and minimal.branch_sets:
         return CliqueMinor((minimal.branch_sets[0],))
     selected = find_high_adjacency_sets(g, minimal, p)
     if len(selected) < p:
@@ -412,39 +393,26 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
         if found is None:
             raise StageShortfall("full-minor", p, len(selected))
         return certified(g, InducedCycle(tuple(ids[v] for v in found.vertices)), t=t)
-    base = [idx for idx, _ in selected]
-    anchors = {idx: v for idx, v in selected}
-    owner: dict[int, int] = {}
-    for i, s in enumerate(minimal.branch_sets):
-        for v in s:
-            owner[v] = i
-    neighborhoods: dict[int, list[int]] = {}
-    for idx in base:
-        b = anchors[idx]
-        adj_sets = sorted({owner[w] for w in g.adj(b)
-                           if w in owner and owner[w] != idx})
-        neighborhoods[idx] = adj_sets
-    used = set(base)
-    assignment: dict[tuple[int, int], int] = {}
-    for i in base:
-        for j in base:
-            if i == j:
+    anchors = dict(selected)
+    owner = _owners(minimal.branch_sets)
+    neighborhoods = {idx: sorted(_touched(g, owner, idx, (b,))[b])
+                     for idx, b in selected}
+    used = set(anchors)
+    new_sets = []
+    for i in anchors:
+        merged = set(minimal.branch_sets[i])
+        for j in anchors:
+            if j == i:
                 continue
             # neighborhoods[j] holds >= p*p sets and used at most p*p - 1
             pick = next((c for c in neighborhoods[j] if c not in used), None)
             require(pick is not None, f"no spare branch set for the pair ({i}, {j})")
-            assignment[(i, j)] = pick
             used.add(pick)
-    new_sets = []
-    for i in base:
-        merged = set(minimal.branch_sets[i])
-        for j in base:
-            if j != i:
-                merged |= minimal.branch_sets[assignment[(i, j)]]
+            merged |= minimal.branch_sets[pick]
         new_sets.append(merged)
     result = CliqueMinor.from_sets(new_sets)
     require(validate_minor(g, result), "full-vertex minor does not validate")
-    require(all(g.adj(anchors[i]) & s for pos, i in enumerate(base)
+    require(all(g.adj(anchors[i]) & s for pos, i in enumerate(anchors)
                 for q, s in enumerate(result.branch_sets) if q != pos),
             "designated vertex lost fullness")
     require(all(eccentric_pair(g, s)[2] + 1 < 2 * t for s in result.branch_sets),

@@ -7,7 +7,9 @@ same search: naive_sstar_elimination_order reruns the package's
 sstar_low_degree from scratch on every induced subgraph, the reference for
 the incremental elimination loop, and the reference_* searches are the
 induced path and cycle searches without their bounds and the set-based
-independent-set search, which must give the package's certificates.
+independent-set search, which must give the package's certificates.  The
+reference_* branch-set scans are the minor layer's per-pair, per-set and
+private-set scans, which its one adjacency table must agree with.
 """
 from __future__ import annotations
 
@@ -416,3 +418,61 @@ def reference_max_independent(g: Graph, pool: frozenset[int]) -> IndependentSetW
 
     search(set(pool), set())
     return IndependentSetWitness(tuple(sorted(best)))
+
+
+def reference_sets_adjacent(g: Graph, a, b) -> bool:
+    """Pairwise branch-set adjacency: a vertex of the smaller set has a
+    neighbour in the other."""
+    small, other = (a, b) if len(a) <= len(b) else (b, a)
+    return any(g.adj(v) & other for v in small)
+
+
+def reference_valid_minor(g: Graph, sets) -> bool:
+    """Non-empty, disjoint, connected (mask BFS) and pairwise adjacent."""
+    masks = adj_masks(g)
+    seen: set[int] = set()
+    for s in sets:
+        if not s or s & seen or not _connected(masks, sum(1 << v for v in s)):
+            return False
+        seen |= s
+    return all(reference_sets_adjacent(g, a, b) for a, b in combinations(sets, 2))
+
+
+def reference_touched_sets(g: Graph, sets, idx: int, v: int) -> list[int]:
+    """The per-set scan: every other set that v has a neighbour in."""
+    return [j for j, other in enumerate(sets) if j != idx and g.adj(v) & other]
+
+
+def reference_full_vertices(g: Graph, sets) -> list[Optional[int]]:
+    return [next((v for v in sorted(s)
+                  if len(reference_touched_sets(g, sets, i, v)) == len(sets) - 1), None)
+            for i, s in enumerate(sets)]
+
+
+def reference_high_adjacency_sets(g: Graph, sets, p: int) -> list[tuple[int, int]]:
+    found = [(i, next((v for v in sorted(s)
+                       if len(reference_touched_sets(g, sets, i, v)) >= p * p), None))
+             for i, s in enumerate(sets)]
+    return [(i, v) for i, v in found if v is not None][:p]
+
+
+def reference_private_set(g: Graph, sets, idx: int, v: int) -> Optional[int]:
+    """The least other set that v touches and the rest of its set does not."""
+    rest = sets[idx] - {v}
+    return next((j for j, other in enumerate(sets) if j != idx and g.adj(v) & other
+                 and not reference_sets_adjacent(g, rest, other)), None)
+
+
+def reference_minimize_minor(g: Graph, sets) -> list[set[int]]:
+    """The minimization fixpoint with a fresh private-set scan per test."""
+    sets = [set(s) for s in sets]
+    changed = True
+    while changed:
+        changed = False
+        for idx, k in enumerate(sets):
+            for v in sorted(k, reverse=True):
+                if (len(k) > 1 and g.is_connected_subset(k - {v})
+                        and reference_private_set(g, sets, idx, v) is None):
+                    k.discard(v)
+                    changed = True
+    return sets

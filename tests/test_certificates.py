@@ -115,3 +115,25 @@ def test_certificate_json_round_trip(graph, cert):
     back = certificate_from_json(payload, graph)
     assert back == cert
     assert verify_certificate(graph, back)
+
+
+@pytest.mark.parametrize("vertex", [99, -1])
+def test_certificate_from_json_range_checks_the_low_degree_vertex(vertex):
+    # 99 used to raise IndexError, and -1 read vertex 4's degree
+    payload = {"tag": "LowDegreeVertex", "vertices": [vertex], "claimed_bound": 3}
+    with pytest.raises(ValueError, match="out of range"):
+        certificate_from_json(payload, path_graph(5))
+
+
+@pytest.mark.parametrize("payload", [
+    {"tag": "InducedCycle"},
+    {"tag": "LowDegreeVertex", "claimed_bound": 3},
+    {"tag": "LowDegreeVertex", "vertices": [1]},
+    {"tag": "BicliqueWitness", "left": [0]},
+    {"tag": "EliminationOrder", "vertices": [0, 1]},
+], ids=["cycle-vertices", "low-degree-vertices", "low-degree-claimed_bound",
+        "biclique-right", "order-claimed_bound"])
+def test_certificate_from_json_names_a_missing_field(payload):
+    # used to raise KeyError
+    with pytest.raises(ValueError, match="lacks the field"):
+        certificate_from_json(payload, path_graph(5))

@@ -118,6 +118,11 @@ def test_dimacs_format():
         from_dimacs("p edge 3 2\ne 1 3\n")
     with pytest.raises(ValueError):
         from_dimacs("e 1 2\n")
+    with pytest.raises(ValueError, match="bad edge line: 'e 1'"):
+        from_dimacs("p edge 3 1\ne 1\n")  # used to raise IndexError
+    with pytest.raises(ValueError, match="second problem line: 'p edge 4 1'"):
+        # used to read a 4-vertex graph: the second line reset n
+        from_dimacs("p edge 3 1\np edge 4 1\ne 1 4\n")
 
 
 def test_graph6_rejects_characters_outside_the_alphabet_in_the_header():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from chibound import minors
 from chibound.certificates import (InducedCycle, InternalInconsistency,
                                    verify_certificate)
-from chibound.detect import BudgetExceeded, SearchBudget, StageShortfall
+from chibound.detect import (BudgetExceeded, SearchBudget, StageShortfall,
+                             find_long_induced_cycle)
 from chibound.generate import planted_cycle, random_tree
 from chibound.graph import Graph, complete_graph, cycle_graph, path_graph
 from chibound.minors import (CliqueMinor, check_branch_diameter,
@@ -16,7 +18,10 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              full_vertex_minor, full_vertices, minimize_minor,
                              validate_minor)
 from conftest import graphs, random_graph
-from oracles import brute_longest_induced_cycle
+from oracles import (brute_longest_induced_cycle, reference_full_vertices,
+                     reference_high_adjacency_sets, reference_minimize_minor,
+                     reference_private_set, reference_touched_sets,
+                     reference_valid_minor)
 
 
 def petersen() -> Graph:
@@ -211,8 +216,7 @@ def _removable_exists(g, minor) -> bool:
             for j, other in enumerate(minor.branch_sets):
                 if j == idx:
                     continue
-                from chibound.minors import sets_adjacent
-                if g.adj(v) & other and not sets_adjacent(g, rest, other):
+                if g.adj(v) & other and not any(g.adj(w) & other for w in rest):
                     private = True
                     break
             if not private:
@@ -354,6 +358,14 @@ def test_full_vertex_minor_p1():
     assert isinstance(out, CliqueMinor) and len(out) == 1
 
 
+def test_full_vertex_minor_p1_of_empty_minor_is_a_shortfall():
+    # the empty minor is valid, but has no branch set to return
+    with pytest.raises(StageShortfall) as exc:
+        full_vertex_minor(path_graph(3), CliqueMinor(()), 1, 4)
+    assert (exc.value.stage, exc.value.required, exc.value.achieved) == \
+        ("full-minor", 1, 0)
+
+
 def test_full_vertex_minor_dense_random(rng):
     n, k = 40, 20
     for attempt in range(30):
@@ -386,3 +398,110 @@ def test_full_vertex_minor_cycle_shortcut():
     assert isinstance(out, InducedCycle)
     assert len(out.vertices) >= 5
     assert verify_certificate(g, out)
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A graph of at most 16 vertices with disjoint connected vertex sets
+    grown from random roots; some vertices may stay outside every set.
+    Dense graphs (edge density 0.7-1) get up to n sets, so that vertices
+    touch many of them; sparse ones (0-0.3) get a cycle through every
+    vertex in random order and up to six sets, so that long sets arise."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 16))
+    dense = draw(st.booleans())
+    density = draw(st.integers(7, 10) if dense else st.integers(0, 3)) / 10
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density}
+    if not dense:
+        ring = rnd.sample(range(n), n)
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(ring, ring[1:] + ring[:1]) if a != b}
+    g = Graph.from_edges(n, edges)
+    sets = [{r} for r in rnd.sample(range(n), rnd.randint(1, n if dense else min(n, 6)))]
+    assigned = set().union(*sets)
+    for _ in range(2 * n):
+        grow = rnd.choice(sets)
+        free = sorted(set().union(*(g.adj(v) for v in grow)) - assigned)
+        if free:
+            v = rnd.choice(free)
+            grow.add(v)
+            assigned.add(v)
+    return g, CliqueMinor.from_sets(sets)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, StageShortfall) as exc:
+        return type(exc), exc.args
+
+
+def _reference_diameter_cycle(g, sets, t):
+    for idx, k in enumerate(sets):
+        u, v, dist = eccentric_pair(g, frozenset(k))
+        if u < 0 or dist + 1 < t:
+            continue
+        ku, kv = (reference_private_set(g, sets, idx, x) for x in (u, v))
+        if ku is None or kv is None:
+            raise ValueError("minor is not minimal: endpoint lacks a private set")
+        connector = g.shortest_path(u, v, frozenset(sets[ku] | sets[kv] | {u, v}))
+        return InducedCycle(tuple(g.shortest_path(u, v, frozenset(k))
+                                  + connector[-2:0:-1]))
+    return None
+
+
+def _reference_full_vertex_minor(g, minor, p, t):
+    minimal = reference_minimize_minor(g, minor.branch_sets)
+    cycle = _reference_diameter_cycle(g, minimal, t) if len(minimal) >= 3 else None
+    if cycle is not None:
+        return cycle
+    if p == 1 and minimal:
+        return CliqueMinor.from_sets(minimal[:1])
+    selected = reference_high_adjacency_sets(g, minimal, p)
+    if len(selected) < p:
+        high = {i for i, _ in selected}
+        low, ids = g.induced(v for i, s in enumerate(minimal) if i not in high for v in s)
+        found = find_long_induced_cycle(low, max(t, 3))
+        if found is None:
+            raise StageShortfall("full-minor", p, len(selected))
+        return InducedCycle(tuple(ids[v] for v in found.vertices))
+    used = {i for i, _ in selected}
+    merged = []
+    for i, _ in selected:
+        s = set(minimal[i])
+        for j, b in selected:
+            if j != i:
+                pick = next(c for c in reference_touched_sets(g, minimal, j, b)
+                            if c not in used)
+                used.add(pick)
+                s |= minimal[pick]
+        merged.append(s)
+    return CliqueMinor.from_sets(merged)
+
+
+@settings(max_examples=500, deadline=None)
+@given(partitioned_graphs(), st.integers(3, 7))
+def test_branch_set_table_matches_reference_scans(case, t):
+    g, minor = case
+    sets = minor.branch_sets
+    valid = validate_minor(g, minor)
+    assert valid == reference_valid_minor(g, sets)
+    assert full_vertices(g, minor) == reference_full_vertices(g, sets)
+    for p in (1, 2, 3):
+        assert find_high_adjacency_sets(g, minor, p) == \
+            reference_high_adjacency_sets(g, sets, p)
+    owner = minors._owners(sets)
+    for i, s in enumerate(sets):
+        touched = minors._touched(g, owner, i, s)
+        hits = Counter(j for js in touched.values() for j in js)
+        assert [minors._private(touched, hits, v) for v in sorted(s)] == \
+            [reference_private_set(g, sets, i, v) for v in sorted(s)]
+    if not valid:
+        return
+    minimal = minimize_minor(g, minor)
+    assert minimal == CliqueMinor.from_sets(reference_minimize_minor(g, sets))
+    for d in range(3, 8) if len(minimal) >= 3 else ():
+        assert _outcome(check_branch_diameter, g, minimal, d) == \
+            _outcome(_reference_diameter_cycle, g, minimal.branch_sets, d)
+    for p in (1, 2, 3):
+        assert _outcome(full_vertex_minor, g, minor, p, t) == \
+            _outcome(_reference_full_vertex_minor, g, minor, p, t)
