@@ -110,12 +110,6 @@ class LinkedFamilies:
     reports: list[StageReport] = field(default_factory=list)
 
 
-def _pair_list(core: Sequence[int]) -> list[tuple[int, int]]:
-    core = sorted(core)
-    return [(core[i], core[j]) for i in range(len(core))
-            for j in range(i + 1, len(core))]
-
-
 def build_linked_families(g: Graph, a_pool: VertexSet,
                           branch_sets: Sequence[VertexSet],
                           t: int, ell: int, paths_per_pair: int = 1,
@@ -143,7 +137,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
     reports.append(StageReport("independent-core", target_core,
                                len(independent_core), "ok"))
 
-    pairs = _pair_list(independent_core)
+    pairs = list(combinations(sorted(independent_core), 2))
     groups: dict[tuple[int, int], list[frozenset[int]]] = {p: [] for p in pairs}
     for idx, b in enumerate(branch_sets):
         groups[pairs[idx % len(pairs)]].append(b)
@@ -432,8 +426,8 @@ def main_pipeline(g: Graph, t: int, ell: int,
         # meets the postconditions)
         full_size = len(minor)
         where = ("full-minor", full_size)
-        fulls = full_vertices(g, minor)
-        if (ov.branch_sets is not None and None not in fulls
+        if (ov.branch_sets is not None
+                and None not in (fulls := full_vertices(g, minor))
                 and all(eccentric_pair(g, s)[2] + 1 < 2 * t
                         for s in minor.branch_sets)):
             working = minor
@@ -453,9 +447,8 @@ def main_pipeline(g: Graph, t: int, ell: int,
         where = ("budget", 0)
         if len(working) < a_count + 1:
             raise StageShortfall("partition", a_count + 1, len(working))
+        # the preverified gate and full_vertex_minor give every set a full vertex
         anchors = fulls[:a_count]
-        if None in anchors:
-            raise StageShortfall("partition", a_count, anchors.index(None))
         stages.append(StageReport("partition", a_count, len(anchors), "ok"))
 
         # Steps 4-6

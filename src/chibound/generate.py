@@ -13,10 +13,6 @@ from typing import Callable, Iterator, Optional
 
 from .graph import Graph
 
-FAMILIES = ("gnp", "tree", "split", "cograph", "chordal", "interval",
-            "planted-cycle", "planted-biclique")
-
-
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
@@ -216,6 +212,22 @@ def pipeline_poison_instance(t: int, ell: int, per_pair: int
                           + [(m + k, tail) for k in range(m)])
 
 
+#: family name -> maker(n, params, rng); FAMILIES lists the names
+_MAKERS: dict[str, Callable[[int, dict, random.Random], Graph]] = {
+    "gnp": lambda n, params, rng: gnp(n, float(params.get("p", 0.5)), rng),
+    "tree": lambda n, params, rng: random_tree(n, rng),
+    "split": lambda n, params, rng: random_split(n, rng),
+    "cograph": lambda n, params, rng: random_cograph(n, rng),
+    "chordal": lambda n, params, rng: random_chordal(n, rng),
+    "interval": lambda n, params, rng: random_interval(n, rng),
+    "planted-cycle": lambda n, params, rng: planted_cycle(
+        n, int(params.get("t", 5)), rng),
+    "planted-biclique": lambda n, params, rng: planted_biclique(
+        n, int(params.get("ell", 2)), rng),
+}
+FAMILIES = tuple(_MAKERS)
+
+
 def generate(family: str, params: Optional[dict] = None, seed: int = 0,
              count: int = 1) -> Iterator[Graph]:
     """Deterministic stream of graphs from one family."""
@@ -225,19 +237,4 @@ def generate(family: str, params: Optional[dict] = None, seed: int = 0,
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     n = int(params.get("n", 10))
     for _ in range(count):
-        if family == "gnp":
-            yield gnp(n, float(params.get("p", 0.5)), rng)
-        elif family == "tree":
-            yield random_tree(n, rng)
-        elif family == "split":
-            yield random_split(n, rng)
-        elif family == "cograph":
-            yield random_cograph(n, rng)
-        elif family == "chordal":
-            yield random_chordal(n, rng)
-        elif family == "interval":
-            yield random_interval(n, rng)
-        elif family == "planted-cycle":
-            yield planted_cycle(n, int(params.get("t", 5)), rng)
-        elif family == "planted-biclique":
-            yield planted_biclique(n, int(params.get("ell", 2)), rng)
+        yield _MAKERS[family](n, params, rng)

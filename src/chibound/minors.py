@@ -13,7 +13,9 @@ of 1), matching how diameters and cycle lengths are compared against t.
 
 Branch-set adjacency has one computation, the table of _touched: each vertex
 of a set -> the other sets it has a neighbour in.  Validity, full and
-high-adjacency vertices and private sets are all read off it.
+high-adjacency vertices and private sets are all read off it.  Connectivity
+has one too: every branch set, the assignment search's parts included, is
+tested with Graph.is_connected_subset, so Graph.bfs is the only BFS.
 """
 from __future__ import annotations
 
@@ -172,21 +174,6 @@ def _contract_to_clique(g: Graph) -> list[frozenset[int]]:
     return sorted(max(final, best, key=len), key=min)
 
 
-def _mask_connected(masks: Sequence[int], s: int) -> bool:
-    """True iff the vertex mask s is non-empty and induces a connected
-    subgraph: a BFS from its lowest vertex, one frontier layer at a time."""
-    seen = frontier = s & -s
-    while frontier:
-        layer = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            layer |= masks[low.bit_length() - 1]
-        frontier = layer & s & ~seen
-        seen |= frontier
-    return s != 0 and seen == s
-
-
 def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMinor]:
     """Complete enumeration: assign each vertex (in order) to a part or skip;
     parts open in vertex order, structure checked at the leaves.
@@ -208,7 +195,7 @@ def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMi
             for j in range(i):
                 if not around & parts[j]:
                     return False
-        return all(_mask_connected(masks, s) for s in parts)
+        return all(g.is_connected_subset(mask_vertices(s)) for s in parts)
 
     def rec(i: int, opened: int) -> bool:
         bud.spend()

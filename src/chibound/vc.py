@@ -1,9 +1,11 @@
 """Set systems, exact VC dimension, and the neighborhood-trace machinery.
 
 Whenever a trace bound fails, the failure is converted into a concrete
-certificate: a large bucket with a large common trace gives a biclique, and
-too many distinct traces force a shattered set, which assembles into an
-induced cycle of t vertices.
+certificate by one decision that both trace lemmas share (_overload): a large
+bucket with a large common trace gives a biclique, and too many distinct
+traces force a shattered set, which assembles into an induced cycle of t
+vertices.  Without a given coloring G[X] is colored once; that coloring both
+certifies q-colorability and picks the shattered set's color class.
 """
 from __future__ import annotations
 
@@ -13,11 +15,11 @@ from typing import Iterator, Optional
 
 from .certificates import (BicliqueWitness, Certificate, InducedCycle,
                            certified, require)
-from .detect import (BudgetExceeded, SearchBudget, chromatic_number_exact,
-                     optimal_coloring)
+from .detect import BudgetExceeded, SearchBudget, optimal_coloring
 from .graph import Graph, VertexSet, is_independent
 
 DEFAULT_UNIVERSE_CAP = 20
+Buckets = tuple[frozenset[int], frozenset[int], dict[frozenset[int], frozenset[int]]]
 
 
 class CounterWitness(Exception):
@@ -139,20 +141,17 @@ def sauer_shelah_bound(n: int, k: int) -> int:
     return sum(math.comb(n, i) for i in range(k + 1))
 
 
-def trace_buckets(g: Graph, x_set: VertexSet, y_set: VertexSet
-                  ) -> tuple[frozenset[int], frozenset[int],
-                             dict[frozenset[int], frozenset[int]]]:
-    """Partition Y by neighborhood-in-X.
+def trace_buckets(g: Graph, x_set: VertexSet, y_set: VertexSet) -> Buckets:
+    """Partition Y by trace on X (the members of neighborhood_system):
+    (largest bucket, its common trace, all buckets keyed by trace), ties
+    going to the lexicographically smallest trace."""
+    return _buckets(neighborhood_system(g, x_set, y_set))
 
-    Returns (largest bucket, its common trace, all buckets keyed by trace);
-    ties go to the lexicographically smallest trace.
-    """
-    x_set, y_set = frozenset(x_set), frozenset(y_set)
-    if x_set & y_set:
-        raise ValueError("X and Y must be disjoint")
+
+def _buckets(system: SetSystem) -> Buckets:
     buckets: dict[frozenset[int], set[int]] = {}
-    for y in sorted(y_set):
-        buckets.setdefault(g.neighbors_in(y, x_set), set()).add(y)
+    for trace, y in zip(system.members, system.tags):
+        buckets.setdefault(trace, set()).add(y)
     if not buckets:
         return frozenset(), frozenset(), {}
     best_trace = min(buckets, key=lambda tr: (-len(buckets[tr]), sorted(tr)))
@@ -215,25 +214,28 @@ def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
 
 
 def _check_coloring(g: Graph, x_set: frozenset[int], q: int,
-                    coloring: Optional[dict[int, int]]) -> Optional[str]:
-    """None if G[X] is certified q-colorable, else a failure description."""
+                    coloring: Optional[dict[int, int]]
+                    ) -> tuple[dict[int, int], Optional[str]]:
+    """A coloring of G[X] and None if it certifies G[X] q-colorable, else a
+    failure description.  Without a coloring, G[X] is colored once with
+    optimal_coloring, which uses chi(G[X]) colors."""
     if coloring is None:
         sub, back = g.induced(x_set)
         try:
-            chi = chromatic_number_exact(sub)
+            coloring = {back[v]: c for v, c in optimal_coloring(sub).items()}
         except BudgetExceeded:
-            return "q-colorability could not be decided within budget"
-        return None if chi <= q else f"G[X] needs {chi} > q = {q} colors"
+            return {}, "q-colorability could not be decided within budget"
     for v in x_set:
         if v not in coloring:
-            return f"coloring misses vertex {v}"
-    if len({coloring[v] for v in x_set}) > q:
-        return f"coloring uses more than q = {q} colors"
+            return coloring, f"coloring misses vertex {v}"
+    used = len({coloring[v] for v in x_set})
+    if used > q:
+        return coloring, f"coloring uses {used} > q = {q} colors"
     for v in x_set:
         for w in g.adj(v):
             if w in x_set and w > v and coloring[v] == coloring[w]:
-                return f"coloring repeats on edge ({v},{w})"
-    return None
+                return coloring, f"coloring repeats on edge ({v},{w})"
+    return coloring, None
 
 
 def _trace_exponent(q: int, t: int) -> int:
@@ -242,37 +244,17 @@ def _trace_exponent(q: int, t: int) -> int:
     return (q * t) // 2
 
 
-def _extract_cycle_via_shattering(g: Graph, x_set: frozenset[int],
-                                  y_set: frozenset[int], q: int, t: int,
-                                  coloring: Optional[dict[int, int]]
-                                  ) -> InducedCycle:
-    """Too many distinct traces force a shattered set of size qt/2, whose
-    largest color class is independent and big enough for a t-cycle."""
-    system = neighborhood_system(g, x_set, y_set)
-    zmin = _trace_exponent(q, t)
-    shattered = find_shattered_set(system, zmin)
-    require(shattered is not None, "counting promised a shattered set; none found")
-    if coloring is None:
-        sub, back = g.induced(x_set)
-        coloring = {back[v]: c for v, c in optimal_coloring(sub).items()}
-    by_color: dict[int, list[int]] = {}
-    for z in shattered:
-        by_color.setdefault(coloring[z], []).append(z)
-    best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
-    require(len(best) >= t // 2, "pigeonhole on color classes failed")
-    return cycle_from_shattered(g, frozenset(best), system, t)
-
-
 def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
                       ell: int, q: int, t: int,
                       coloring: Optional[dict[int, int]],
-                      check_degrees: bool) -> list[str]:
+                      check_degrees: bool) -> tuple[list[str], dict[int, int]]:
+    """The failed hypotheses and the coloring of G[X] they were checked with."""
     failures = []
     if x_set & y_set:
         failures.append("X and Y overlap")
     if len(x_set) < _trace_exponent(q, t):
         failures.append(f"|X| = {len(x_set)} below q*t/2 = {_trace_exponent(q, t)}")
-    msg = _check_coloring(g, x_set, q, coloring)
+    coloring, msg = _check_coloring(g, x_set, q, coloring)
     if msg:
         failures.append(msg)
     if not is_independent(g, y_set):
@@ -282,32 +264,51 @@ def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
         if lazy:
             failures.append(f"vertices {lazy[:5]} have fewer than ell = {ell} "
                             "neighbors in X")
-    return failures
+    return failures, coloring
+
+
+def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
+              ell: int, q: int, t: int, coloring: Optional[dict[int, int]]
+              ) -> tuple[frozenset[int], frozenset[int], Optional[Certificate]]:
+    """The largest trace bucket of Y, its trace, and the certificate that an
+    overload yields: a biclique when bucket and trace both reach ell; else,
+    when the counting applies (the caller then passes the coloring that
+    certifies G[X] q-colorable) and the bucket stays below ell, an induced
+    t-cycle through a shattered set of size qt/2, whose largest color class
+    is independent; else None."""
+    system = neighborhood_system(g, x_set, y_set)
+    bucket, trace, _ = _buckets(system)
+    if len(bucket) >= ell and len(trace) >= ell:
+        return bucket, trace, certified(
+            g, BicliqueWitness(tuple(sorted(bucket))[:ell], tuple(sorted(trace))[:ell]),
+            ell=ell)
+    if coloring is None or len(bucket) >= ell:
+        return bucket, trace, None
+    shattered = find_shattered_set(system, _trace_exponent(q, t))
+    require(shattered is not None, "counting promised a shattered set; none found")
+    by_color: dict[int, list[int]] = {}
+    for z in shattered:
+        by_color.setdefault(coloring[z], []).append(z)
+    best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
+    require(len(best) >= t // 2, "pigeonhole on color classes failed")
+    return bucket, trace, cycle_from_shattered(g, frozenset(best), system, t)
 
 
 def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
                      ell: int, q: int, t: int,
                      coloring: Optional[dict[int, int]] = None
                      ) -> tuple[bool, Optional[Certificate]]:
-    """Verify |Y| < ell * |X|^(qt/2); on failure extract a witness.
-
-    A bucket of ell same-trace vertices gives a biclique with its trace;
-    failing that, the trace count forces a shattered set and an induced
-    t-cycle comes out instead.
-    """
+    """Verify |Y| < ell * |X|^(qt/2); on failure return the witness of
+    _overload: a biclique from a bucket of ell same-trace vertices, failing
+    that an induced t-cycle through a shattered set."""
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    failures = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, True)
+    failures, coloring = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, True)
     if failures:
         raise ValueError("hypotheses violated: " + "; ".join(failures))
-    bound = ell * len(x_set) ** _trace_exponent(q, t)
-    if len(y_set) < bound:
+    if len(y_set) < ell * len(x_set) ** _trace_exponent(q, t):
         return True, None
-    bucket, trace, _ = trace_buckets(g, x_set, y_set)
-    if len(bucket) >= ell:
-        # every y has >= ell neighbors in X, so the common trace is large too
-        return False, certified(g, BicliqueWitness(tuple(sorted(bucket))[:ell],
-                                                   tuple(sorted(trace))[:ell]), ell=ell)
-    return False, _extract_cycle_via_shattering(g, x_set, y_set, q, t, coloring)
+    # every y has >= ell neighbors in X, so a bucket of ell has a trace of ell
+    return False, _overload(g, x_set, y_set, ell, q, t, coloring)[2]
 
 
 def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
@@ -324,18 +325,14 @@ def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
     hypotheses are split all the same.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    failures = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, False)
-    size_ok = len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)
+    failures, coloring = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, False)
     if not y_set:
         return x_set, frozenset()
-    bucket, trace, _ = trace_buckets(g, x_set, y_set)
-    if len(bucket) >= ell and len(trace) >= ell:
-        raise CounterWitness(certified(g, BicliqueWitness(tuple(sorted(bucket))[:ell],
-                                                          tuple(sorted(trace))[:ell]),
-                                       ell=ell))
-    if len(bucket) < ell and size_ok and not failures:
-        raise CounterWitness(
-            _extract_cycle_via_shattering(g, x_set, y_set, q, t, coloring))
+    counted = not failures and len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)
+    bucket, trace, witness = _overload(g, x_set, y_set, ell, q, t,
+                                       coloring if counted else None)
+    if witness is not None:
+        raise CounterWitness(witness)
     x_prime = x_set - trace
     require(all(not (g.adj(y) & x_prime) for y in bucket), "split left an X'-Y' edge")
     return x_prime, bucket

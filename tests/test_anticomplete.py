@@ -20,7 +20,7 @@ from chibound.generate import (gnp, pipeline_full_instance,
                                pipeline_ideal_instance, pipeline_poison_instance,
                                planted_cycle)
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
-                            is_partially_anticomplete)
+                            complete_graph, is_partially_anticomplete)
 from chibound.vc import CounterWitness
 from conftest import random_graph
 import oracles
@@ -139,6 +139,16 @@ def test_build_linked_families_single_anchor():
         build_linked_families(g, frozenset({0}), [frozenset({1, 2})], t=6, ell=2)
 
 
+def test_build_linked_families_paths_shortfall():
+    # each anchor pair gets two connector sets, one short of three paths
+    t = 6
+    g, pool, connectors = _standalone_linked_instance(t, 2)
+    with pytest.raises(StageShortfall) as exc:
+        build_linked_families(g, pool, connectors, t=t, ell=3, paths_per_pair=3)
+    assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
+        "paths[0,1]", 3, 2)
+
+
 def test_extract_single_path_and_isolated_vertices():
     g = Graph.from_edges(5, [(0, 1), (1, 2)])
     fam = extract_partially_anticomplete(g, [OrientedPath((0, 1, 2))])
@@ -229,6 +239,24 @@ def test_select_pairwise_base_cases():
                    OrientedPath((4, 5))]
 
 
+def test_select_pairwise_shortfalls():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    head = PathFamily((OrientedPath((0,)),), 1)
+    empty = PathFamily((), None)
+    cases = [
+        # nothing left for the last family
+        ([empty], "selection[last]"),
+        # 1 ~ 0, so the split keeps 1 and strips the head's only vertex
+        ([head, PathFamily((OrientedPath((1,)),), 1)], "selection[round 1]"),
+        ([head, empty], "selection[round 1 partner]"),
+    ]
+    for fams, stage in cases:
+        with pytest.raises(StageShortfall) as exc:
+            select_pairwise_anticomplete(g, fams, 2, 4)
+        assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
+            stage, 1, 0)
+
+
 def test_select_pairwise_planted_conflicts():
     # 3 families x 4 paths of 3 vertices, with a few cross-family edges
     k, per, length = 3, 4, 3
@@ -286,6 +314,21 @@ def test_assemble_examples():
     assert len(cert.vertices) == t
 
 
+def test_assemble_orients_and_rejects_paths():
+    # C9 through anchors 0, 1, 2 and two-vertex paths 3-4, 5-6, 7-8
+    g = Graph.from_edges(9, [(0, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 2),
+                             (2, 7), (7, 8), (8, 0)])
+    forward = [OrientedPath((3, 4)), OrientedPath((5, 6)), OrientedPath((7, 8))]
+    cert = assemble_cycle(g, [0, 1, 2], forward)
+    assert cert.vertices == (0, 3, 4, 1, 5, 6, 2, 7, 8)
+    # a path given from its far end is turned round
+    flipped = [forward[0].reversed()] + forward[1:]
+    assert assemble_cycle(g, [0, 1, 2], flipped) == cert
+    # 5-6 does not touch anchor 0
+    with pytest.raises(ValueError, match="does not link anchors 0 and 1"):
+        assemble_cycle(g, [0, 1, 2], [forward[1], forward[0], forward[2]])
+
+
 def test_assemble_reports_chord():
     edges = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0), (3, 4)]
     g = Graph.from_edges(6, edges)
@@ -327,6 +370,19 @@ def test_pipeline_full_route():
     assert len(res.certificate.vertices) == t
     names = [s.name for s in res.stages]
     assert "interference" in names and "assemble" in names
+
+
+def test_pipeline_partition_shortfall():
+    # a triangle minor passes the step-2 gate but holds 3 sets, short of the
+    # t/2 + 1 = 5 that step 3 partitions at t = 8
+    g = complete_graph(3)
+    res = main_pipeline(g, 8, 2, PipelineOverrides(
+        branch_sets=[{0}, {1}, {2}]))
+    assert not res.success
+    assert [(s.name, s.outcome) for s in res.stages] == [
+        ("minor", "injected"), ("full-minor", "preverified"),
+        ("partition", "shortfall")]
+    assert (res.stages[-1].target_size, res.stages[-1].achieved_size) == (5, 3)
 
 
 def test_pipeline_checks_the_cycle_length(monkeypatch):

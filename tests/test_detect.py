@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chibound import generate as gen
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    InducedCycle, verify_certificate)
 from chibound.detect import (BudgetExceeded, chromatic_number_exact, degeneracy,
@@ -221,6 +222,29 @@ def test_optimal_coloring_answers_when_its_bounds_meet():
         assert all(colors[u] != colors[v] for u, v in g.edges())
         assert set(colors.values()) == set(range(chi))
         assert chromatic_number_exact(g, budget=40) == chi
+
+
+def test_generate_draws_like_the_family_makers():
+    # the family table draws from one Random(seed) in the order the makers
+    # were once called from an if/elif chain
+    makers = {
+        "gnp": lambda rng: gen.gnp(12, 0.3, rng),
+        "tree": lambda rng: gen.random_tree(12, rng),
+        "split": lambda rng: gen.random_split(12, rng),
+        "cograph": lambda rng: gen.random_cograph(12, rng),
+        "chordal": lambda rng: gen.random_chordal(12, rng),
+        "interval": lambda rng: gen.random_interval(12, rng),
+        "planted-cycle": lambda rng: gen.planted_cycle(12, 6, rng),
+        "planted-biclique": lambda rng: gen.planted_biclique(12, 3, rng),
+    }
+    assert gen.FAMILIES == tuple(makers)
+    params = {"n": 12, "p": 0.3, "t": 6, "ell": 3}
+    for family, make in makers.items():
+        rng = random.Random(5)
+        expected = [make(rng) for _ in range(3)]
+        assert list(generate(family, params, seed=5, count=3)) == expected
+    with pytest.raises(ValueError):
+        next(generate("petersen"))
 
 
 def test_optimal_coloring_spends_one_budget():

@@ -204,6 +204,12 @@ def test_minimize_examples():
     assert slim2 == CliqueMinor.from_sets([{0}, {1}, {2}])
 
 
+def test_minimize_rejects_an_invalid_minor():
+    # the end sets of a path do not touch
+    with pytest.raises(ValueError, match="not a valid clique minor"):
+        minimize_minor(path_graph(3), CliqueMinor.from_sets([{0}, {2}]))
+
+
 def _removable_exists(g, minor) -> bool:
     for idx, k in enumerate(minor.branch_sets):
         for v in k:
@@ -259,6 +265,17 @@ def test_branch_diameter_examples():
 
     with pytest.raises(ValueError):
         check_branch_diameter(k4, CliqueMinor.from_sets([{0}, {1}]), 3)
+
+
+def test_branch_diameter_rejects_a_minor_that_is_not_minimal():
+    # the path 0-1-2 has 3 vertices, and 3 and 4 each touch all of it, so
+    # neither end of the path holds a private set
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]
+                         + [(a, b) for a in (3, 4) for b in (0, 1, 2)])
+    minor = CliqueMinor.from_sets([{0, 1, 2}, {3}, {4}])
+    assert validate_minor(g, minor)
+    with pytest.raises(ValueError, match="not minimal"):
+        check_branch_diameter(g, minor, 3)
 
 
 def test_eccentric_pair_against_networkx(rng):

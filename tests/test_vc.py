@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chibound import detect
 from chibound.certificates import BicliqueWitness, InducedCycle, verify_certificate
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
 from chibound.vc import (CounterWitness, SetSystem, cor_traces3_split,
@@ -13,6 +14,7 @@ from chibound.vc import (CounterWitness, SetSystem, cor_traces3_split,
                          sauer_shelah_bound, trace_buckets, vc_dimension)
 from conftest import random_graph
 from oracles import brute_shattered_sets, brute_vc_dimension
+from test_golden import trace_instance
 
 
 def powerset_system(n: int) -> SetSystem:
@@ -242,6 +244,24 @@ def test_cor_traces_check_shattering_cycle():
     assert len(witness.vertices) == t
 
 
+@pytest.mark.parametrize("lemma", [cor_traces_check, cor_traces3_split])
+def test_uncolored_shattering_route_colors_x_once(monkeypatch, lemma):
+    # one optimal coloring of G[X] both certifies q-colorability and picks
+    # the shattered set's color class, so one maximum-clique search runs
+    g, xs, ys, ell, coloring = trace_instance("shatter8")
+    assert coloring is None
+    calls = []
+    real = detect._max_clique
+    monkeypatch.setattr(detect, "_max_clique",
+                        lambda *args: calls.append(args) or real(*args))
+    try:
+        witness = lemma(g, xs, ys, ell, 1, 4)[1]
+    except CounterWitness as cw:
+        witness = cw.certificate
+    assert isinstance(witness, InducedCycle) and verify_certificate(g, witness)
+    assert len(calls) == 1
+
+
 def test_cor_traces3_trivial_splits():
     g = empty_graph(7)
     xp, yp = cor_traces3_split(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}),
@@ -255,6 +275,19 @@ def test_cor_traces3_trivial_splits():
                                ell=2, q=1, t=6)
     assert xp == frozenset({1, 2}) and yp == frozenset(range(3, 7))
     assert all(not g2.adj(y) & xp for y in yp)
+
+
+def test_cor_traces3_splits_a_full_bucket_with_a_small_trace():
+    # every subset of X = {0..3} is the trace of two y's, so |Y| = 32 =
+    # ell * |X|^2 meets the counting, but the largest bucket already holds
+    # ell = 2 vertices (those of the empty trace): no biclique and no cycle
+    subsets = [c for r in range(5) for c in combinations(range(4), r)]
+    edges = [(4 + 2 * i + k, x) for i, c in enumerate(subsets) for k in (0, 1)
+             for x in c]
+    g = Graph.from_edges(36, edges)
+    xp, yp = cor_traces3_split(g, frozenset(range(4)), frozenset(range(4, 36)),
+                               ell=2, q=1, t=4)
+    assert xp == frozenset(range(4)) and yp == frozenset({4, 5})
 
 
 def test_cor_traces3_surfaces_biclique():
