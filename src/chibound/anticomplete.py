@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
-from .certificates import (Certificate, InducedCycle, certificate_to_json,
-                           certified, require)
+from .certificates import (Certificate, CounterWitness, InducedCycle,
+                           certificate_to_json, certified, require)
 from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
                      max_independent_subset)
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
@@ -29,7 +29,7 @@ from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
                     is_partially_anticomplete, verify_induced_path)
 from .minors import (CliqueMinor, eccentric_pair, find_clique_minor,
                      full_vertex_minor, full_vertices, validate_minor)
-from .vc import CounterWitness, cor_traces3_split, cor_traces_check
+from .vc import cor_traces3_split, cor_traces_check
 
 
 class AssemblyError(Exception):
@@ -159,11 +159,8 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
                           if g.degree_in(w, core_set) >= ell)
         if heavy:
             screen = max_independent_subset(g, heavy, budget).vertices
-            holds, witness = cor_traces_check(
-                g, core_set, frozenset(screen), ell, 1, t,
-                coloring={x: 0 for x in core_set})
-            if not holds:
-                raise CounterWitness(witness)
+            cor_traces_check(g, core_set, frozenset(screen), ell, 1, t,
+                             coloring={x: 0 for x in core_set})
         clean = [p for p in raw if not (p.vertex_set() & heavy)]
         if len(clean) < paths_per_pair:
             raise StageShortfall(f"paths[{u},{v}]", paths_per_pair, len(clean))
@@ -210,7 +207,7 @@ def extract_partially_anticomplete(g: Graph,
     Output verified partially anticomplete."""
     paths = tuple(family.paths if isinstance(family, PathFamily) else family)
     if not paths:
-        return PathFamily((), None)
+        return PathFamily(())
     k = len(paths[0])
     seen: set[int] = set()
     for p in paths:
@@ -226,7 +223,7 @@ def extract_partially_anticomplete(g: Graph,
         layer = frozenset(p.vertices[i] for p in survivors)
         kept = set(max_independent_subset(g, layer, budget).vertices)
         survivors = [p for p in survivors if p.vertices[i] in kept]
-    result = PathFamily(tuple(survivors), k)
+    result = PathFamily(tuple(survivors))
     require(is_partially_anticomplete(g, result),
             "extracted family is not partially anticomplete")
     return result
@@ -283,8 +280,7 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     q_kept = tuple(q_current)
     require(all(are_anticomplete(g, p, qq) for p in p_kept for qq in q_kept),
             "separation left an edge")
-    return (PathFamily(p_kept, p_fam.common_length),
-            PathFamily(q_kept, q_fam.common_length))
+    return PathFamily(p_kept), PathFamily(q_kept)
 
 
 def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
@@ -301,8 +297,7 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
         if not families[0].paths:
             raise StageShortfall("selection[last]", 1, 0)
         return [families[0].paths[0]]
-    head = PathFamily(families[0].paths[:2 * t * t * ell],
-                      families[0].common_length)
+    head = PathFamily(families[0].paths[:2 * t * t * ell])
     reduced: list[PathFamily] = []
     for i in range(1, len(families)):
         head, shrunk = separate_families(g, head, families[i], ell, t)
@@ -469,8 +464,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
             stages.append(StageReport(f"extract[{u},{v}]", 1,
                                       len(extracted), "ok"))
             if u > v:
-                extracted = PathFamily(tuple(p.reversed() for p in extracted),
-                                       extracted.common_length)
+                extracted = PathFamily(tuple(p.reversed() for p in extracted))
             cyclic.append(extracted)
         picked = select_pairwise_anticomplete(g, cyclic, ell, t)
         cert = assemble_cycle(g, core, picked)

@@ -5,6 +5,11 @@ re-checks the claimed structure against the graph from scratch, so a
 certificate never has to be trusted.  The lemma, minor, VC and pipeline
 layers hand every certificate out through certified, which also checks that
 it answers the question asked, and every other invariant through require.
+
+A lemma either returns the structure it promises or raises CounterWitness,
+whose certificate (a biclique or a long induced cycle) shows that G lies
+outside the class the lemma assumes; that exception is the one way out for
+such a certificate.
 """
 from __future__ import annotations
 
@@ -18,6 +23,14 @@ class InternalInconsistency(AssertionError):
     """A procedure produced a certificate that fails its own check; the
     argument behind it guarantees the check, so reaching this is a bug.
     Raised by require and certified, so `python -O` does not strip it."""
+
+
+class CounterWitness(Exception):
+    """A lemma hypothesis failed in a way that yields a certificate."""
+
+    def __init__(self, certificate: Certificate):
+        super().__init__(f"structural witness surfaced: {type(certificate).__name__}")
+        self.certificate = certificate
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,9 @@ def planted_biclique(n: int, ell: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
-def pipeline_ideal_instance(t: int, copies: int = 1) -> Graph:
-    """Anchors joined pairwise by bundles of long internally-clean paths
-    (2t - 1 vertices each).
+def pipeline_ideal_instance(t: int) -> Graph:
+    """Anchors joined pairwise by long internally-clean paths (2t - 1
+    vertices each, one per pair).
 
     Contracting the paths leaves a complete graph on the anchors; every
     cycle in the instance is long, so the pipeline's branch-diameter
@@ -144,12 +144,11 @@ def pipeline_ideal_instance(t: int, copies: int = 1) -> Graph:
     edges: list[tuple[int, int]] = []
     nxt = m
     for i, j in combinations(range(m), 2):
-        for _ in range(copies):
-            spine = list(range(nxt, nxt + length))
-            nxt += length
-            edges.append((i, spine[0]))
-            edges.append((j, spine[-1]))
-            edges.extend((spine[k], spine[k + 1]) for k in range(length - 1))
+        spine = list(range(nxt, nxt + length))
+        nxt += length
+        edges.append((i, spine[0]))
+        edges.append((j, spine[-1]))
+        edges.extend((spine[k], spine[k + 1]) for k in range(length - 1))
     return Graph.from_edges(nxt, edges)
 
 

@@ -248,13 +248,6 @@ class PathFamily:
     """A collection of oriented paths, typically equal-length and vertex-disjoint."""
 
     paths: tuple[OrientedPath, ...]
-    common_length: Optional[int] = None
-
-    def __post_init__(self):
-        if self.common_length is not None:
-            for p in self.paths:
-                if len(p) != self.common_length:
-                    raise ValueError("path length differs from common_length")
 
     def __len__(self) -> int:
         return len(self.paths)

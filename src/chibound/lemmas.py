@@ -2,10 +2,11 @@
 
 The procedures here mirror a chain of counting arguments: a vertex set that
 fails a non-neighbor count immediately yields a biclique, so every routine
-returns either the promised structure or a BicliqueWitness.  The main entry
-point, sstar_low_degree, is total: on every graph it produces a low-degree
-vertex, an induced subdivided star, or a biclique, and the result always
-verifies.
+returns the promised structure or raises certificates.CounterWitness with
+that BicliqueWitness, the one way out for it.  The main entry point,
+sstar_low_degree, is total: it catches the exception at the star branch,
+and on every graph it produces a low-degree vertex, an induced subdivided
+star, or a biclique, and the result always verifies.
 
 sstar_elimination_order deletes that low-degree vertex until no vertex is
 left or a step returns a witness.  Both entry points run one step on a
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .certificates import (BicliqueWitness, EliminationOrder,
+from .certificates import (BicliqueWitness, CounterWitness, EliminationOrder,
                            InternalInconsistency, LowDegreeVertex,
                            SubdividedStarWitness, certified, require)
 from .graph import DegreeQueue, Graph, VertexSet
@@ -35,20 +36,14 @@ def degree_bound(k: int, d: int, ell: int) -> int:
         + ell - k
 
 
-@dataclass
-class FilterResult:
-    kept: frozenset[int]
-    excluded: frozenset[int]
-    biclique: Optional[BicliqueWitness]
-
-
 def filter_many_nonneighbors(g: Graph, u_set: VertexSet, outside: VertexSet,
-                             p: int, ell: int) -> FilterResult:
-    """Split `outside` by whether a vertex has >= p non-neighbors in u_set.
+                             p: int, ell: int) -> frozenset[int]:
+    """The vertices of `outside` with >= p non-neighbors in u_set.
 
     If ell or more vertices fail, they share >= ell common neighbors inside
-    u_set and a K_{ell,ell} witness is built from the first ell of them.
-    When exactly ell-1 or fewer fail, no biclique is claimed.
+    u_set, and CounterWitness carries a K_{ell,ell} built from the first ell
+    of them.  When ell-1 or fewer fail, they are dropped and no biclique is
+    claimed.
     """
     u_set = frozenset(u_set)
     outside = frozenset(outside)
@@ -56,52 +51,43 @@ def filter_many_nonneighbors(g: Graph, u_set: VertexSet, outside: VertexSet,
         raise ValueError(f"need |U| >= ell*p = {ell * p}, got {len(u_set)}")
     if u_set & outside:
         raise ValueError("U and outside must be disjoint")
-    kept, excluded = set(), set()
-    for v in sorted(outside):
-        non_neighbors = len(u_set) - g.degree_in(v, u_set)
-        (kept if non_neighbors >= p else excluded).add(v)
-    biclique = None
+    excluded = [v for v in sorted(outside) if len(u_set) - g.degree_in(v, u_set) < p]
     if len(excluded) >= ell:
-        chosen = sorted(excluded)[:ell]
+        chosen = excluded[:ell]
         common = set(u_set)
         for v in chosen:
             common &= g.adj(v)
         # each failure has <= p-1 non-neighbors, so >= ell survive
-        biclique = certified(
-            g, BicliqueWitness(tuple(chosen), tuple(sorted(common)[:ell])), ell=ell)
-    return FilterResult(frozenset(kept), frozenset(excluded), biclique)
+        raise CounterWitness(certified(
+            g, BicliqueWitness(tuple(chosen), tuple(sorted(common)[:ell])), ell=ell))
+    return outside.difference(excluded)
 
 
 def common_filter(g: Graph, u_sets: Sequence[VertexSet], outside: VertexSet,
-                  p: int, ell: int) -> tuple[Optional[int], Optional[BicliqueWitness]]:
-    """A vertex of `outside` with >= p non-neighbors in every u_set, or a biclique.
+                  p: int, ell: int) -> int:
+    """The least vertex of `outside` with >= p non-neighbors in every u_set.
 
     Filters against each set in turn, discarding at most ell-1 vertices per
-    round; a round that discards ell or more surfaces its biclique.
+    round; a round that discards ell or more raises its CounterWitness.
     """
     sets = [frozenset(s) for s in u_sets]
     outside = frozenset(outside)
-    for i, s in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            if s & sets[j]:
-                raise ValueError("u_sets must be pairwise disjoint")
+    if len(frozenset().union(*sets)) < sum(map(len, sets)):
+        raise ValueError("u_sets must be pairwise disjoint")
     if len(outside) <= len(sets) * (ell - 1):
         raise ValueError(
             f"need |outside| > r*(ell-1) = {len(sets) * (ell - 1)}, got {len(outside)}")
     survivors = outside
     for s in sets:
-        result = filter_many_nonneighbors(g, s, survivors, p, ell)
-        if result.biclique is not None:
-            return None, result.biclique
-        survivors = result.kept
+        survivors = filter_many_nonneighbors(g, s, survivors, p, ell)
     require(bool(survivors), "survivor count bound violated")
-    return min(survivors), None
+    return min(survivors)
 
 
 def rainbow_independent_set(g: Graph, v_sets: Sequence[VertexSet], ell: int
-                            ) -> tuple[Optional[tuple[int, ...]],
-                                       Optional[BicliqueWitness]]:
-    """An independent transversal v_i in V_i, or a biclique.
+                            ) -> tuple[int, ...]:
+    """An independent transversal v_i in V_i; a filter that fails raises
+    CounterWitness with its biclique.
 
     Iteratively picks v_i with enough non-neighbors in every later set and
     shrinks those sets to the non-neighbors, exactly the inductive
@@ -110,24 +96,21 @@ def rainbow_independent_set(g: Graph, v_sets: Sequence[VertexSet], ell: int
     d = len(v_sets)
     sets = [frozenset(s) for s in v_sets]
     if d == 0:
-        return (), None
+        return ()
     for i, s in enumerate(sets):
         if len(s) < ell ** (d - 1):
             raise ValueError(f"set {i} smaller than ell^(d-1) = {ell ** (d - 1)}")
-        for j in range(i + 1, len(sets)):
-            if s & sets[j]:
-                raise ValueError("v_sets must be pairwise disjoint")
+    if len(frozenset().union(*sets)) < sum(map(len, sets)):
+        raise ValueError("v_sets must be pairwise disjoint")
     chosen: list[int] = []
     current = list(sets)
     for i in range(d - 1):
         p = ell ** (d - i - 2)
-        vertex, biclique = common_filter(g, current[i + 1:], current[i], p, ell)
-        if biclique is not None:
-            return None, biclique
+        vertex = common_filter(g, current[i + 1:], current[i], p, ell)
         chosen.append(vertex)
         current[i + 1:] = [frozenset(s - g.adj(vertex)) for s in current[i + 1:]]
     chosen.append(min(current[d - 1]))
-    return tuple(chosen), None
+    return tuple(chosen)
 
 
 @dataclass
@@ -182,7 +165,11 @@ def _sstar_recurse(g: Graph, vertices: VertexSet | set[int], r: Optional[int],
         trace.append({"k": k, "root": r, "A": len(a_set), "U": len(u_set)})
 
     if len(u_set) >= ell ** (d - 1) + (d - 1) * ell ** d:
-        return _sstar_star_branch(g, r, b, u_set, d, ell, k, trace)
+        try:
+            cert = _sstar_star_branch(g, r, b, u_set, d, ell)
+        except CounterWitness as cw:
+            cert = cw.certificate
+        return SStarOutcome(cert, k, trace)
 
     remainder = a_set - u_set
     if not remainder:
@@ -194,11 +181,10 @@ def _sstar_recurse(g: Graph, vertices: VertexSet | set[int], r: Optional[int],
 
     sub = _sstar_recurse(g, remainder, _root(g, remainder) if k > 2 else None,
                          k - 1, d, ell, roots_above + [r], trace)
-    cert = sub.certificate
-    if isinstance(cert, (BicliqueWitness, SubdividedStarWitness)):
-        return SStarOutcome(cert, sub.level, trace)
+    if not isinstance(sub.certificate, LowDegreeVertex):
+        return sub
     # lift the low-degree vertex: its extra neighbors sit in {r} | U | B(v)
-    v = cert.vertex
+    v = sub.certificate.vertex
     deg_here = g.degree_in(v, vertices)
     bound = degree_bound(k, d, ell)
     require(deg_here <= bound, f"degree {deg_here} exceeds bound {bound} at level {k}")
@@ -206,10 +192,11 @@ def _sstar_recurse(g: Graph, vertices: VertexSet | set[int], r: Optional[int],
 
 
 def _sstar_star_branch(g: Graph, r: int, b: dict[int, frozenset[int]],
-                       u_set: frozenset[int], d: int, ell: int, k: int,
-                       trace) -> SStarOutcome:
+                       u_set: frozenset[int], d: int, ell: int
+                       ) -> SubdividedStarWitness:
     """The j-loop: build u_1..u_d with private B-neighborhoods, then a
-    rainbow independent set of leaves; any filter failure yields a biclique."""
+    rainbow independent set of leaves; any filter failure raises
+    CounterWitness with its biclique."""
 
     def b_union(us: Sequence[int]) -> frozenset[int]:
         out: set[int] = set()
@@ -225,23 +212,17 @@ def _sstar_star_branch(g: Graph, r: int, b: dict[int, frozenset[int]],
         batch = ranked[:ell]
         rest = frozenset(ranked[ell:])
         p_j = ell ** (d - j - 1) + (d - 1) * ell ** (d - j) - j
-        result = filter_many_nonneighbors(g, rest, frozenset(batch), p_j, ell)
-        if result.biclique is not None:
-            return SStarOutcome(result.biclique, k, trace)
-        require(bool(result.kept), "filter kept nothing from the batch")
-        u_j = min(result.kept)
+        kept = filter_many_nonneighbors(g, rest, frozenset(batch), p_j, ell)
+        require(bool(kept), "filter kept nothing from the batch")
+        u_j = min(kept)
         chosen.append(u_j)
-        survivors = rest - g.adj(u_j)
+        current = rest - g.adj(u_j)
         # prune vertices whose private neighborhoods shrank too far
         for i in range(len(chosen)):
             others = chosen[:i] + chosen[i + 1:]
             private = b[chosen[i]] - b_union(others)
             q = ell ** (2 * d - j - 2)
-            result = filter_many_nonneighbors(g, private, survivors, q, ell)
-            if result.biclique is not None:
-                return SStarOutcome(result.biclique, k, trace)
-            survivors = result.kept
-        current = survivors
+            current = filter_many_nonneighbors(g, private, current, q, ell)
     require(bool(current), "U_d emptied out")
     chosen.append(min(current))
 
@@ -249,11 +230,8 @@ def _sstar_star_branch(g: Graph, r: int, b: dict[int, frozenset[int]],
     for i in range(d):
         others = chosen[:i] + chosen[i + 1:]
         leaf_sets.append(b[chosen[i]] - b_union(others))
-    transversal, biclique = rainbow_independent_set(g, leaf_sets, ell)
-    if biclique is not None:
-        return SStarOutcome(biclique, k, trace)
-    witness = SubdividedStarWitness(r, tuple(chosen), tuple(transversal))
-    return SStarOutcome(witness, k, trace)
+    transversal = rainbow_independent_set(g, leaf_sets, ell)
+    return SubdividedStarWitness(r, tuple(chosen), transversal)
 
 
 def _check_params(d: int, ell: int) -> None:

@@ -4,7 +4,10 @@ Whenever a trace bound fails, the failure is converted into a concrete
 certificate by one decision that both trace lemmas share (_overload): a large
 bucket with a large common trace gives a biclique, and too many distinct
 traces force a shattered set, which assembles into an induced cycle of t
-vertices.  Without a given coloring G[X] is colored once; that coloring both
+vertices.  The decision raises that certificate as
+certificates.CounterWitness, the one way out the lemma layer has for it:
+cor_traces_check returns nothing and cor_traces3_split only its split.
+Without a given coloring G[X] is colored once; that coloring both
 certifies q-colorability and picks the shattered set's color class.
 """
 from __future__ import annotations
@@ -13,21 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .certificates import (BicliqueWitness, Certificate, InducedCycle,
-                           certified, require)
+from .certificates import (BicliqueWitness, CounterWitness, InducedCycle,
+                           InternalInconsistency, certified, require)
 from .detect import BudgetExceeded, SearchBudget, optimal_coloring
 from .graph import Graph, VertexSet, is_independent
 
 DEFAULT_UNIVERSE_CAP = 20
 Buckets = tuple[frozenset[int], frozenset[int], dict[frozenset[int], frozenset[int]]]
-
-
-class CounterWitness(Exception):
-    """A lemma hypothesis failed in a way that yields a certificate."""
-
-    def __init__(self, certificate: Certificate):
-        super().__init__(f"structural witness surfaced: {type(certificate).__name__}")
-        self.certificate = certificate
 
 
 @dataclass(frozen=True)
@@ -269,21 +264,21 @@ def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
 
 def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
               ell: int, q: int, t: int, coloring: Optional[dict[int, int]]
-              ) -> tuple[frozenset[int], frozenset[int], Optional[Certificate]]:
-    """The largest trace bucket of Y, its trace, and the certificate that an
-    overload yields: a biclique when bucket and trace both reach ell; else,
-    when the counting applies (the caller then passes the coloring that
-    certifies G[X] q-colorable) and the bucket stays below ell, an induced
-    t-cycle through a shattered set of size qt/2, whose largest color class
-    is independent; else None."""
+              ) -> tuple[frozenset[int], frozenset[int]]:
+    """The largest trace bucket of Y and its trace, unless an overload
+    yields a certificate, which is raised as CounterWitness: a biclique when
+    bucket and trace both reach ell; else, when the counting applies (the
+    caller then passes the coloring that certifies G[X] q-colorable) and
+    the bucket stays below ell, an induced t-cycle through a shattered set
+    of size qt/2, whose largest color class is independent."""
     system = neighborhood_system(g, x_set, y_set)
     bucket, trace, _ = _buckets(system)
     if len(bucket) >= ell and len(trace) >= ell:
-        return bucket, trace, certified(
+        raise CounterWitness(certified(
             g, BicliqueWitness(tuple(sorted(bucket))[:ell], tuple(sorted(trace))[:ell]),
-            ell=ell)
+            ell=ell))
     if coloring is None or len(bucket) >= ell:
-        return bucket, trace, None
+        return bucket, trace
     shattered = find_shattered_set(system, _trace_exponent(q, t))
     require(shattered is not None, "counting promised a shattered set; none found")
     by_color: dict[int, list[int]] = {}
@@ -291,24 +286,25 @@ def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
         by_color.setdefault(coloring[z], []).append(z)
     best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
     require(len(best) >= t // 2, "pigeonhole on color classes failed")
-    return bucket, trace, cycle_from_shattered(g, frozenset(best), system, t)
+    raise CounterWitness(cycle_from_shattered(g, frozenset(best), system, t))
 
 
 def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
                      ell: int, q: int, t: int,
-                     coloring: Optional[dict[int, int]] = None
-                     ) -> tuple[bool, Optional[Certificate]]:
-    """Verify |Y| < ell * |X|^(qt/2); on failure return the witness of
-    _overload: a biclique from a bucket of ell same-trace vertices, failing
-    that an induced t-cycle through a shattered set."""
+                     coloring: Optional[dict[int, int]] = None) -> None:
+    """Verify |Y| < ell * |X|^(qt/2); on failure raise CounterWitness with
+    the certificate of _overload: a biclique from a bucket of ell same-trace
+    vertices, failing that an induced t-cycle through a shattered set."""
     x_set, y_set = frozenset(x_set), frozenset(y_set)
     failures, coloring = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, True)
     if failures:
         raise ValueError("hypotheses violated: " + "; ".join(failures))
     if len(y_set) < ell * len(x_set) ** _trace_exponent(q, t):
-        return True, None
-    # every y has >= ell neighbors in X, so a bucket of ell has a trace of ell
-    return False, _overload(g, x_set, y_set, ell, q, t, coloring)[2]
+        return
+    # every y has >= ell neighbors in X, so a bucket of ell has a trace of
+    # ell, and _overload raises its certificate
+    _overload(g, x_set, y_set, ell, q, t, coloring)
+    raise InternalInconsistency("the trace bound failed without a certificate")
 
 
 def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
@@ -329,10 +325,8 @@ def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
     if not y_set:
         return x_set, frozenset()
     counted = not failures and len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)
-    bucket, trace, witness = _overload(g, x_set, y_set, ell, q, t,
-                                       coloring if counted else None)
-    if witness is not None:
-        raise CounterWitness(witness)
+    bucket, trace = _overload(g, x_set, y_set, ell, q, t,
+                              coloring if counted else None)
     x_prime = x_set - trace
     require(all(not (g.adj(y) & x_prime) for y in bucket), "split left an X'-Y' edge")
     return x_prime, bucket

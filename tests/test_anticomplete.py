@@ -13,15 +13,15 @@ from chibound.anticomplete import (AssemblyError, LinkedFamilies,
                                    main_pipeline, select_noninterfering,
                                    select_pairwise_anticomplete,
                                    separate_families)
-from chibound.certificates import (BicliqueWitness, InducedCycle,
-                                   InternalInconsistency, verify_certificate)
+from chibound.certificates import (BicliqueWitness, CounterWitness,
+                                   InducedCycle, InternalInconsistency,
+                                   verify_certificate)
 from chibound.detect import BudgetExceeded, find_biclique_subgraph
 from chibound.generate import (gnp, pipeline_full_instance,
                                pipeline_ideal_instance, pipeline_poison_instance,
                                planted_cycle)
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
                             complete_graph, is_partially_anticomplete)
-from chibound.vc import CounterWitness
 from conftest import random_graph
 import oracles
 
@@ -182,16 +182,16 @@ def test_extract_eight_edges_with_conflicts(rng):
 
 def test_separate_disjoint_components():
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    p = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))), 2)
-    q = PathFamily((OrientedPath((4, 5)), OrientedPath((6, 7))), 2)
+    p = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))))
+    q = PathFamily((OrientedPath((4, 5)), OrientedPath((6, 7))))
     p2, q2 = separate_families(g, p, q, ell=2, t=4)
     assert p2.paths == p.paths and q2.paths == q.paths
 
 
 def test_separate_empty_q():
     g = Graph.from_edges(2, [(0, 1)])
-    p = PathFamily((OrientedPath((0, 1)),), 2)
-    q = PathFamily((), None)
+    p = PathFamily((OrientedPath((0, 1)),))
+    q = PathFamily(())
     p2, q2 = separate_families(g, p, q, ell=2, t=4)
     assert p2.paths == p.paths and len(q2) == 0
 
@@ -200,9 +200,9 @@ def test_separate_planted_sparse_conflicts():
     # two families of 2-vertex paths with one cross edge
     edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (1, 4)]
     g = Graph.from_edges(10, edges)
-    p = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))), 2)
+    p = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))))
     q = PathFamily((OrientedPath((4, 5)), OrientedPath((6, 7)),
-                    OrientedPath((8, 9))), 2)
+                    OrientedPath((8, 9))))
     p2, q2 = separate_families(g, p, q, ell=2, t=4)
     for a in p2:
         for b in q2:
@@ -214,26 +214,26 @@ def test_separate_size_floors_hold():
     # ell = 1 and one P path of 3 = q*t/2 vertices meet the paper's
     # cardinality hypotheses, under which no path is lost
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    p = PathFamily((OrientedPath((0, 1, 2)),), 3)
-    q = PathFamily((OrientedPath((3, 4, 5)),), 3)
+    p = PathFamily((OrientedPath((0, 1, 2)),))
+    q = PathFamily((OrientedPath((3, 4, 5)),))
     p2, q2 = separate_families(g, p, q, ell=1, t=2)
     assert p2.paths == p.paths and q2.paths == q.paths
 
 
 def test_separate_rejects_malformed():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2)])
-    touching = PathFamily((OrientedPath((0, 1)),), 2)
+    touching = PathFamily((OrientedPath((0, 1)),))
     with pytest.raises(ValueError):
         separate_families(g, touching, touching, 2, 4)
 
 
 def test_select_pairwise_base_cases():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    fams = [PathFamily((OrientedPath((0, 1)),), 2)]
+    fams = [PathFamily((OrientedPath((0, 1)),))]
     assert select_pairwise_anticomplete(g, fams, 2, 4) == [OrientedPath((0, 1))]
-    fams3 = [PathFamily((OrientedPath((0, 1)),), 2),
-             PathFamily((OrientedPath((2, 3)),), 2),
-             PathFamily((OrientedPath((4, 5)),), 2)]
+    fams3 = [PathFamily((OrientedPath((0, 1)),)),
+             PathFamily((OrientedPath((2, 3)),)),
+             PathFamily((OrientedPath((4, 5)),))]
     out = select_pairwise_anticomplete(g, fams3, 2, 4)
     assert out == [OrientedPath((0, 1)), OrientedPath((2, 3)),
                    OrientedPath((4, 5))]
@@ -241,13 +241,13 @@ def test_select_pairwise_base_cases():
 
 def test_select_pairwise_shortfalls():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    head = PathFamily((OrientedPath((0,)),), 1)
-    empty = PathFamily((), None)
+    head = PathFamily((OrientedPath((0,)),))
+    empty = PathFamily(())
     cases = [
         # nothing left for the last family
         ([empty], "selection[last]"),
         # 1 ~ 0, so the split keeps 1 and strips the head's only vertex
-        ([head, PathFamily((OrientedPath((1,)),), 1)], "selection[round 1]"),
+        ([head, PathFamily((OrientedPath((1,)),))], "selection[round 1]"),
         ([head, empty], "selection[round 1 partner]"),
     ]
     for fams, stage in cases:
@@ -275,7 +275,7 @@ def test_select_pairwise_planted_conflicts():
                  (paths[1][2].vertices[2], paths[2][0].vertices[1]),
                  (paths[0][3].vertices[0], paths[2][2].vertices[2])]
     g = Graph.from_edges(vid, base_edges + conflicts)
-    fams = [PathFamily(tuple(f), length) for f in paths]
+    fams = [PathFamily(tuple(f)) for f in paths]
     out = select_pairwise_anticomplete(g, fams, ell=2, t=6)
     assert len(out) == k
     for i in range(k):
@@ -341,7 +341,7 @@ def test_assemble_reports_chord():
 
 def test_pipeline_ideal_instances():
     for t in (6, 8, 10):
-        g = pipeline_ideal_instance(t, copies=1)
+        g = pipeline_ideal_instance(t)
         res = main_pipeline(g, t, 2, PipelineOverrides(minor_size=3, seed=1))
         assert res.success
         assert isinstance(res.certificate, InducedCycle)
@@ -383,6 +383,23 @@ def test_pipeline_partition_shortfall():
         ("minor", "injected"), ("full-minor", "preverified"),
         ("partition", "shortfall")]
     assert (res.stages[-1].target_size, res.stages[-1].achieved_size) == (5, 3)
+
+
+@pytest.mark.parametrize("a_count, tail", [
+    (None, [("partition", "shortfall", 4, 1)]),
+    (0, [("partition", "ok", 0, 0), ("independent-core", "shortfall", 3, 0)]),
+])
+def test_searched_pipeline_passes_step_two(a_count, tail):
+    # Step 2 asks for a vertex that touches p^2 foreign branch sets, but a
+    # vertex of a K_p minor touches at most p - 1 of them, so a searched
+    # minor of p >= 2 sets never gets past it.  A single set (p = 1) is the
+    # one searched minor that reaches the "ok" branch of step 2.
+    g = gnp(20, 0.5, random.Random(1))
+    res = main_pipeline(g, 6, 2, PipelineOverrides(minor_size=1, a_count=a_count))
+    assert not res.success
+    assert [(s.name, s.outcome, s.target_size, s.achieved_size)
+            for s in res.stages] == [("minor", "ok", 1, 1),
+                                     ("full-minor", "ok", 1, 1)] + tail
 
 
 def test_pipeline_checks_the_cycle_length(monkeypatch):

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from chibound.certificates import (BicliqueWitness, EliminationOrder,
-                                   LowDegreeVertex, SubdividedStarWitness,
-                                   verify_certificate)
+from chibound.certificates import (BicliqueWitness, CounterWitness,
+                                   EliminationOrder, LowDegreeVertex,
+                                   SubdividedStarWitness, verify_certificate)
 from chibound.detect import find_biclique_subgraph, has_induced_path
 from chibound.generate import gnp
 from chibound.graph import (Graph, complete_bipartite, cycle_graph,
                             empty_graph, path_graph)
+from chibound import lemmas
 from chibound.lemmas import (common_filter, degree_bound,
                              filter_many_nonneighbors,
                              rainbow_independent_set, sstar_elimination_order,
@@ -26,27 +27,25 @@ def test_degree_bound_closed_form():
 
 def test_filter_edgeless():
     g = empty_graph(6)
-    res = filter_many_nonneighbors(g, frozenset({0, 1, 2, 3}),
-                                   frozenset({4, 5}), 1, 2)
-    assert res.kept == frozenset({4, 5})
-    assert res.excluded == frozenset()
-    assert res.biclique is None
+    kept = filter_many_nonneighbors(g, frozenset({0, 1, 2, 3}),
+                                    frozenset({4, 5}), 1, 2)
+    assert kept == frozenset({4, 5})
 
 
 def test_filter_produces_biclique():
     # U = {0,1,2,3}; 4 adjacent to 0,1,2; 5 adjacent to 1,2,3
     g = Graph.from_edges(6, [(4, 0), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3)])
-    res = filter_many_nonneighbors(g, frozenset(range(4)), frozenset({4, 5}), 2, 2)
-    assert res.excluded == frozenset({4, 5})
-    assert res.biclique == BicliqueWitness((4, 5), (1, 2))
-    assert verify_certificate(g, res.biclique)
+    with pytest.raises(CounterWitness) as exc:
+        filter_many_nonneighbors(g, frozenset(range(4)), frozenset({4, 5}), 2, 2)
+    assert exc.value.certificate == BicliqueWitness((4, 5), (1, 2))
+    assert verify_certificate(g, exc.value.certificate)
 
 
 def test_filter_no_biclique_below_ell():
     g = Graph.from_edges(5, [(4, 0), (4, 1), (4, 2), (4, 3)])
-    res = filter_many_nonneighbors(g, frozenset(range(4)), frozenset({4}), 2, 2)
-    assert res.excluded == frozenset({4})
-    assert res.biclique is None
+    # 4 fails the count alone, one short of a biclique, and is dropped
+    assert filter_many_nonneighbors(g, frozenset(range(4)), frozenset({4}),
+                                    2, 2) == frozenset()
 
 
 def test_filter_preconditions():
@@ -59,35 +58,34 @@ def test_filter_preconditions():
 
 def test_common_filter_edgeless():
     g = empty_graph(10)
-    v, b = common_filter(g, [frozenset({0, 1}), frozenset({2, 3})],
-                         frozenset({4, 5, 6}), 1, 2)
-    assert v == 4 and b is None
+    v = common_filter(g, [frozenset({0, 1}), frozenset({2, 3})],
+                      frozenset({4, 5, 6}), 1, 2)
+    assert v == 4
 
 
 def test_common_filter_single_set_reduces_to_filter():
     g = Graph.from_edges(5, [(4, 0)])
-    v, b = common_filter(g, [frozenset({0, 1})], frozenset({4, 3}), 1, 2)
-    res = filter_many_nonneighbors(g, frozenset({0, 1}), frozenset({4, 3}), 1, 2)
-    assert b is None and v == min(res.kept)
+    v = common_filter(g, [frozenset({0, 1})], frozenset({4, 3}), 1, 2)
+    kept = filter_many_nonneighbors(g, frozenset({0, 1}), frozenset({4, 3}), 1, 2)
+    assert v == min(kept)
 
 
 def test_common_filter_second_round_biclique():
     # round 2 (set {2,3}) excludes 4 and 5, which are complete to it
     edges = [(4, 2), (4, 3), (5, 2), (5, 3)]
     g = Graph.from_edges(7, edges)
-    v, b = common_filter(g, [frozenset({0, 1}), frozenset({2, 3})],
-                         frozenset({4, 5, 6}), 1, 2)
-    assert v is None and b is not None
-    assert verify_certificate(g, b)
+    with pytest.raises(CounterWitness) as exc:
+        common_filter(g, [frozenset({0, 1}), frozenset({2, 3})],
+                      frozenset({4, 5, 6}), 1, 2)
+    assert verify_certificate(g, exc.value.certificate)
     assert find_biclique_subgraph(g, 2, 2) is not None
 
 
 def test_rainbow_trivial():
     g = empty_graph(4)
-    t, b = rainbow_independent_set(g, [frozenset({2, 3})], 2)
-    assert t == (2,) and b is None
-    t, b = rainbow_independent_set(g, [frozenset({0, 1}), frozenset({2, 3})], 2)
-    assert t == (0, 2) and b is None
+    assert rainbow_independent_set(g, [frozenset({2, 3})], 2) == (2,)
+    assert rainbow_independent_set(
+        g, [frozenset({0, 1}), frozenset({2, 3})], 2) == (0, 2)
 
 
 def test_rainbow_forced_transversal():
@@ -96,8 +94,8 @@ def test_rainbow_forced_transversal():
     from itertools import product
     valid = [(a, c) for a, c in product([0, 1], [2, 3]) if not g.has_edge(a, c)]
     assert valid == [(1, 3)]
-    t, b = rainbow_independent_set(g, [frozenset({0, 1}), frozenset({2, 3})], 2)
-    assert b is None and t == (1, 3)
+    assert rainbow_independent_set(
+        g, [frozenset({0, 1}), frozenset({2, 3})], 2) == (1, 3)
 
 
 SSTAR_PARAMS = ((2, 2), (2, 3), (3, 2))
@@ -171,6 +169,26 @@ def test_sstar_screened_always_low_degree(rng):
 def test_sstar_trace():
     out = sstar_low_degree(cycle_graph(5), 2, 2, with_trace=True)
     assert out.trace is not None and len(out.trace) >= 1
+
+
+@pytest.mark.parametrize("n, p, seed, rainbow_calls, witness, root, a_size", [
+    # the batch filter of the j-loop fails ell = 2 of its vertices
+    (28, 0.6, 72, 0, BicliqueWitness((0, 16), (2, 6)), 4, 21),
+    # the j-loop succeeds and the rainbow transversal surfaces the biclique
+    (26, 0.45, 525, 1, BicliqueWitness((2, 14), (22, 25)), 11, 17),
+])
+def test_sstar_star_branch_biclique_exits(monkeypatch, n, p, seed, rainbow_calls,
+                                          witness, root, a_size):
+    calls = []
+    real = lemmas.rainbow_independent_set
+    monkeypatch.setattr(lemmas, "rainbow_independent_set",
+                        lambda *args: calls.append(args) or real(*args))
+    g = gnp(n, p, random.Random(seed))
+    out = sstar_low_degree(g, 2, 2, with_trace=True)
+    assert out.certificate == witness and verify_certificate(g, witness)
+    assert out.level == 2
+    assert out.trace == [{"k": 2, "root": root, "A": a_size, "U": 7}]
+    assert len(calls) == rainbow_calls
 
 
 def test_elimination_order_edgeless_and_tree():

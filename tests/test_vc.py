@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chibound import detect
-from chibound.certificates import BicliqueWitness, InducedCycle, verify_certificate
+from chibound.certificates import (BicliqueWitness, CounterWitness,
+                                   InducedCycle, verify_certificate)
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
-from chibound.vc import (CounterWitness, SetSystem, cor_traces3_split,
-                         cor_traces_check, cycle_from_shattered,
-                         find_shattered_set, neighborhood_system,
-                         sauer_shelah_bound, trace_buckets, vc_dimension)
+from chibound.vc import (SetSystem, cor_traces3_split, cor_traces_check,
+                         cycle_from_shattered, find_shattered_set,
+                         neighborhood_system, sauer_shelah_bound,
+                         trace_buckets, vc_dimension)
 from conftest import random_graph
 from oracles import brute_shattered_sets, brute_vc_dimension
 from test_golden import trace_instance
@@ -184,11 +185,11 @@ def test_cor_traces_check_holds_small(rng):
         if not ys:
             continue
         try:
-            holds, witness = cor_traces_check(g, xs, ys, ell=2, q=2, t=4)
+            # tiny |Y| never beats the bound: a CounterWitness fails the test
+            cor_traces_check(g, xs, ys, ell=2, q=2, t=4)
         except ValueError:
             continue  # e.g. G[X] not 2-colorable
         checked += 1
-        assert holds and witness is None  # tiny |Y| never beats the bound
     assert checked == 40
 
 
@@ -201,18 +202,17 @@ def test_cor_traces_check_planted_biclique():
     g = Graph.from_edges(3 + nY, edges)
     xs = frozenset({0, 1, 2})
     ys = frozenset(range(3, 3 + nY))
-    holds, witness = cor_traces_check(g, xs, ys, ell=2, q=1, t=6,
-                                      coloring={0: 0, 1: 0, 2: 0})
-    assert not holds
+    with pytest.raises(CounterWitness) as exc:
+        cor_traces_check(g, xs, ys, ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
+    witness = exc.value.certificate
     assert isinstance(witness, BicliqueWitness)
     assert verify_certificate(g, witness)
 
 
 def test_cor_traces_check_empty_y():
     g = empty_graph(4)
-    holds, witness = cor_traces_check(g, frozenset({0, 1, 2}), frozenset(),
-                                      ell=2, q=1, t=6)
-    assert holds and witness is None
+    assert cor_traces_check(g, frozenset({0, 1, 2}), frozenset(),
+                            ell=2, q=1, t=6) is None
 
 
 def test_cor_traces_check_rejects_bad_hypotheses():
@@ -236,9 +236,10 @@ def test_cor_traces_check_shattering_cycle():
     xs = frozenset(x_elems)
     ys = frozenset(range(nx, nx + len(traces)))
     assert len(ys) >= ell * nx ** 2
-    holds, witness = cor_traces_check(g, xs, ys, ell=ell, q=1, t=t,
-                                      coloring={z: 0 for z in x_elems})
-    assert not holds
+    with pytest.raises(CounterWitness) as exc:
+        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t,
+                         coloring={z: 0 for z in x_elems})
+    witness = exc.value.certificate
     assert isinstance(witness, InducedCycle)
     assert verify_certificate(g, witness)
     assert len(witness.vertices) == t
@@ -254,10 +255,9 @@ def test_uncolored_shattering_route_colors_x_once(monkeypatch, lemma):
     real = detect._max_clique
     monkeypatch.setattr(detect, "_max_clique",
                         lambda *args: calls.append(args) or real(*args))
-    try:
-        witness = lemma(g, xs, ys, ell, 1, 4)[1]
-    except CounterWitness as cw:
-        witness = cw.certificate
+    with pytest.raises(CounterWitness) as exc:
+        lemma(g, xs, ys, ell, 1, 4)
+    witness = exc.value.certificate
     assert isinstance(witness, InducedCycle) and verify_certificate(g, witness)
     assert len(calls) == 1
 
