@@ -7,11 +7,13 @@ the constructions and are re-checked by the detectors in the test suite.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .graph import Graph
+
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -30,7 +32,6 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:

@@ -155,16 +155,16 @@ class Graph:
 
 
 class DegreeQueue:
-    """A shrinking vertex set of g with every member's degree inside it.
+    """A shrinking vertex set of g with a degree for every member.
 
     The one degree queue of the package: detect.degeneracy and both
-    elimination orders of lemmas delete vertices through it.  The degrees
-    sit in a lazy bucket queue (Matula & Beck, JACM 1983): buckets[d] is a
-    min-heap of the ids whose degree was d when pushed, and an entry is
-    stale once its vertex is gone or its degree dropped.  Every member's
-    degree lies between the low and the high pointer; a removal lowers a
-    degree by at most one, so the low pointer steps back one, and degrees
-    never rise, so the high pointer only moves down.
+    elimination orders of lemmas delete vertices through it, and
+    minors._contract_to_clique contracts on it.  The degrees sit in a lazy
+    bucket queue (Matula & Beck, JACM 1983): buckets[d] is a min-heap of
+    the ids whose degree was d when pushed, and an entry is stale once its
+    vertex is gone or its degree moved.  Every member's degree lies between
+    the low and the high pointer: a removal lowers a degree by at most one,
+    so the low pointer steps back one, and `update` widens both to d.
     """
 
     __slots__ = ("g", "vertices", "deg", "_buckets", "_lo", "_hi")
@@ -213,6 +213,15 @@ class DegreeQueue:
                 heapq.heappush(buckets[deg[w]], w)
         if self._lo:
             self._lo -= 1
+
+    def update(self, v: int, d: int) -> None:
+        """Record that member v now has degree d, higher or lower."""
+        buckets = self._buckets
+        while len(buckets) <= d:
+            buckets.append([])
+        self.deg[v] = d
+        heapq.heappush(buckets[d], v)
+        self._lo, self._hi = min(self._lo, d), max(self._hi, d)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ of a set -> the other sets it has a neighbour in.  Validity, full and
 high-adjacency vertices and private sets are all read off it.  Connectivity
 has one too: every branch set, the assignment search's parts included, is
 tested with Graph.is_connected_subset, so Graph.bfs is the only BFS.
+
+The clique-minor search has one reduction, the contraction of
+_contract_to_clique: its steps below degree 3 are series-parallel
+reductions (Duffin 1965) and a minor of least degree 3 holds a K4 (Dirac
+1952), so g has a K4 minor iff a supernode it takes has degree >= 3.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .certificates import InducedCycle, certified, require
 from .detect import SearchBudget, StageShortfall, find_long_induced_cycle
-from .graph import Graph, check_vertices, mask_vertices
+from .graph import DegreeQueue, Graph, check_vertices, mask_vertices
 
 
 @dataclass(frozen=True)
@@ -113,31 +118,9 @@ def _split_cycle(cycle: list[int], parts: int) -> list[frozenset[int]]:
     return [frozenset(cycle[bounds[i]:bounds[i + 1]]) for i in range(parts)]
 
 
-def _series_parallel_reducible(g: Graph) -> bool:
-    """True iff g has no K4 minor: degree-<=1 deletions plus degree-2
-    smoothing reduce such graphs to nothing."""
-    adj = {v: set(g.adj(v)) for v in range(g.n)}
-    alive = set(range(g.n))
-    changed = True
-    while changed and alive:
-        changed = False
-        for v in sorted(alive):
-            nbrs = adj[v]
-            if len(nbrs) > 2:
-                continue
-            for w in nbrs:
-                adj[w].discard(v)
-            if len(nbrs) == 2:  # smooth v away: its neighbours become adjacent
-                a, b = nbrs
-                adj[a].add(b)
-                adj[b].add(a)
-            alive.discard(v)
-            changed = True
-    return not alive
-
-
-def _contract_to_clique(g: Graph) -> list[frozenset[int]]:
-    """The branch sets of a complete quotient of g, ordered by least vertex.
+def _contract_to_clique(g: Graph) -> tuple[list[frozenset[int]], bool]:
+    """The branch sets of a complete quotient of g, ordered by least vertex,
+    and whether some supernode taken had degree 3 or more (a K4 minor).
 
     Min-degree / least-common-neighbour contraction (Bodlaender, Koster &
     Wolle, Contraction and treewidth lower bounds, ESA 2004): the supernode
@@ -148,30 +131,38 @@ def _contract_to_clique(g: Graph) -> list[frozenset[int]]:
     so the largest such clique is kept and returned when it beats the final
     quotient.
     """
-    sets = {v: {v} for v in range(g.n)}
-    neigh = {v: set(g.adj(v)) for v in range(g.n)}
+    queue = DegreeQueue(g)
+    alive = queue.vertices
+    sets = [{v} for v in range(g.n)]
+    neigh = [set(g.adj(v)) for v in range(g.n)]
     best: list[frozenset[int]] = []
-    while neigh:
-        v = min(neigh, key=lambda w: (len(neigh[w]), w))
+    k4 = False
+    while alive:
+        v = queue.min_vertex()
         nv = neigh[v]
-        if len(nv) == len(neigh) - 1:
+        k4 = k4 or len(nv) >= 3
+        if len(nv) == len(alive) - 1:
             break
         if len(nv) >= len(best) and all(nv - {w} <= neigh[w] for w in nv):
             best = [frozenset(sets[w]) for w in nv | {v}]
-        del neigh[v]
-        members = sets.pop(v)
+        alive.remove(v)  # update records the degrees this moves
         if not nv:
             continue
         u = min(nv, key=lambda w: (len(neigh[w] & nv), w))
-        sets[u] |= members
+        if len(sets[u]) < len(sets[v]):  # merge the smaller set into the larger
+            sets[u], sets[v] = sets[v], sets[u]
+        sets[u] |= sets[v]
         neigh[u].discard(v)
         for w in nv - {u}:
             neigh[w].discard(v)
-            if w not in neigh[u]:
+            if w in neigh[u]:  # w only loses v
+                queue.update(w, len(neigh[w]))
+            else:  # w trades v for u
                 neigh[w].add(u)
                 neigh[u].add(w)
-    final = [frozenset(s) for s in sets.values()]
-    return sorted(max(final, best, key=len), key=min)
+        queue.update(u, len(neigh[u]))
+    final = [frozenset(sets[v]) for v in alive]
+    return sorted(max(final, best, key=len), key=min), k4
 
 
 def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMinor]:
@@ -221,11 +212,12 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
     """A clique minor of size p, or None when absence is proven.
 
     Exact for p <= 3 (cycle detection) and for every p >= 4 on K4-minor-free
-    graphs (series-parallel reduction).  Otherwise the first p sets of the
-    complete quotient that _contract_to_clique reaches, and when that
-    quotient is smaller than p the exhaustive assignment search, which
-    spends the one node budget and raises BudgetExceeded (inconclusive, not
-    absent) with best=None when it runs out.  A minor found is validated
+    graphs, on which no step of _contract_to_clique meets degree 3 (Duffin
+    1965, Dirac 1952).  Otherwise the first p sets of the complete quotient
+    that _contract_to_clique reaches, and when that quotient is smaller than
+    p the exhaustive assignment search, which spends the one node budget
+    and raises BudgetExceeded (inconclusive, not absent) with best=None when
+    it runs out.  A minor found is validated
     before it is returned, and one that fails raises InternalInconsistency.
     The search is deterministic: seed is accepted and ignored.
     """
@@ -240,16 +232,14 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
     elif p == 3:
         cycle = _find_cycle(g)
         found = None if cycle is None else CliqueMinor(tuple(_split_cycle(cycle, 3)))
-    elif not _series_parallel_reducible(g):
-        # a series-parallel graph has no K4 minor, hence no K_p minor
-        quotient = _contract_to_clique(g)
+    else:
+        quotient, k4 = _contract_to_clique(g)
         if len(quotient) >= p:
             found = CliqueMinor(tuple(quotient[:p]))
-        else:
+        elif k4:  # without a K4 minor there is no K_p minor
             found = _assignment_search(g, p, SearchBudget(budget))
-        # the reduction proved a K4 minor exists, and the assignment search
-        # returns None only after a complete enumeration
-        require(found is not None or p > 4, "a K4 minor exists but none was found")
+            # None comes only after a complete enumeration
+            require(found is not None or p > 4, "a K4 minor exists but none was found")
     if found is not None:
         require(len(found) == p and validate_minor(g, found),
                 f"clique minor {found.to_json()} does not validate")

@@ -9,7 +9,9 @@ the incremental elimination loop, and the reference_* searches are the
 induced path and cycle searches without their bounds and the set-based
 independent-set search, which must give the package's certificates.  The
 reference_* branch-set scans are the minor layer's per-pair, per-set and
-private-set scans, which its one adjacency table must agree with.
+private-set scans, which its one adjacency table must agree with, and
+reference_series_parallel_reducible is the K4-minor test by series-parallel
+reduction that the minor layer's contraction must agree with.
 """
 from __future__ import annotations
 
@@ -476,3 +478,26 @@ def reference_minimize_minor(g: Graph, sets) -> list[set[int]]:
                     k.discard(v)
                     changed = True
     return sets
+
+
+def reference_series_parallel_reducible(g: Graph) -> bool:
+    """True iff g has no K4 minor: degree-<=1 deletions plus degree-2
+    smoothing reduce such graphs to nothing."""
+    adj = {v: set(g.adj(v)) for v in range(g.n)}
+    alive = set(range(g.n))
+    changed = True
+    while changed and alive:
+        changed = False
+        for v in sorted(alive):
+            nbrs = adj[v]
+            if len(nbrs) > 2:
+                continue
+            for w in nbrs:
+                adj[w].discard(v)
+            if len(nbrs) == 2:  # smooth v away: its neighbours become adjacent
+                a, b = nbrs
+                adj[a].add(b)
+                adj[b].add(a)
+            alive.discard(v)
+            changed = True
+    return not alive

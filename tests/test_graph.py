@@ -231,20 +231,28 @@ def test_mask_vertices(rng):
 def test_degree_queue_matches_a_scan(g, data):
     # removals take the least (degree, id) vertex, another vertex of least
     # degree (an elimination step may certify one that is not the least
-    # id) or any vertex at all
+    # id) or any vertex at all; between removals, updates raise and lower
+    # degrees, past the initial maximum too, but never below what later
+    # removals take away
     queue = DegreeQueue(g)
-    vertices = set(range(g.n))
-    while vertices:
+    extra = dict.fromkeys(range(g.n), 0)  # update's lift over the degree in g
+    top = max(map(g.degree, range(g.n)), default=0) + 3
+    while extra:
+        vertices = extra.keys()
+        for v, d in data.draw(st.lists(st.tuples(
+                st.sampled_from(sorted(vertices)), st.integers(0, top)), max_size=4)):
+            extra[v] = max(d - g.degree_in(v, vertices), 0)
+            queue.update(v, g.degree_in(v, vertices) + extra[v])
+        deg = {v: g.degree_in(v, vertices) + extra[v] for v in vertices}
         assert queue.vertices == vertices
-        assert all(queue.deg[v] == g.degree_in(v, vertices) for v in vertices)
-        low = min(g.degree_in(v, vertices) for v in vertices)
-        lowest = sorted(v for v in vertices if g.degree_in(v, vertices) == low)
+        assert all(queue.deg[v] == d for v, d in deg.items())
+        low = min(deg.values())
+        lowest = sorted(v for v, d in deg.items() if d == low)
         assert queue.min_vertex() == lowest[0]
-        assert queue.max_vertex() == max(vertices,
-                                         key=lambda v: (g.degree_in(v, vertices), -v))
+        assert queue.max_vertex() == max(deg, key=lambda v: (deg[v], -v))
         kind = data.draw(st.sampled_from(("least", "tied", "any")))
         pool = {"least": lowest[:1], "tied": lowest, "any": sorted(vertices)}[kind]
         v = data.draw(st.sampled_from(pool))
         queue.remove(v)
-        vertices.remove(v)
+        del extra[v]
     assert not queue.vertices

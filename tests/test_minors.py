@@ -20,8 +20,8 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
 from conftest import graphs, random_graph
 from oracles import (brute_longest_induced_cycle, reference_full_vertices,
                      reference_high_adjacency_sets, reference_minimize_minor,
-                     reference_private_set, reference_touched_sets,
-                     reference_valid_minor)
+                     reference_private_set, reference_series_parallel_reducible,
+                     reference_touched_sets, reference_valid_minor)
 
 
 def petersen() -> Graph:
@@ -97,18 +97,19 @@ def test_find_minor_absent_without_k4_minor():
             assert find_clique_minor(g, p, budget=1000) is None
 
 
-def graphs_up_to_6() -> list[Graph]:
-    """Every graph on 1 to 6 vertices up to isomorphism, 208 of them."""
+def atlas_graphs(max_n: int) -> list[Graph]:
+    """Every graph on 1 to max_n <= 7 vertices up to isomorphism (208 up to
+    6 vertices, 1,252 up to 7)."""
     return [Graph.from_edges(h.number_of_nodes(), h.edges())
-            for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= 6]
+            for h in nx.graph_atlas_g() if 1 <= h.number_of_nodes() <= max_n]
 
 
 def test_assignment_search_matches_exact_routes():
     # p = 3: a K3 minor exists iff there is a cycle; p = 4: iff the
     # series-parallel reduction gets stuck
-    for g in graphs_up_to_6():
+    for g in atlas_graphs(6):
         for p, exists in ((3, minors._find_cycle(g) is not None),
-                          (4, not minors._series_parallel_reducible(g))):
+                          (4, not reference_series_parallel_reducible(g))):
             found = minors._assignment_search(g, p, SearchBudget())
             assert (found is not None) == exists
             if found is not None:
@@ -118,7 +119,7 @@ def test_assignment_search_matches_exact_routes():
 def _check_contraction(g: Graph) -> None:
     # the quotient is a complete minor, and the route through it finds a
     # K4 or K5 minor exactly when the exhaustive search does
-    sets = minors._contract_to_clique(g)
+    sets, _ = minors._contract_to_clique(g)
     assert validate_minor(g, CliqueMinor(tuple(sets)))
     assert [min(s) for s in sets] == sorted(min(s) for s in sets)
     assert (len(sets) > 0) == (g.n > 0)
@@ -128,7 +129,7 @@ def _check_contraction(g: Graph) -> None:
 
 
 def test_contraction_on_every_graph_up_to_6():
-    for g in graphs_up_to_6():
+    for g in atlas_graphs(6):
         _check_contraction(g)
 
 
@@ -136,6 +137,28 @@ def test_contraction_on_every_graph_up_to_6():
 @given(graphs())
 def test_contraction_on_random_graphs(g):
     _check_contraction(g)
+
+
+def _check_k4_verdict(g: Graph) -> None:
+    # the contraction's K4 verdict is the series-parallel reduction's, and a
+    # K4-minor-free graph is proven to lack K4 and K5 minors without the
+    # assignment search spending its one-node budget
+    free = reference_series_parallel_reducible(g)
+    assert minors._contract_to_clique(g)[1] == (not free)
+    assert (find_clique_minor(g, 4) is None) == free
+    if free:
+        assert find_clique_minor(g, 5, budget=1) is None
+
+
+def test_k4_verdict_on_every_graph_up_to_7():
+    for g in atlas_graphs(7):
+        _check_k4_verdict(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=16))
+def test_k4_verdict_on_random_graphs(g):
+    _check_k4_verdict(g)
 
 
 def icosahedron_edges() -> list[tuple[int, int]]:
@@ -166,10 +189,10 @@ def test_find_minor_checks_its_answer_without_assert(monkeypatch):
     g = petersen()
     bogus = CliqueMinor.from_sets([{0}, {2}, {4}, {6}, {8}])
     assert not validate_minor(g, bogus)
-    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: list(bogus.branch_sets))
+    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: (list(bogus.branch_sets), True))
     with pytest.raises(InternalInconsistency):
         find_clique_minor(g, 5)
-    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: [])
+    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: ([], True))
     monkeypatch.setattr(minors, "_assignment_search", lambda *a: bogus)
     with pytest.raises(InternalInconsistency):
         find_clique_minor(g, 5)

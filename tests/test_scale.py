@@ -1,9 +1,9 @@
 """Scale smoke test: the linear-time core on a sparse graph of 2*10^4 vertices.
 
-A quadratic path in degeneracy, its verification, graph6 packing or the
-sstar elimination loop would take minutes here (and per-bit lists about
-1.6 GB), so this test guards against one coming back without timing
-anything.
+A quadratic path in degeneracy, its verification, graph6 packing, the
+sstar elimination loop or the clique-minor contraction would take minutes
+here (and per-bit lists about 1.6 GB), so this test guards against one
+coming back without timing anything.
 """
 import random
 
@@ -14,6 +14,7 @@ from chibound.detect import degeneracy
 from chibound.graph import Graph
 from chibound.io import from_graph6, to_graph6
 from chibound.lemmas import sstar_elimination_order
+from chibound.minors import find_clique_minor, validate_minor
 
 N = 20_000
 M = 60_000
@@ -44,3 +45,5 @@ def test_linear_core_at_scale():
     elimination = sstar_elimination_order(g, 2, 3)
     assert isinstance(elimination, EliminationOrder)
     assert verify_certificate(g, elimination)
+    minor = find_clique_minor(g, 5)
+    assert minor is not None and validate_minor(g, minor)
