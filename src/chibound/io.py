@@ -7,14 +7,17 @@ packed into 6-bit groups, each group printed as chr(value + 63).
 The body is packed and unpacked in bulk rather than bit by bit: bit
 k = j(j-1)/2 + i of the upper triangle (i < j) is bit 5 - k % 6 of byte
 k // 6.  Encoding sets one bit per edge in a bytearray, then shifts every
-byte by 63 with one `translate`; decoding shifts back the same way and
-visits only the non-zero bytes, so both cost O(n^2 / 6) byte operations in
-C plus O(n + m) in Python.
+byte by 63 with one `translate`.  Decoding shifts back the same way, checks
+the alphabet with one deleting `translate`, and translates the groups into
+a mark buffer of 0s and 1s; `find` on that buffer jumps from one non-zero
+group to the next, a 64-entry table lists each group's set bits, and the
+column j of bit k only moves forward, so it is walked rather than solved
+for.  Both directions cost O(n^2 / 6) byte operations in C plus O(n + m) in
+Python.
 """
 from __future__ import annotations
 
 import re
-from math import isqrt
 
 from .graph import Graph
 
@@ -22,7 +25,9 @@ _G6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile("[^?-~]")
 _G6_SHIFT_UP = bytes((b + 63) % 256 for b in range(256))
 _G6_SHIFT_DOWN = bytes((b - 63) % 256 for b in range(256))
-_G6_NONZERO = re.compile(b"[^\\x00]")
+_G6_DIGITS = bytes(range(64))
+_G6_MARK = bytes(min(b, 1) for b in range(256))
+_G6_BITS = tuple(tuple(b for b in range(6) if v & (32 >> b)) for v in range(64))
 
 
 def _encode_n(n: int) -> str:
@@ -52,13 +57,19 @@ def _decode_n(s: str) -> tuple[int, int]:
     digits = s[start:start + width]
     if len(digits) < width:
         raise ValueError("truncated graph6 vertex count")
-    bad = _G6_INVALID.search(digits)
-    if bad:
-        raise ValueError(f"invalid graph6 character {bad.group()!r}")
     n = 0
-    for c in digits:
-        n = (n << 6) | (ord(c) - 63)
+    for v in _values(digits):
+        n = (n << 6) | v
     return n, start + width
+
+
+def _values(s: str) -> bytearray:
+    """The 6-bit values of graph6 characters, checked against the alphabet."""
+    vals = bytearray(s, "ascii", "replace").translate(_G6_SHIFT_DOWN)
+    if not s.isascii() or vals.translate(None, _G6_DIGITS):
+        bad = _G6_INVALID.search(s)
+        raise ValueError(f"invalid graph6 character {bad.group()!r}")
+    return vals
 
 
 def to_graph6(g: Graph) -> str:
@@ -86,20 +97,21 @@ def from_graph6(s: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} chars, expected {need}")
-    bad = _G6_INVALID.search(body)
-    if bad:
-        raise ValueError(f"invalid graph6 character {bad.group()!r}")
-    vals = body.encode("ascii").translate(_G6_SHIFT_DOWN)
-    total = n * (n - 1) // 2
+    vals = _values(body)
+    if need:  # clear the padding bits past the n(n-1)/2 of the triangle
+        vals[-1] &= 64 - (1 << (6 * need - n * (n - 1) // 2))
+    marks = vals.translate(_G6_MARK)
     edges = []
-    for match in _G6_NONZERO.finditer(vals):
-        at = match.start()
-        val = vals[at]
-        for b in range(6):
+    j = end = 1  # column j holds bits end - j .. end - 1
+    at = marks.find(1)
+    while at >= 0:
+        for b in _G6_BITS[vals[at]]:
             k = 6 * at + b
-            if val & (32 >> b) and k < total:
-                j = (1 + isqrt(1 + 8 * k)) // 2
-                edges.append((k - j * (j - 1) // 2, j))
+            while k >= end:
+                j += 1
+                end += j
+            edges.append((k - end + j, j))
+        at = marks.find(1, at + 1)
     return Graph.from_edges(n, edges)
 
 

@@ -1,11 +1,13 @@
 import random
+import re
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from chibound.graph import Graph, complete_graph, cycle_graph, path_graph
 from chibound.io import from_dimacs, from_graph6, to_dimacs, to_graph6
-from conftest import random_graph
+from conftest import graphs, random_graph
 
 
 def _nx_to_graph(h) -> Graph:
@@ -138,3 +140,58 @@ def test_graph6_rejects_characters_outside_the_alphabet_in_the_header():
     for s in cases:
         with pytest.raises(ValueError, match="invalid graph6 character"):
             from_graph6(s)
+
+
+def test_graph6_decoder_matches_networkx_on_sparse_graphs(rng):
+    # average degree about 6, across the one- to four-character count switch
+    for n in (63, 64, 65, 200, 1000):
+        g = random_graph(rng, n, 6 / (n - 1))
+        s = to_graph6(g)
+        ours = from_graph6(s)
+        assert ours == g
+        assert ours == _nx_to_graph(nx.from_graph6_bytes(s.encode()))
+
+
+def test_graph6_decodes_the_first_and_the_last_bit():
+    for n in (2, 3, 7, 63, 64, 200):
+        for edge in ((0, 1), (n - 2, n - 1)):
+            g = Graph.from_edges(n, [edge])
+            s = to_graph6(g)
+            assert from_graph6(s) == g
+            assert _nx_to_graph(nx.from_graph6_bytes(s.encode())) == g
+
+
+def test_graph6_ignores_every_padding_width():
+    # n(n-1)/2 mod 6 is 0, 1, 3 or 4, so the padding is 0, 5, 3 or 2 bits
+    widths = set()
+    for n in range(2, 14):
+        pad = -(n * (n - 1) // 2) % 6
+        widths.add(pad)
+        g = random_graph(random.Random(n), n, 0.5)
+        s = to_graph6(g)
+        last = chr(((ord(s[-1]) - 63) | ((1 << pad) - 1)) + 63)
+        assert (last == s[-1]) == (pad == 0)
+        assert from_graph6(s[:-1] + last) == g
+    assert widths == {0, 2, 3, 5}
+
+
+def test_graph6_names_the_character_outside_the_alphabet():
+    g6 = to_graph6(path_graph(200))
+    last = len(g6) - 1
+    for bad in (chr(62), chr(127), " ", "\u00e9"):
+        # a space at the very end is stripped like any trailing whitespace
+        for at in (len(g6) // 2, last - 1 if bad == " " else last):
+            s = g6[:at] + bad + g6[at + 1:]
+            message = f"invalid graph6 character {re.escape(repr(bad))}"
+            with pytest.raises(ValueError, match=message):
+                from_graph6(s)
+    with pytest.raises(ValueError, match="graph6 body has 3316 chars"):
+        from_graph6(g6[:last] + " ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=20))
+def test_graph6_round_trip_both_ways(g):
+    s = to_graph6(g)
+    assert from_graph6(s) == g
+    assert to_graph6(from_graph6(s)) == s
