@@ -11,8 +11,8 @@ the random choice would, and the same ones on every run.
 The quantitative guarantees hold only at astronomically large sizes, so
 every stage runs best-effort: a stage that falls short of its target size
 raises StageShortfall, while structural soundness is unconditional.  Every
-certificate leaves through certified, every postcondition through
-require, and both raise InternalInconsistency.
+certificate leaves through certified, and a certificate or postcondition
+that fails its check raises InternalInconsistency.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
 from .certificates import (Certificate, CounterWitness, InducedCycle,
-                           certificate_to_json, certified, require)
+                           InternalInconsistency, certificate_to_json,
+                           certified, require)
 from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
                      max_independent_subset)
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
@@ -190,12 +191,14 @@ def _verify_linked(g: Graph, linked: LinkedFamilies) -> None:
     for (u, v), family in linked.families.items():
         for p in family:
             vs = p.vertex_set()
-            require(verify_induced_path(g, p) and not (vs & seen),
+            if not (verify_induced_path(g, p) and not (vs & seen)):
+                raise InternalInconsistency(
                     f"path {p.vertices} is not induced or shares vertices")
             seen |= vs
             # u and v are in the core, so this also checks u ~ first, last ~ v
             ends = {u: {p.first}, v: {p.last}}
-            require(all(g.adj(x) & vs == ends.get(x, set()) for x in core),
+            if not all(g.adj(x) & vs == ends.get(x, set()) for x in core):
+                raise InternalInconsistency(
                     f"path {p.vertices} touches the core off its ends")
 
 

@@ -4,7 +4,9 @@ Every detector and lemma procedure returns one of these; verify_certificate
 re-checks the claimed structure against the graph from scratch, so a
 certificate never has to be trusted.  The lemma, minor, VC and pipeline
 layers hand every certificate out through certified, which also checks that
-it answers the question asked, and every other invariant through require.
+it answers the question asked, and every other invariant through require
+or, when its failure message formats values, an explicit raise of
+InternalInconsistency, so that the message is built only on failure.
 
 A lemma either returns the structure it promises or raises CounterWitness,
 whose certificate (a biclique or a long induced cycle) shows that G lies
@@ -123,13 +125,16 @@ def _verify_low_degree(g: Graph, c: LowDegreeVertex) -> bool:
 
 
 def _verify_elimination(g: Graph, c: EliminationOrder) -> bool:
+    """Walk the order backwards: `later` holds the vertices after v, so v's
+    later neighbours are one set intersection."""
     if sorted(c.order) != list(range(g.n)):
         return False
-    pos = [0] * g.n
-    for i, v in enumerate(c.order):
-        pos[v] = i
-    return all(sum(pos[w] > pos[v] for w in g.adj(v)) <= c.bound
-               for v in c.order)
+    later: set[int] = set()
+    for v in reversed(c.order):
+        if len(g.adj(v) & later) > c.bound:
+            return False
+        later.add(v)
+    return True
 
 
 def _verify_independent(g: Graph, c: IndependentSetWitness) -> bool:
@@ -162,7 +167,9 @@ def require(cond: bool, what: str) -> None:
 
     The one check for an invariant that the argument behind a procedure
     guarantees (a minor that validates, a counting floor, a postcondition);
-    certificates go through certified instead.
+    certificates go through certified instead.  `what` is built on every
+    call, so a message that formats values (a certificate, a minor, a
+    degree) is raised from an explicit `if not cond:` instead.
     """
     if not cond:
         raise InternalInconsistency(what)
@@ -179,7 +186,8 @@ def certified(g: Graph, cert: _C, *, t: int = 0, ell: int = 0, d: int = 0) -> _C
     with at least d leaves.  A certificate that fails either check raises
     InternalInconsistency.
     """
-    require(verify_certificate(g, cert), f"certificate {cert} does not verify")
+    if not verify_certificate(g, cert):
+        raise InternalInconsistency(f"certificate {cert} does not verify")
     if isinstance(cert, InducedCycle):
         size, asked = len(cert.vertices), t
     elif isinstance(cert, BicliqueWitness):
@@ -188,7 +196,9 @@ def certified(g: Graph, cert: _C, *, t: int = 0, ell: int = 0, d: int = 0) -> _C
         size, asked = len(cert.leaves), d
     else:
         return cert
-    require(size >= asked, f"certificate {cert} is smaller than the {asked} asked for")
+    if size < asked:
+        raise InternalInconsistency(
+            f"certificate {cert} is smaller than the {asked} asked for")
     return cert
 
 

@@ -4,20 +4,97 @@ Every family is deterministic for a fixed seed.  Class guarantees (split
 graphs have no induced 5-vertex path, cographs no induced 4-vertex path,
 chordal and interval graphs no induced cycle beyond triangles) follow from
 the constructions and are re-checked by the detectors in the test suite.
+
+`gnp` draws its coin flips in bulk but returns the graph, and leaves `rng`
+in the state, of the per-pair loop `rng.random() < p` over the pairs
+(0, 1), (0, 2), ..., (n-2, n-1).  This rests on how CPython builds its
+floats from the Mersenne Twister: `random()` is (a * 2**26 + b) / 2**53
+with a = w0 >> 5 and b = w1 >> 6 for the next two 32-bit words w0, w1, and
+`getrandbits(64 * k)` returns the next 2k words, the first one least
+significant.  So `rng` must be a `random.Random` (or a subclass that keeps
+both methods).
 """
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from itertools import combinations
+import struct
+from itertools import combinations, compress
 from typing import Callable, Iterator, Optional
 
 from .graph import Graph
 
+#: Vertex pairs per bulk draw: 2**15 pairs are 256 KiB of generator output.
+_CHUNK = 1 << 15
+_LAST_DRAW = (1 << 53) - 1
+_WORDS = struct.Struct("<II")
+
+
+def _coin_table(p: float) -> tuple[bytes, int]:
+    """The integer c with `random() < p` exactly when a * 2**26 + b < c,
+    and a `translate` table for the top byte of that 53-bit draw, which is
+    w0 >> 24: 1 where the byte alone makes the pair an edge, 0 where it
+    rules the edge out, and 2 where it equals c >> 45 and the pair's two
+    words must be read."""
+    scaled = p * (1 << 53)
+    if not scaled > 0:          # p <= 0 or NaN: no draw is below p
+        return bytes(256), 0
+    if scaled > _LAST_DRAW:     # every draw is below p
+        return b"\x01" * 256, 0
+    c = math.ceil(scaled)
+    top = c >> 45
+    return b"\x01" * top + b"\x02" + bytes(255 - top), c
+
+
+def _coin_marks(rng: random.Random, k: int, table: bytes, c: int) -> bytearray:
+    """The next k flips of `rng.random() < p`, one byte each (1 for an
+    edge), consuming exactly the 2k words that k such calls would."""
+    raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+    marks = bytearray(raw[3::8].translate(table))
+    q = marks.find(2)
+    while q >= 0:
+        a, b = _WORDS.unpack_from(raw, 8 * q)
+        marks[q] = (a >> 5 << 26 | b >> 6) < c
+        q = marks.find(2, q + 1)
+    return marks
+
 
 def gnp(n: int, p: float, rng: random.Random) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
+    """Erdos-Renyi G(n, p): the pairs (i, j), i < j, in lexicographic order,
+    each an edge when `rng.random() < p`.
+
+    The flips are drawn `_CHUNK` pairs at a time with `rng.getrandbits`;
+    the graph and the state `rng` is left in are exactly those of one
+    `rng.random()` call per pair (see the module docstring), so `rng` must
+    be a `random.Random`.  The top byte of a draw settles all but about one
+    pair in 256 in C.  A chunk's edges are listed by `compress` when more
+    than one pair in eight is an edge, and by `find` otherwise, so a sparse
+    graph costs O(n^2) byte operations in C plus Python work per edge, per
+    row and per pair whose top byte ties.
+    """
+    table, c = _coin_table(p)
+    total = n * (n - 1) // 2 if n > 1 else 0
+    edges: list[tuple[int, int]] = []
+    append = edges.append
+    i, shift, end = 0, 1, n - 1     # row i: pairs q < end, as (i, q + shift)
+    for base in range(0, total, _CHUNK):
+        k = min(_CHUNK, total - base)
+        marks = _coin_marks(rng, k, table, c)
+        if (k - marks.count(0)) * 8 > k:
+            marked = compress(range(base, base + k), marks)
+        else:
+            marked = []
+            q = marks.find(1)
+            while q >= 0:
+                marked.append(base + q)
+                q = marks.find(1, q + 1)
+        for q in marked:
+            while q >= end:
+                i += 1
+                shift += i + 1 - n
+                end += n - 1 - i
+            append((i, q + shift))
     return Graph.from_edges(n, edges)
 
 

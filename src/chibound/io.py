@@ -128,10 +128,13 @@ def from_dimacs(text: str) -> Graph:
     m_declared = None
     edges: list[tuple[int, int]] = []
     for raw in text.splitlines():
+        tokens = raw.split()    # split() and strip() share one whitespace set
+        if len(tokens) == 3 and tokens[0] == "e" and n is not None:
+            edges.append((int(tokens[1]) - 1, int(tokens[2]) - 1))
+            continue
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        tokens = line.split()
         if tokens[0] == "p":
             if len(tokens) != 4 or tokens[1].lower() != "edge":
                 raise ValueError(f"bad problem line: {line!r}")
@@ -142,10 +145,7 @@ def from_dimacs(text: str) -> Graph:
         elif tokens[0] == "e":
             if n is None:
                 raise ValueError("edge line before problem line")
-            if len(tokens) != 3:
-                raise ValueError(f"bad edge line: {line!r}")
-            u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
-            edges.append((u, v))
+            raise ValueError(f"bad edge line: {line!r}")
         else:
             raise ValueError(f"unknown DIMACS line: {line!r}")
     if n is None:

@@ -175,7 +175,8 @@ def _sstar_recurse(g: Graph, vertices: VertexSet | set[int], r: Optional[int],
     if not remainder:
         # every neighbor of r is in U, so deg(r) < the U threshold <= bound
         deg = g.degree_in(r, vertices)
-        require(deg <= degree_bound(k, d, ell),
+        if deg > degree_bound(k, d, ell):
+            raise InternalInconsistency(
                 f"root degree {deg} exceeds the bound at level {k}")
         return SStarOutcome(LowDegreeVertex(r, deg, degree_bound(k, d, ell)), k, trace)
 
@@ -187,7 +188,9 @@ def _sstar_recurse(g: Graph, vertices: VertexSet | set[int], r: Optional[int],
     v = sub.certificate.vertex
     deg_here = g.degree_in(v, vertices)
     bound = degree_bound(k, d, ell)
-    require(deg_here <= bound, f"degree {deg_here} exceeds bound {bound} at level {k}")
+    if deg_here > bound:
+        raise InternalInconsistency(
+            f"degree {deg_here} exceeds bound {bound} at level {k}")
     return SStarOutcome(LowDegreeVertex(v, deg_here, bound), k, trace)
 
 
@@ -260,8 +263,8 @@ def _sstar_step(rem: DegreeQueue, d: int, ell: int,
         if rem.deg[v] < cert.degree:
             cert = LowDegreeVertex(v, rem.deg[v], cert.bound)
             outcome = SStarOutcome(cert, outcome.level, outcome.trace)
-        require(cert.degree == g.degree_in(cert.vertex, vertices) <= cert.bound,
-                f"certificate {cert} does not verify")
+        if not cert.degree == g.degree_in(cert.vertex, vertices) <= cert.bound:
+            raise InternalInconsistency(f"certificate {cert} does not verify")
     else:
         certified(g, cert, ell=ell, d=d)
     return outcome
@@ -308,6 +311,7 @@ def sstar_elimination_order(g: Graph, d: int, ell: int
         worst = max(worst, cert.degree)
         order.append(cert.vertex)
         rem.remove(cert.vertex)
-    require(worst <= degree_bound(ell, d, ell),
+    if worst > degree_bound(ell, d, ell):
+        raise InternalInconsistency(
             f"elimination order of bound {worst} exceeds the level-{ell} bound")
     return certified(g, EliminationOrder(tuple(order), worst))

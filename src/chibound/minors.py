@@ -28,7 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .certificates import InducedCycle, certified, require
+from .certificates import (InducedCycle, InternalInconsistency, certified,
+                           require)
 from .detect import SearchBudget, StageShortfall, find_long_induced_cycle
 from .graph import DegreeQueue, Graph, check_vertices, mask_vertices
 
@@ -241,7 +242,8 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
             # None comes only after a complete enumeration
             require(found is not None or p > 4, "a K4 minor exists but none was found")
     if found is not None:
-        require(len(found) == p and validate_minor(g, found),
+        if not (len(found) == p and validate_minor(g, found)):
+            raise InternalInconsistency(
                 f"clique minor {found.to_json()} does not validate")
     return found
 
@@ -308,7 +310,8 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
             raise ValueError("minor is not minimal: endpoint lacks a private set")
         allowed = frozenset(sets[ku] | sets[kv] | {u, v})
         connector = g.shortest_path(u, v, allowed)
-        require(connector is not None and len(connector) >= 4,
+        if connector is None or len(connector) < 4:
+            raise InternalInconsistency(
                 f"no connector of 4 or more vertices between {u} and {v}")
         return certified(g, InducedCycle(tuple(path + connector[-2:0:-1])), t=t)
     return None
@@ -383,7 +386,9 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
                 continue
             # neighborhoods[j] holds >= p*p sets and used at most p*p - 1
             pick = next((c for c in neighborhoods[j] if c not in used), None)
-            require(pick is not None, f"no spare branch set for the pair ({i}, {j})")
+            if pick is None:
+                raise InternalInconsistency(
+                    f"no spare branch set for the pair ({i}, {j})")
             used.add(pick)
             merged |= minimal.branch_sets[pick]
         new_sets.append(merged)

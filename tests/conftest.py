@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from chibound.graph import Graph
+from oracles import reference_gnp
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < p]
-    return Graph.from_edges(n, edges)
+    return reference_gnp(n, p, rng)
 
 
 @st.composite

@@ -12,6 +12,10 @@ reference_* branch-set scans are the minor layer's per-pair, per-set and
 private-set scans, which its one adjacency table must agree with, and
 reference_series_parallel_reducible is the K4-minor test by series-parallel
 reduction that the minor layer's contraction must agree with.
+reference_gnp is G(n, p) drawn one rng.random() call per pair, which the
+bulk draw of generate.gnp must reproduce graph for graph and state for
+state, and reference_verify_elimination is the elimination-order check by
+order positions, which the backward walk of certificates must agree with.
 """
 from __future__ import annotations
 
@@ -501,3 +505,22 @@ def reference_series_parallel_reducible(g: Graph) -> bool:
             alive.discard(v)
             changed = True
     return not alive
+
+
+def reference_gnp(n: int, p: float, rng) -> Graph:
+    """G(n, p) with one rng.random() call per pair, in lexicographic order."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < p]
+    return Graph.from_edges(n, edges)
+
+
+def reference_verify_elimination(g: Graph, c: EliminationOrder) -> bool:
+    """The elimination-order check by order positions: each vertex counts
+    its neighbours placed after it, arc by arc."""
+    if sorted(c.order) != list(range(g.n)):
+        return False
+    pos = [0] * g.n
+    for i, v in enumerate(c.order):
+        pos[v] = i
+    return all(sum(pos[w] > pos[v] for w in g.adj(v)) <= c.bound
+               for v in c.order)

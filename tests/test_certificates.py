@@ -1,17 +1,25 @@
 import ast
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chibound
+import oracles
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    IndependentSetWitness, InducedCycle,
                                    InternalInconsistency, LowDegreeVertex,
                                    SubdividedStarWitness, certificate_from_json,
                                    certificate_to_json, certified, require,
                                    verify_certificate)
+from chibound.generate import gnp
 from chibound.graph import Graph, complete_bipartite, cycle_graph, path_graph
+from chibound.lemmas import sstar_elimination_order, sstar_low_degree
+from chibound.minors import CliqueMinor, find_clique_minor
+from conftest import graphs
 
 PACKAGE_MODULES = sorted(Path(chibound.__file__).parent.glob("*.py"))
 
@@ -137,3 +145,56 @@ def test_certificate_from_json_names_a_missing_field(payload):
     # used to raise KeyError
     with pytest.raises(ValueError, match="lacks the field"):
         certificate_from_json(payload, path_graph(5))
+
+
+def test_checks_build_their_messages_only_on_failure(monkeypatch):
+    # a passing check must not format the certificate or minor it names
+    def no_repr(self):
+        raise RuntimeError(f"{type(self).__name__} formatted by a passing check")
+
+    for cls in (BicliqueWitness, EliminationOrder, IndependentSetWitness,
+                InducedCycle, LowDegreeVertex, SubdividedStarWitness):
+        monkeypatch.setattr(cls, "__repr__", no_repr)
+    monkeypatch.setattr(CliqueMinor, "__repr__", no_repr)
+    monkeypatch.setattr(CliqueMinor, "to_json", no_repr)
+
+    for n in (40, 120):
+        g = gnp(n, 6 / (n - 1), random.Random(n))
+        order = sstar_elimination_order(g, 2, 3)
+        assert isinstance(order, EliminationOrder)
+        assert certified(g, order) is order
+        assert isinstance(sstar_low_degree(g, 2, 3).certificate, LowDegreeVertex)
+        assert len(find_clique_minor(g, 4)) == 4
+    cycle = InducedCycle((0, 1, 2, 3, 4))
+    assert certified(cycle_graph(5), cycle, t=5) is cycle
+    biclique = BicliqueWitness((0, 1), (2, 3))
+    assert certified(complete_bipartite(2, 2), biclique, ell=2) is biclique
+    star = SubdividedStarWitness(2, (1, 3), (0, 4))
+    assert certified(path_graph(5), star, d=2) is star
+    # and a failing one still names it
+    with pytest.raises(RuntimeError, match="InducedCycle formatted"):
+        certified(cycle_graph(5), cycle, t=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_elimination_check_matches_the_position_count(data):
+    g = data.draw(graphs(max_n=10))
+    order = list(data.draw(st.permutations(range(g.n))))
+    pos = {v: i for i, v in enumerate(order)}
+    need = max((sum(pos[w] > pos[v] for w in g.adj(v)) for v in order), default=0)
+    bound = need + data.draw(st.integers(-1, 1))
+    defect = data.draw(st.sampled_from(["none", "repeat", "drop", "outside"]))
+    if defect != "none" and order:
+        i = data.draw(st.integers(0, len(order) - 1))
+        if defect == "repeat":
+            order[i] = order[i - 1]
+        elif defect == "drop":
+            del order[i]
+        else:
+            order[i] = data.draw(st.sampled_from([-1, g.n]))
+    cert = EliminationOrder(tuple(order), bound)
+    verdict = verify_certificate(g, cert)
+    assert verdict == oracles.reference_verify_elimination(g, cert)
+    permutation = sorted(order) == list(range(g.n))
+    assert verdict == (permutation and (bound >= need or g.n == 0))

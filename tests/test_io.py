@@ -127,6 +127,24 @@ def test_dimacs_format():
         from_dimacs("p edge 3 1\np edge 4 1\ne 1 4\n")
 
 
+def test_dimacs_reads_each_kind_of_line_as_before():
+    # edge lines are read from one split; every other line is stripped
+    # first, and the messages quote the stripped line
+    g = Graph.from_edges(3, [(0, 2), (1, 2)])
+    text = " \t c indented comment\n\np edge 3 2\n  e 1 3 \nc\ne\t2 3\n"
+    assert from_dimacs(text) == g
+    with pytest.raises(ValueError, match="^edge line before problem line$"):
+        from_dimacs("c comment\n e 1 2\np edge 3 1\n")
+    with pytest.raises(ValueError, match="^bad edge line: 'e 1'$"):
+        from_dimacs("p edge 3 1\n  e 1  \n")
+    with pytest.raises(ValueError, match="^bad edge line: 'e 1 2 3'$"):
+        from_dimacs("p edge 3 1\ne 1 2 3\n")
+    with pytest.raises(ValueError, match="^unknown DIMACS line: 'x 1 2'$"):
+        from_dimacs("p edge 3 1\n x 1 2\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        from_dimacs("p edge 3 1\ne 1 b\n")
+
+
 def test_graph6_rejects_characters_outside_the_alphabet_in_the_header():
     long_form = to_graph6(path_graph(70))
     assert long_form.startswith("~")
