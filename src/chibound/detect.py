@@ -14,11 +14,21 @@ first (`low = c & -c`), which is ascending id, so the search order, the
 nodes spent and the certificates are those of iterating over sorted
 neighbor sets.
 
-The path and cycle searches bound every node by a count of the vertices
-its extensions may still use.  A bound cuts only subtrees that cannot reach
-the search's target (the stop length, else one more vertex than the best
-so far), so the search order and every certificate are those of the
-unbounded search, which spends at least as many nodes.
+The path and cycle searches settle each node in its parent's loop over
+candidates: the loop spends the child's node, records what the child
+completes and computes the child's free mask (the vertices its extensions
+may still use), candidates and bound, and it calls the search on the child
+only when the child has candidates worth trying, so a leaf costs no Python
+call.  The bound of a node counts the vertices an extension can still
+add: for a path one candidate plus the free vertices; for a cycle one
+candidate, the free vertices off the root's neighborhood and one closing
+vertex, the only one that may come from that neighborhood.  The root
+neighbors between the root and the second vertex v1 are unusable (the
+closing vertex lies above v1), so they are never free.  A bound cuts only
+subtrees that cannot reach the search's target (the stop length, else one
+more vertex than the best so far), so the search order and every
+certificate are those of the unbounded search, which spends at least as
+many nodes.
 """
 from __future__ import annotations
 
@@ -118,50 +128,50 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
                          budget: Optional[int]) -> OrientedPath:
     """Longest induced path by DFS over partial induced paths.
 
-    `forbidden` is the mask of everything adjacent to (or equal to) a
-    non-final path vertex, so every legal extension keeps the path induced.
-    Stops early at stop_len vertices when given.  A node whose path cannot
-    grow to the target (stop_len, else one more vertex than the best path)
-    tries no candidate.
+    extend(path, free, candidates) settles each candidate w of path in its
+    own loop: it spends w's node, records path + w as the best path when it
+    is longer, and descends into w only when w has candidates and path + w
+    can still grow to the target (stop_len, else one more vertex than the
+    best path).  `free` is the mask of the vertices no path vertex is
+    adjacent or equal to, so every candidate of w keeps the path induced;
+    the start vertices are the candidates of the empty path.  Stops early
+    at stop_len vertices when given.
     """
     masks = g.masks()
-    full = (1 << g.n) - 1
     bud = SearchBudget(budget)
     best: tuple[int, ...] = ()
 
-    def extend(path: list[int], forbidden: int) -> bool:
+    def extend(path: list[int], free: int, candidates: int) -> bool:
         nonlocal best
-        bud.spend()
-        if len(path) > len(best):
-            best = tuple(path)
-            if stop_len is not None and len(best) >= stop_len:
-                return True
-        last = path[-1]
-        new_forbidden = forbidden | masks[last] | 1 << last
-        # Every extension is one candidate followed by vertices outside
-        # new_forbidden only.
-        target = stop_len if stop_len is not None else len(best) + 1
-        if len(path) + 1 + (full & ~new_forbidden).bit_count() < target:
-            return False
-        candidates = masks[last] & ~forbidden
         while candidates:
             low = candidates & -candidates
             candidates ^= low
-            path.append(low.bit_length() - 1)
-            if extend(path, new_forbidden):
+            w = low.bit_length() - 1
+            bud.spend()
+            path.append(w)
+            size = len(path)
+            if size > len(best):
+                best = tuple(path)
+                if stop_len is not None and size >= stop_len:
+                    return True
+            # Every extension of path + w is one candidate of w followed by
+            # vertices of w_free only.
+            target = stop_len if stop_len is not None else len(best) + 1
+            w_mask = masks[w]
+            w_free = free & ~(w_mask | low)
+            w_candidates = w_mask & free
+            if w_candidates and size + 1 + w_free.bit_count() >= target \
+                    and extend(path, w_free, w_candidates):
                 return True
             path.pop()
         return False
 
+    full = (1 << g.n) - 1
     try:
-        for s in range(g.n):
-            if extend([s], 0):
-                break
-            if stop_len is not None and len(best) >= stop_len:
-                break
+        extend([], full, full)
     except BudgetExceeded:
         raise BudgetExceeded(best=OrientedPath(best))
-    return OrientedPath(best) if best else OrientedPath(())
+    return OrientedPath(best)
 
 
 def longest_induced_path(g: Graph, budget: Optional[int] = None) -> OrientedPath:
@@ -182,60 +192,78 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
                           budget: Optional[int]) -> Optional[tuple[int, ...]]:
     """Enumerate chordless cycles with >= min_len vertices.
 
-    Cycles are rooted at their minimum vertex; the second vertex is kept
-    smaller than the closing vertex to kill the reflection.  During
-    extension, neighbors of the root are excluded (they may only appear as
-    the closing vertex), which keeps everything chordless by construction.
-    `forbidden` is the mask of the vertices no extension may use.
+    A cycle root, v1, ..., closer is rooted at its minimum vertex, and v1
+    is kept below the closing vertex to kill the reflection.  So the root
+    neighbors up to v1 are unusable: they can neither close the cycle nor
+    lie inside it (a chord to the root), and like every vertex up to the
+    root they are never free.  The other root neighbors (`root_adj`) may
+    only appear as the closing vertex, which keeps every cycle chordless by
+    construction.  `free` is the mask of the vertices an extension may
+    still use.
+
+    extend(path, free, candidates, root_adj) settles each candidate w of
+    path in its own loop: a root neighbor closes the cycle; any other w
+    spends its node and is bounded there.  An extension of path + w is one
+    candidate of w, interior vertices off root_adj and one closer, the last
+    two from w_free; when that count cannot reach the target (min_len, else
+    one more vertex than the best cycle), nothing past w can, and w is
+    done.  When no closer is left in w_free, or w has no candidate off
+    root_adj, only closing at w remains, which the loop does on the spot
+    with w's least closing candidate; otherwise it descends into w.
     """
     masks = g.masks()
-    full = (1 << g.n) - 1
     bud = SearchBudget(budget)
     best: Optional[tuple[int, ...]] = None
 
-    def extend(path: list[int], forbidden: int, root_adj: int) -> bool:
+    def extend(path: list[int], free: int, candidates: int,
+               root_adj: int) -> bool:
         nonlocal best
-        bud.spend()
-        last = path[-1]
         can_close = len(path) + 1 >= min_len
-        new_forbidden = forbidden | masks[last]
-        candidates = masks[last] & ~forbidden
-        # An extension closes on a root neighbor outside new_forbidden, and
-        # every vertex after the candidate lies outside it too: when no such
-        # cycle can reach the target, only the closing candidates are tried.
-        target = len(best) + 1 if best else min_len
-        if not root_adj & ~new_forbidden or \
-                len(path) + 1 + (full & ~new_forbidden).bit_count() < target:
-            candidates &= root_adj
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             w = low.bit_length() - 1
             if root_adj & low:
-                # Candidate closing vertex (cycle has len(path)+1 vertices).
-                if can_close and len(path) >= 2 and path[1] < w:
-                    cycle = tuple(path) + (w,)
-                    if best is None or len(cycle) > len(best):
-                        best = cycle
-                        if stop_at_first:
-                            return True
+                # A closing vertex: the cycle has len(path) + 1 vertices.
+                if can_close and (best is None or len(path) >= len(best)):
+                    best = (*path, w)
+                    if stop_at_first:
+                        return True
                 continue
+            bud.spend()
             path.append(w)
-            if extend(path, new_forbidden, root_adj):
-                return True
+            size = len(path)
+            w_mask = masks[w]
+            w_free = free & ~w_mask
+            target = len(best) + 1 if best else min_len
+            if size + 2 + (w_free & ~root_adj).bit_count() >= target:
+                w_candidates = w_mask & free
+                if w_free & root_adj and w_candidates & ~root_adj:
+                    if extend(path, w_free, w_candidates, root_adj):
+                        return True
+                elif w_candidates & root_adj and size + 1 >= min_len \
+                        and (best is None or size >= len(best)):
+                    closing = w_candidates & root_adj
+                    best = (*path, (closing & -closing).bit_length() - 1)
+                    if stop_at_first:
+                        return True
             path.pop()
         return False
 
+    full = (1 << g.n) - 1
     try:
         for root in range(g.n):
-            # Vertices up to the root never enter its cycles.
             below = (2 << root) - 1
-            # path starts as root, v1 with v1 > root; forbidden blocks chords.
             later = masks[root] & ~below
             while later:
                 low = later & -later
                 later ^= low
-                if extend([root, low.bit_length() - 1], below | low, masks[root]):
+                # v1 = low is the one candidate of the path [root]: the
+                # vertices up to the root and the root neighbors up to v1
+                # are never free, and the root neighbors above v1 close.
+                upto = (low << 1) - 1
+                if extend([root], full & ~(below | masks[root] & upto), low,
+                          masks[root] & ~upto):
                     return best
     except BudgetExceeded:
         raise BudgetExceeded(best=InducedCycle(best) if best else None)

@@ -37,9 +37,9 @@ class SetSystem:
         uni = set(self.universe)
         if len(uni) != len(self.universe):
             raise ValueError("universe has repeated elements")
-        for m in self.members:
-            if not m <= uni:
-                raise ValueError("member not contained in universe")
+        # One C-level pass: an element outside the universe enlarges the union.
+        if len(uni.union(*self.members)) != len(uni):
+            raise ValueError("member not contained in universe")
         if self.tags and len(self.tags) != len(self.members):
             raise ValueError("tags must parallel members")
 

@@ -412,9 +412,13 @@ def _spent(call):
 @settings(max_examples=150, deadline=None)
 @given(graphs_of_any_density(), st.data())
 def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
-    # The path and cycle bounds only cut subtrees that cannot reach the
-    # target, so the certificates are the reference's and no node is added;
-    # the mask-based independent-set search visits the reference's nodes.
+    # The path and cycle searches settle each node in its parent's loop,
+    # which spends the reference's nodes in its order, and their bounds
+    # (the cycle's counts one closer plus interior vertices off the root's
+    # neighbors, and forbids the root neighbors below v1) only cut subtrees
+    # that cannot reach the target, so the certificates are the
+    # reference's and no node is added; the mask-based independent-set
+    # search visits the reference's nodes.
     def compare(call, reference, same_nodes=False):
         (got, nodes), (want, ref_nodes) = _spent(call), _spent(reference)
         assert got == want
@@ -444,3 +448,39 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
                 lambda: oracles.reference_max_independent(
                     oracles.complement(g), frozenset(range(g.n))).vertices,
                 same_nodes=True)
+
+
+@pytest.mark.parametrize("n, p, seed", [(12, 0.3, 1), (14, 0.5, 2), (16, 0.2, 3)])
+def test_path_and_cycle_searches_answer_on_exactly_their_node_count(n, p, seed):
+    # The budget bounds the whole call: with the nodes the call spends
+    # without a limit it gives the same answer, and with one node less it
+    # raises BudgetExceeded instead of answering from a partial search.
+    g = random_graph(random.Random(seed), n, p)
+    calls = [lambda budget: longest_induced_path(g, budget),
+             lambda budget: has_induced_path(g, 5, budget),
+             lambda budget: longest_induced_cycle(g, budget),
+             lambda budget: find_long_induced_cycle(g, 5, budget)]
+    for call in calls:
+        answer, nodes = _spent(lambda: call(None))
+        assert nodes > 0
+        assert call(nodes) == answer
+        with pytest.raises(BudgetExceeded):
+            call(nodes - 1)
+
+
+def test_cycle_bound_cuts_the_reference_nodes_around_many_root_neighbors():
+    # K_{2,6} on 0..7 with a path 1-8-9-10-11, and a C7 on 12..18.  Root
+    # 0 has six neighbors: the cycle bound counts one of them, the closer,
+    # and those below v1 are forbidden from the start.  The reference
+    # counts them all.
+    edges = [(s, j) for s in (0, 1) for j in range(2, 8)]
+    edges += [(1, 8), (8, 9), (9, 10), (10, 11)]
+    edges += [(12 + i, 12 + (i + 1) % 7) for i in range(7)]
+    g = Graph.from_edges(19, edges)
+    for call, min_len, stop_at_first in (
+            (lambda: longest_induced_cycle(g), 3, False),
+            (lambda: find_long_induced_cycle(g, 6), 6, True)):
+        (got, nodes), (want, ref_nodes) = _spent(call), _spent(
+            lambda: oracles.reference_induced_cycle_search(g, min_len, stop_at_first))
+        assert got == InducedCycle(tuple(range(12, 19))) == InducedCycle(want)
+        assert nodes < ref_nodes

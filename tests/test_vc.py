@@ -58,6 +58,16 @@ def test_neighborhood_system_rows():
         neighborhood_system(c6, frozenset({0}), frozenset({0, 3}))
 
 
+def test_set_system_rejects_malformed_systems():
+    with pytest.raises(ValueError, match="member not contained in universe"):
+        SetSystem((0, 1), (frozenset({0}), frozenset({1, 2})))
+    with pytest.raises(ValueError, match="repeated"):
+        SetSystem((0, 0), ())
+    with pytest.raises(ValueError, match="tags must parallel members"):
+        SetSystem((0, 1), (frozenset({0}),), (5, 6))
+    assert SetSystem((), ()).members == ()
+
+
 def test_vc_dimension_examples():
     assert vc_dimension(powerset_system(3)) == 3
     assert vc_dimension(SetSystem((0, 1), (frozenset(),))) == 0
