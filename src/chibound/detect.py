@@ -29,6 +29,15 @@ subtrees that cannot reach the search's target (the stop length, else one
 more vertex than the best so far), so the search order and every
 certificate are those of the unbounded search, which spends at least as
 many nodes.
+
+The subdivided-star search settles its (middle, leaf) children the same
+way, and bounds them by a look-ahead count.  Every later middle lies in
+N(r) above the current middle m and avoids N[m] and every blocked vertex,
+and its leaf also avoids N[r].  So m, and then each child (m, leaf) with
+N[leaf] blocked too, is tried only when enough later middles still have
+such a leaf to complete the star.  On split graphs and cographs, which
+have no induced P5, the count refutes every middle before its leaves, so
+absence costs one node per center.
 """
 from __future__ import annotations
 
@@ -291,48 +300,82 @@ def find_induced_subdivided_star(g: Graph, d: int,
     """An induced 1-subdivision of the star with d leaves, or None.
 
     For each center r, middle vertices are chosen from N(r) in ascending
-    order together with a leaf each.  `blocked` is the union of the closed
-    neighborhoods of the chosen middles and leaves, so a new middle or leaf
-    outside it is distinct from and non-adjacent to all of them, and any
-    completed assignment is already induced.
+    order together with a leaf each, and the leaves avoid N[r].  `blocked`
+    is the union of the closed neighborhoods of the chosen middles and
+    leaves, so a new middle or leaf outside it is distinct from and
+    non-adjacent to all of them, and any completed assignment is already
+    induced.  Each center spends one node.
+
+    build(blocked, candidates) settles each (middle m, leaf) child in its
+    own loop over the candidate middles.  The later middles of m are the
+    candidates above m outside blocked | N[m], and each later middle needs
+    a leaf outside N[r] | blocked | N[m].  So m is tried only when at least
+    d - len(middles) - 1 of them have such a leaf; otherwise m is skipped
+    with all of its leaves.  A child spends its node in the loop and
+    completes the star when m is the last middle; otherwise the search
+    descends into it only when the same count holds with N[leaf] blocked
+    too.  Each count is necessary for a completion, so the search order
+    and the first witness are those of the unbounded search, which spends
+    at least as many nodes.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
     masks = g.masks()
     bud = SearchBudget(budget)
+    middles: list[int] = []
+    leaves: list[int] = []
+    off_center = 0  # the vertices outside N[r], where the leaves lie
 
-    def build(r: int, middles: list[int], leaves: list[int], blocked: int,
-              start: int) -> bool:
-        bud.spend()
-        if len(middles) == d:
-            return True
-        r_closed = masks[r] | 1 << r
-        candidates = masks[r] & (~blocked >> start << start)
+    def enough(later: int, blocked: int, need: int) -> bool:
+        """Whether `need` of the later middles have a leaf outside
+        N[r] | blocked."""
+        if later.bit_count() < need:
+            return False
+        free = off_center & ~blocked
+        while later:
+            low = later & -later
+            later ^= low
+            if masks[low.bit_length() - 1] & free:
+                need -= 1
+                if not need:
+                    return True
+        return False
+
+    def build(blocked: int, candidates: int) -> bool:
+        need = d - len(middles) - 1
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             m = low.bit_length() - 1
             m_blocked = blocked | masks[m] | low
-            leaf_candidates = masks[m] & ~r_closed & ~blocked
+            later = candidates & ~m_blocked
+            if need and not enough(later, m_blocked, need):
+                continue
+            leaf_candidates = masks[m] & off_center & ~blocked
+            middles.append(m)
             while leaf_candidates:
                 leaf_bit = leaf_candidates & -leaf_candidates
                 leaf_candidates ^= leaf_bit
                 leaf = leaf_bit.bit_length() - 1
-                middles.append(m)
+                bud.spend()
                 leaves.append(leaf)
-                if build(r, middles, leaves, m_blocked | masks[leaf] | leaf_bit,
-                         m + 1):
+                if not need:
                     return True
-                middles.pop()
+                leaf_blocked = m_blocked | masks[leaf] | leaf_bit
+                leaf_later = later & ~leaf_blocked
+                if enough(leaf_later, leaf_blocked, need) \
+                        and build(leaf_blocked, leaf_later):
+                    return True
                 leaves.pop()
+            middles.pop()
         return False
 
     for r in range(g.n):
         if g.degree(r) < d:
             continue
-        middles: list[int] = []
-        leaves: list[int] = []
-        if build(r, middles, leaves, 0, 0):
+        bud.spend()
+        off_center = ~(masks[r] | 1 << r)
+        if build(0, masks[r]):
             return SubdividedStarWitness(r, tuple(middles), tuple(leaves))
     return None
 

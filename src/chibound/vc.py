@@ -77,16 +77,18 @@ def _shattered_levels(system: SetSystem, bud: SearchBudget
     sets of level k and the search never tests a superset of an unshattered
     set; one node is spent per set tested.  Every tested set is a shattered
     set plus one element, so at most n * S sets are tested, S the number of
-    shattered sets, each test scanning the members once.  A family shatters
-    at least as many sets as it has distinct members (Pajor, 1985, the
-    lemma behind the Sauer-Shelah bound), so the search is polynomial in S,
-    its output.  A level is computed only when the caller asks for it; an
-    empty family yields none.
+    shattered sets, each test scanning the distinct members once.  A family
+    shatters at least as many sets as it has distinct members (Pajor, 1985,
+    the lemma behind the Sauer-Shelah bound), so the search is polynomial
+    in S, its output.  A level is computed only when the caller asks for
+    it; an empty family yields none.
     """
     if not system.members:
         return
     index = {x: i for i, x in enumerate(system.universe)}
-    masks = [sum(1 << index[x] for x in m) for m in system.members]
+    # Shattering depends only on the distinct members: one mask for each,
+    # in order of first appearance.
+    masks = [sum(1 << index[x] for x in m) for m in dict.fromkeys(system.members)]
     n = len(system.universe)
     level: list[tuple[int, ...]] = [()]
     while level:
@@ -106,13 +108,16 @@ def vc_dimension(system: SetSystem, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
     """Exact VC dimension: the size of the last level of _shattered_levels,
     -1 for an empty family (not even the empty set is shattered).
 
-    Spends nodes of an unlimited budget, so it never raises BudgetExceeded;
-    by Pajor's lemma (1985) its cost is polynomial in the number of
-    shattered sets (see _shattered_levels).
+    A family of all 2^n subsets shatters the universe itself and answers n
+    without a search.  Otherwise it spends nodes of an unlimited budget, so
+    it never raises BudgetExceeded; by Pajor's lemma (1985) its cost is
+    polynomial in the number of shattered sets (see _shattered_levels).
     """
     n = len(system.universe)
     if n > cap:
         raise ValueError(f"universe size {n} exceeds cap {cap}")
+    if len(set(system.members)) == 1 << n:
+        return n
     return sum(1 for _ in _shattered_levels(system, SearchBudget(math.inf))) - 1
 
 

@@ -6,8 +6,9 @@ for small n.  The exceptions are references for faster versions of the
 same search: naive_sstar_elimination_order reruns the package's
 sstar_low_degree from scratch on every induced subgraph, the reference for
 the incremental elimination loop, and the reference_* searches are the
-induced path and cycle searches without their bounds and the set-based
-independent-set search, which must give the package's certificates.  The
+induced path, cycle and subdivided-star searches without their bounds and
+the set-based independent-set search, which must give the package's
+certificates.  The
 reference_* branch-set scans are the minor layer's per-pair, per-set and
 private-set scans, which its one adjacency table must agree with, and
 reference_series_parallel_reducible is the K4-minor test by series-parallel
@@ -383,6 +384,51 @@ def reference_induced_cycle_search(g: Graph, min_len: int,
             if extend([root, low.bit_length() - 1], below | low, masks[root]):
                 return best
     return best
+
+
+def reference_subdivided_star_search(g: Graph, d: int
+                                     ) -> Optional[SubdividedStarWitness]:
+    """detect.find_induced_subdivided_star without its look-ahead count:
+    every middle with every leaf, one node per center and per child."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    masks = g.masks()
+    bud = SearchBudget()
+
+    def build(r: int, middles: list[int], leaves: list[int], blocked: int,
+              start: int) -> bool:
+        bud.spend()
+        if len(middles) == d:
+            return True
+        r_closed = masks[r] | 1 << r
+        candidates = masks[r] & (~blocked >> start << start)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            m = low.bit_length() - 1
+            m_blocked = blocked | masks[m] | low
+            leaf_candidates = masks[m] & ~r_closed & ~blocked
+            while leaf_candidates:
+                leaf_bit = leaf_candidates & -leaf_candidates
+                leaf_candidates ^= leaf_bit
+                leaf = leaf_bit.bit_length() - 1
+                middles.append(m)
+                leaves.append(leaf)
+                if build(r, middles, leaves, m_blocked | masks[leaf] | leaf_bit,
+                         m + 1):
+                    return True
+                middles.pop()
+                leaves.pop()
+        return False
+
+    for r in range(g.n):
+        if g.degree(r) < d:
+            continue
+        middles: list[int] = []
+        leaves: list[int] = []
+        if build(r, middles, leaves, 0, 0):
+            return SubdividedStarWitness(r, tuple(middles), tuple(leaves))
+    return None
 
 
 def reference_max_independent(g: Graph, pool: frozenset[int]) -> IndependentSetWitness:

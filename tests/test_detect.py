@@ -417,8 +417,10 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
     # (the cycle's counts one closer plus interior vertices off the root's
     # neighbors, and forbids the root neighbors below v1) only cut subtrees
     # that cannot reach the target, so the certificates are the
-    # reference's and no node is added; the mask-based independent-set
-    # search visits the reference's nodes.
+    # reference's and no node is added.  The star search's look-ahead count
+    # cuts a middle, or a child, only when too few later middles can still
+    # get a leaf, which no completion survives.  The mask-based
+    # independent-set search visits the reference's nodes.
     def compare(call, reference, same_nodes=False):
         (got, nodes), (want, ref_nodes) = _spent(call), _spent(reference)
         assert got == want
@@ -439,6 +441,9 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
     for t in range(3, g.n + 2):
         compare(lambda: find_long_induced_cycle(g, t),
                 lambda: reference_cycle(t, True))
+    for d in (2, 3, 4):
+        compare(lambda: find_induced_subdivided_star(g, d),
+                lambda: oracles.reference_subdivided_star_search(g, d))
     within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
     compare(lambda: max_independent_subset(g, within),
             lambda: oracles.reference_max_independent(g, frozenset(within)),
@@ -483,4 +488,31 @@ def test_cycle_bound_cuts_the_reference_nodes_around_many_root_neighbors():
         (got, nodes), (want, ref_nodes) = _spent(call), _spent(
             lambda: oracles.reference_induced_cycle_search(g, min_len, stop_at_first))
         assert got == InducedCycle(tuple(range(12, 19))) == InducedCycle(want)
+        assert nodes < ref_nodes
+
+
+@pytest.mark.parametrize("n, p, seed, d", [(12, 0.3, 1, 3), (16, 0.2, 3, 3),
+                                           (14, 0.4, 4, 3), (14, 0.4, 4, 4)])
+def test_star_search_answers_on_exactly_its_node_count(n, p, seed, d):
+    g = random_graph(random.Random(seed), n, p)
+    answer, nodes = _spent(lambda: find_induced_subdivided_star(g, d))
+    assert nodes > 0
+    assert find_induced_subdivided_star(g, d, nodes) == answer
+    with pytest.raises(BudgetExceeded):
+        find_induced_subdivided_star(g, d, nodes - 1)
+
+
+@pytest.mark.parametrize("family, n, seed", [("split", 14, 7), ("cograph", 16, 8)])
+def test_star_bound_proves_absence_past_the_centers(family, n, seed):
+    # Split graphs and cographs have no induced P5, so no subdivided star.
+    # The count refutes every middle before its leaves are tried, so each
+    # center spends its one node and nothing more; the reference tries the
+    # leaves.
+    g = next(generate(family, {"n": n}, seed))
+    for d in (2, 3):
+        (got, nodes), (want, ref_nodes) = (
+            _spent(lambda: find_induced_subdivided_star(g, d)),
+            _spent(lambda: oracles.reference_subdivided_star_search(g, d)))
+        assert got is None and want is None
+        assert nodes == sum(1 for v in range(g.n) if g.degree(v) >= d)
         assert nodes < ref_nodes

@@ -92,13 +92,19 @@ SEARCH_GRAPHS = [
 #: Node budgets: the smallest one (the middle PIN_BUDGETS one) runs out on
 #: most graphs, even in has_induced_path_6, which the bounded path search
 #: decides within 300 nodes everywhere; the largest one runs out only in the
-#: longest-path and longest-cycle searches on the larger G(n, p).
+#: longest-path and longest-cycle searches on the larger G(n, p).  The
+#: bounded subdivided-star search decides d = 2 within the smallest budget
+#: on every graph (DECIDED_WITHIN_BUDGETS); its budget verdict is pinned at
+#: d = 3.
 SEARCH_BUDGETS = (40, 300, 5000)
+DECIDED_WITHIN_BUDGETS = {"find_induced_subdivided_star_2"}
 SEARCHES = {
     "longest_induced_path": longest_induced_path,
     "has_induced_path_6": lambda g, budget: has_induced_path(g, 6, budget),
     "longest_induced_cycle": longest_induced_cycle,
     "find_long_induced_cycle_6": lambda g, budget: find_long_induced_cycle(g, 6, budget),
+    "find_induced_subdivided_star_2":
+        lambda g, budget: find_induced_subdivided_star(g, 2, budget),
     "find_induced_subdivided_star_3":
         lambda g, budget: find_induced_subdivided_star(g, 3, budget),
 }
@@ -497,6 +503,9 @@ def test_golden_fixture_covers_every_outcome(golden):
         searches = _search_outcomes(golden, prefix)
         for call in calls:
             kinds = {kind for name, kind in searches if name == call}
+            if call in DECIDED_WITHIN_BUDGETS:
+                assert kinds == {"SubdividedStarWitness", "absent"}, call
+                continue
             assert "budget" in kinds or "budget+best" in kinds, call
             assert len(kinds) >= 2, call
     minors = {kind for _, kind in _search_outcomes(golden, "minor-n")}

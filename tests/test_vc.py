@@ -14,7 +14,7 @@ from chibound.vc import (SetSystem, cor_traces3_split, cor_traces_check,
                          neighborhood_system, sauer_shelah_bound,
                          trace_buckets, vc_dimension)
 from conftest import random_graph
-from oracles import brute_shattered_sets, brute_vc_dimension
+from oracles import brute_shattered_sets, brute_vc_dimension, node_count
 from test_golden import trace_instance
 
 
@@ -126,6 +126,37 @@ def test_vc_dimension_and_shattered_sets_match_brute_force(s):
     for k in range(len(s.universe) + 2):
         first = next((zs for zs in shattered if len(zs) == k), None)
         assert find_shattered_set(s, k) == first
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_systems(), st.data())
+def test_repeated_members_change_neither_levels_nor_nodes(s, data):
+    # Shattering depends only on the distinct members, so repeating some
+    # leaves every answer and every node spent as they are.
+    repeats = data.draw(st.lists(st.sampled_from(s.members), max_size=8)
+                        if s.members else st.just([]))
+    repeated = SetSystem(s.universe, s.members + tuple(repeats))
+    distinct = SetSystem(s.universe, tuple(dict.fromkeys(s.members)))
+
+    def answers(system):
+        out = []
+        for k in range(len(system.universe) + 2):
+            with node_count() as spent:
+                out.append((find_shattered_set(system, k), spent[0]))
+        with node_count() as spent:
+            out.append((vc_dimension(system), spent[0]))
+        return out
+
+    assert answers(repeated) == answers(distinct) == answers(s)
+
+
+def test_vc_dimension_of_a_power_set_needs_no_search():
+    with node_count() as spent:
+        assert vc_dimension(powerset_system(12)) == 12
+    assert spent[0] == 0
+    # one member short of the power set: the level walk answers n - 1
+    s = powerset_system(5)
+    assert vc_dimension(SetSystem(s.universe, s.members[:-1])) == 4
 
 
 def test_find_shattered_set():
