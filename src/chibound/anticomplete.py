@@ -445,7 +445,8 @@ def main_pipeline(g: Graph, t: int, ell: int,
         where = ("budget", 0)
         if len(working) < a_count + 1:
             raise StageShortfall("partition", a_count + 1, len(working))
-        # the preverified gate and full_vertex_minor give every set a full vertex
+        # only the preverified gate and the p = 1 case of full_vertex_minor
+        # hand step 3 a minor, and both give every set a full vertex
         anchors = fulls[:a_count]
         stages.append(StageReport("partition", a_count, len(anchors), "ok"))
 

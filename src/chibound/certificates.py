@@ -202,13 +202,9 @@ def certified(g: Graph, cert: _C, *, t: int = 0, ell: int = 0, d: int = 0) -> _C
     return cert
 
 
-def certificate_tag(cert: Certificate) -> str:
-    return type(cert).__name__
-
-
 def certificate_to_json(cert: Certificate) -> dict[str, Any]:
     """Serialize to the fixed schema {tag, vertices, left, right, claimed_bound}."""
-    d: dict[str, Any] = {"tag": certificate_tag(cert)}
+    d: dict[str, Any] = {"tag": type(cert).__name__}
     if isinstance(cert, InducedCycle):
         d["vertices"] = list(cert.vertices)
     elif isinstance(cert, BicliqueWitness):

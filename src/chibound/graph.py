@@ -301,21 +301,13 @@ def are_anticomplete(g: Graph, p: OrientedPath, q: OrientedPath) -> bool:
     return all(not (g._adj[v] & qv) for v in pv)
 
 
-def are_partially_anticomplete(g: Graph, p: OrientedPath, q: OrientedPath) -> bool:
-    """Vertex-disjoint, same length, and aligned positions non-adjacent."""
-    if len(p) != len(q):
-        return False
-    if p.vertex_set() & q.vertex_set():
-        return False
-    return all(not g.has_edge(p.vertices[i], q.vertices[i]) for i in range(len(p)))
-
-
 def is_partially_anticomplete(g: Graph, family: PathFamily) -> bool:
     """All paths pairwise vertex-disjoint, equal-length, aligned positions non-adjacent."""
     paths = family.paths
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            if not are_partially_anticomplete(g, paths[i], paths[j]):
+    for i, p in enumerate(paths):
+        for q in paths[i + 1:]:
+            if (len(p) != len(q) or p.vertex_set() & q.vertex_set()
+                    or any(g.has_edge(a, b) for a, b in zip(p.vertices, q.vertices))):
                 return False
     return True
 

@@ -1,21 +1,21 @@
-"""Clique minors: validation, search, minimization, and the constructions
-that turn a large minimal minor into either a full-vertex minor or a long
-induced cycle.
+"""Clique minors: validation, search, minimization, and step 2 of the
+pipeline, which turns a minimal minor into a long induced cycle.
 
-The paper finds that cycle through t randomly chosen low-adjacency branch
-sets; full_vertex_minor runs the package's one exact induced-cycle search
-(detect.find_long_induced_cycle) inside the union of all of them instead,
-so it finds a cycle whenever such a choice would, and proves absence there
-otherwise.  Every search is deterministic, in ascending id.
+A branch set of large diameter gives the cycle at once.  Otherwise the
+paper looks for it through t randomly chosen branch sets of low adjacency;
+full_vertex_minor runs the package's one exact induced-cycle search
+(detect.find_long_induced_cycle) inside the union of all the minimal sets
+instead, so it finds a cycle whenever such a choice would, and proves
+absence there otherwise.  Every search is deterministic, in ascending id.
 
 Path lengths are counted in vertices throughout (a single vertex is a path
 of 1), matching how diameters and cycle lengths are compared against t.
 
 Branch-set adjacency has one computation, the table of _touched: each vertex
-of a set -> the other sets it has a neighbour in.  Validity, full and
-high-adjacency vertices and private sets are all read off it.  Connectivity
-has one too: every branch set, the assignment search's parts included, is
-tested with Graph.is_connected_subset, so Graph.bfs is the only BFS.
+of a set -> the other sets it has a neighbour in.  Validity, full vertices
+and private sets are all read off it.  Connectivity has one too: every
+branch set, the assignment search's parts included, is tested with
+Graph.is_connected_subset, so Graph.bfs is the only BFS.
 
 The clique-minor search has one reduction, the contraction of
 _contract_to_clique: its steps below degree 3 are series-parallel
@@ -317,43 +317,33 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
     return None
 
 
-def _least_touching(g: Graph, minor: CliqueMinor, k: int) -> list[Optional[int]]:
-    """Per branch set, its least vertex adjacent to >= k other branch sets."""
-    owner = _owners(minor.branch_sets)
+def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
+    """Per branch set, the least vertex adjacent to every other branch set."""
+    owner, k = _owners(minor.branch_sets), len(minor) - 1
     tables = (_touched(g, owner, i, s) for i, s in enumerate(minor.branch_sets))
     return [min((v for v, js in touched.items() if len(js) >= k), default=None)
             for touched in tables]
 
 
-def find_high_adjacency_sets(g: Graph, minor: CliqueMinor,
-                             p: int) -> list[tuple[int, int]]:
-    """Up to p branch sets holding a vertex adjacent to >= p*p foreign
-    branch sets, as (set index, least such vertex) pairs in set order."""
-    least = _least_touching(g, minor, p * p)
-    return [(i, v) for i, v in enumerate(least) if v is not None][:p]
-
-
-def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
-    """Per branch set, the least vertex adjacent to every other branch set."""
-    return _least_touching(g, minor, len(minor) - 1)
-
-
 def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
                       seed: int = 0, budget: Optional[int] = None
                       ) -> Union[CliqueMinor, InducedCycle]:
-    """A clique minor of size p whose every branch set contains a full
-    vertex and has all shortest paths under 2t vertices, or an induced
-    cycle of >= t vertices.
+    """Step 2 of the pipeline: an induced cycle of >= t vertices, or, when
+    p == 1, a minor of one branch set.
 
     After minimization a branch set of diameter >= t gives the cycle at
-    once.  Otherwise, when p branch sets hold a vertex adjacent to p*p
-    others, each of them absorbs one spare set per other such vertex and
-    the merged sets form the minor.  When fewer than p do, the cycle is
-    sought with find_long_induced_cycle inside the union of the remaining
-    (low-adjacency) branch sets, spending the one node budget: a cycle
-    found is returned, and absence there raises StageShortfall; only an
-    exhausted budget raises plain BudgetExceeded.  The construction is
-    deterministic: seed is accepted and ignored.
+    once.  Otherwise the cycle is sought with find_long_induced_cycle
+    inside the union of all minimal branch sets, spending the one node
+    budget: a cycle found is returned, and absence there raises
+    StageShortfall; only an exhausted budget raises plain BudgetExceeded.
+
+    The paper goes on by merging spare branch sets into p sets whose
+    designated vertices each touch p*p others.  A vertex of a minor of q
+    sets touches at most q - 1 of them, so that merge needs a minor of more
+    than p*p sets; every caller passes p = len(minor), so it is not built
+    here.  ROADMAP item 1 will replace steps 2-3 with one search for
+    anchors and connectors.  The construction is deterministic: seed is
+    accepted and ignored.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -363,40 +353,9 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
         return cycle
     if p == 1 and minimal.branch_sets:
         return CliqueMinor((minimal.branch_sets[0],))
-    selected = find_high_adjacency_sets(g, minimal, p)
-    if len(selected) < p:
-        high = {idx for idx, _ in selected}
-        low, ids = g.induced(v for i, s in enumerate(minimal.branch_sets)
-                             if i not in high for v in s)
-        # stops at the first cycle found, so BudgetExceeded carries no best
-        found = find_long_induced_cycle(low, max(t, 3), budget)
-        if found is None:
-            raise StageShortfall("full-minor", p, len(selected))
-        return certified(g, InducedCycle(tuple(ids[v] for v in found.vertices)), t=t)
-    anchors = dict(selected)
-    owner = _owners(minimal.branch_sets)
-    neighborhoods = {idx: sorted(_touched(g, owner, idx, (b,))[b])
-                     for idx, b in selected}
-    used = set(anchors)
-    new_sets = []
-    for i in anchors:
-        merged = set(minimal.branch_sets[i])
-        for j in anchors:
-            if j == i:
-                continue
-            # neighborhoods[j] holds >= p*p sets and used at most p*p - 1
-            pick = next((c for c in neighborhoods[j] if c not in used), None)
-            if pick is None:
-                raise InternalInconsistency(
-                    f"no spare branch set for the pair ({i}, {j})")
-            used.add(pick)
-            merged |= minimal.branch_sets[pick]
-        new_sets.append(merged)
-    result = CliqueMinor.from_sets(new_sets)
-    require(validate_minor(g, result), "full-vertex minor does not validate")
-    require(all(g.adj(anchors[i]) & s for pos, i in enumerate(anchors)
-                for q, s in enumerate(result.branch_sets) if q != pos),
-            "designated vertex lost fullness")
-    require(all(eccentric_pair(g, s)[2] + 1 < 2 * t for s in result.branch_sets),
-            "branch set diameter exceeds 2t")
-    return result
+    union, ids = g.induced(v for s in minimal.branch_sets for v in s)
+    # stops at the first cycle found, so BudgetExceeded carries no best
+    found = find_long_induced_cycle(union, max(t, 3), budget)
+    if found is None:
+        raise StageShortfall("full-minor", p, 0)
+    return certified(g, InducedCycle(tuple(ids[v] for v in found.vertices)), t=t)

@@ -390,10 +390,9 @@ def test_pipeline_partition_shortfall():
     (0, [("partition", "ok", 0, 0), ("independent-core", "shortfall", 3, 0)]),
 ])
 def test_searched_pipeline_passes_step_two(a_count, tail):
-    # Step 2 asks for a vertex that touches p^2 foreign branch sets, but a
-    # vertex of a K_p minor touches at most p - 1 of them, so a searched
-    # minor of p >= 2 sets never gets past it.  A single set (p = 1) is the
-    # one searched minor that reaches the "ok" branch of step 2.
+    # Step 2 returns a minor only for p = 1: on a searched minor of p >= 2
+    # sets it ends in a cycle or a shortfall.  A single set is the one
+    # searched minor that reaches the "ok" branch of step 2.
     g = gnp(20, 0.5, random.Random(1))
     res = main_pipeline(g, 6, 2, PipelineOverrides(minor_size=1, a_count=a_count))
     assert not res.success
