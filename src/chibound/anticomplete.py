@@ -8,6 +8,10 @@ that this works once sqrt(M) >= r > s^3; select_noninterfering searches
 for them exactly instead, in ascending id, so it finds anchors whenever
 the random choice would, and the same ones on every run.
 
+Steps 3-6 run only on an injected minor that passes the step-2 gate (each
+branch set holds a full vertex and has diameter below 2t); a searched
+minor ends at step 2 until ROADMAP item 1 lands.
+
 The quantitative guarantees hold only at astronomically large sizes, so
 every stage runs best-effort: a stage that falls short of its target size
 raises StageShortfall, while structural soundness is unconditional.  Every
@@ -16,9 +20,9 @@ that fails its check raises InternalInconsistency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .certificates import (Certificate, CounterWitness, InducedCycle,
                            InternalInconsistency, certificate_to_json,
@@ -97,8 +101,7 @@ class StageReport:
     outcome: str
 
     def to_json(self) -> dict:
-        return {"name": self.name, "target_size": self.target_size,
-                "achieved_size": self.achieved_size, "outcome": self.outcome}
+        return asdict(self)
 
 
 @dataclass
@@ -123,6 +126,8 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
     Raises StageShortfall naming the stage when a target size is missed and
     CounterWitness when the overload filter surfaces a biclique.
     """
+    if paths_per_pair < 1:
+        raise ValueError("paths_per_pair must be positive")
     reports: list[StageReport] = []
     target_core = t // 2
     branch_sets = [frozenset(b) for b in branch_sets]
@@ -202,13 +207,12 @@ def _verify_linked(g: Graph, linked: LinkedFamilies) -> None:
                     f"path {p.vertices} touches the core off its ends")
 
 
-def extract_partially_anticomplete(g: Graph,
-                                   family: Union[PathFamily, Sequence[OrientedPath]],
+def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
                                    budget: Optional[int] = None) -> PathFamily:
     """The layered-independence refinement: keep paths whose vertex at each
     position survives an exact maximum-independent-set pass over that layer.
     Output verified partially anticomplete."""
-    paths = tuple(family.paths if isinstance(family, PathFamily) else family)
+    paths = tuple(family)
     if not paths:
         return PathFamily(())
     k = len(paths[0])
@@ -230,14 +234,6 @@ def extract_partially_anticomplete(g: Graph,
     require(is_partially_anticomplete(g, result),
             "extracted family is not partially anticomplete")
     return result
-
-
-def _position_coloring(family: PathFamily) -> dict[int, int]:
-    colors: dict[int, int] = {}
-    for p in family:
-        for i, v in enumerate(p.vertices):
-            colors[v] = i
-    return colors
 
 
 def _validate_separation_input(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
@@ -269,7 +265,7 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
         return p_fam, q_fam
     q = 2 * t - 1
     k_q = len(q_fam.paths[0])
-    coloring = _position_coloring(p_fam)
+    coloring = {v: i for p in p_fam for i, v in enumerate(p.vertices)}
     x_set = frozenset(w for p in p_fam for w in p.vertices)
     q_current = list(q_fam.paths)
     for i in range(k_q):
@@ -349,8 +345,9 @@ class PipelineOverrides:
     """Surrogate sizes for desk-scale pipeline runs.
 
     branch_sets, when given, is a pre-built minor injected in place of the
-    step-1 search; it is validated, and accepted for step 2 only when every
-    set already holds a full vertex within diameter 2t.
+    step-1 search; it is validated, and steps 3-6 run on it only when every
+    set already holds a full vertex within diameter 2t.  Any other minor
+    ends at step 2, in a cycle or a shortfall.
     """
 
     minor_size: Optional[int] = None
@@ -404,6 +401,8 @@ def main_pipeline(g: Graph, t: int, ell: int,
     a_count = ov.a_count if ov.a_count is not None else t // 2
     if a_count < 0:
         raise ValueError("a_count must be non-negative")
+    if ov.paths_per_pair < 1:
+        raise ValueError("paths_per_pair must be positive")
     # the (name, target size) that an exhausted budget is reported against
     where = ("minor", minor_size)
     try:
@@ -420,39 +419,31 @@ def main_pipeline(g: Graph, t: int, ell: int,
                 return PipelineResult(None, stages, ov.seed)
             stages.append(StageReport("minor", minor_size, len(minor), "ok"))
 
-        # Step 2: full-vertex minor (skipped when the injected minor already
-        # meets the postconditions)
-        full_size = len(minor)
-        where = ("full-minor", full_size)
+        # Step 2: an injected minor whose sets all hold a full vertex within
+        # diameter 2t passes the gate; any other minor ends here
+        where = ("full-minor", len(minor))
         if (ov.branch_sets is not None
                 and None not in (fulls := full_vertices(g, minor))
                 and all(eccentric_pair(g, s)[2] + 1 < 2 * t
                         for s in minor.branch_sets)):
-            working = minor
-            stages.append(StageReport("full-minor", full_size, len(minor),
+            stages.append(StageReport("full-minor", len(minor), len(minor),
                                       "preverified"))
-        else:
-            out = full_vertex_minor(g, minor, full_size, t, budget=ov.budget)
-            if isinstance(out, InducedCycle):  # certified for t by the minor layer
-                stages.append(StageReport("full-minor", full_size,
-                                          len(out.vertices), "cycle"))
-                return PipelineResult(out, stages, ov.seed)
-            working = out
-            stages.append(StageReport("full-minor", full_size, len(working), "ok"))
-            fulls = full_vertices(g, working)
+        else:  # a cycle, certified for t by the minor layer, or a raise
+            cycle = full_vertex_minor(g, minor, len(minor), t, budget=ov.budget)
+            stages.append(StageReport("full-minor", len(minor),
+                                      len(cycle.vertices), "cycle"))
+            return PipelineResult(cycle, stages, ov.seed)
 
         # Step 3: partition into anchor sets and connector sets
         where = ("budget", 0)
-        if len(working) < a_count + 1:
-            raise StageShortfall("partition", a_count + 1, len(working))
-        # only the preverified gate and the p = 1 case of full_vertex_minor
-        # hand step 3 a minor, and both give every set a full vertex
+        if len(minor) < a_count + 1:
+            raise StageShortfall("partition", a_count + 1, len(minor))
         anchors = fulls[:a_count]
         stages.append(StageReport("partition", a_count, len(anchors), "ok"))
 
         # Steps 4-6
         linked = build_linked_families(
-            g, frozenset(anchors), working.branch_sets[a_count:], t, ell,
+            g, frozenset(anchors), minor.branch_sets[a_count:], t, ell,
             paths_per_pair=ov.paths_per_pair, budget=ov.budget)
         stages.extend(linked.reports)
         core = linked.a_prime  # t/2 anchors in ascending order

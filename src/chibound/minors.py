@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .certificates import (InducedCycle, InternalInconsistency, certified,
                            require)
@@ -327,23 +327,23 @@ def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
 
 def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
                       seed: int = 0, budget: Optional[int] = None
-                      ) -> Union[CliqueMinor, InducedCycle]:
-    """Step 2 of the pipeline: an induced cycle of >= t vertices, or, when
-    p == 1, a minor of one branch set.
+                      ) -> InducedCycle:
+    """Step 2 of the pipeline: an induced cycle of >= t vertices.
 
     After minimization a branch set of diameter >= t gives the cycle at
     once.  Otherwise the cycle is sought with find_long_induced_cycle
     inside the union of all minimal branch sets, spending the one node
     budget: a cycle found is returned, and absence there raises
-    StageShortfall; only an exhausted budget raises plain BudgetExceeded.
+    StageShortfall("full-minor", p, 0), p being only the size it reports;
+    only an exhausted budget raises plain BudgetExceeded.
 
     The paper goes on by merging spare branch sets into p sets whose
     designated vertices each touch p*p others.  A vertex of a minor of q
     sets touches at most q - 1 of them, so that merge needs a minor of more
     than p*p sets; every caller passes p = len(minor), so it is not built
-    here.  ROADMAP item 1 will replace steps 2-3 with one search for
-    anchors and connectors.  The construction is deterministic: seed is
-    accepted and ignored.
+    here, and no minor is returned.  ROADMAP item 1 will replace steps 2-3
+    with one search for anchors and connectors.  The construction is
+    deterministic: seed is accepted and ignored.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -351,8 +351,6 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
     cycle = check_branch_diameter(g, minimal, t) if len(minimal) >= 3 else None
     if cycle is not None:
         return cycle
-    if p == 1 and minimal.branch_sets:
-        return CliqueMinor((minimal.branch_sets[0],))
     union, ids = g.induced(v for s in minimal.branch_sets for v in s)
     # stops at the first cycle found, so BudgetExceeded carries no best
     found = find_long_induced_cycle(union, max(t, 3), budget)

@@ -385,20 +385,28 @@ def test_pipeline_partition_shortfall():
     assert (res.stages[-1].target_size, res.stages[-1].achieved_size) == (5, 3)
 
 
-@pytest.mark.parametrize("a_count, tail", [
-    (None, [("partition", "shortfall", 4, 1)]),
-    (0, [("partition", "ok", 0, 0), ("independent-core", "shortfall", 3, 0)]),
-])
-def test_searched_pipeline_passes_step_two(a_count, tail):
-    # Step 2 returns a minor only for p = 1: on a searched minor of p >= 2
-    # sets it ends in a cycle or a shortfall.  A single set is the one
-    # searched minor that reaches the "ok" branch of step 2.
+@pytest.mark.parametrize("a_count", [None, 0])
+def test_searched_one_set_minor_ends_at_step_two(a_count):
+    # Step 2 returns a cycle or raises, so even a searched minor of one set
+    # never reaches step 3, whatever a_count asks of it
     g = gnp(20, 0.5, random.Random(1))
     res = main_pipeline(g, 6, 2, PipelineOverrides(minor_size=1, a_count=a_count))
     assert not res.success
     assert [(s.name, s.outcome, s.target_size, s.achieved_size)
             for s in res.stages] == [("minor", "ok", 1, 1),
-                                     ("full-minor", "ok", 1, 1)] + tail
+                                     ("full-minor", "shortfall", 1, 0)]
+
+
+@pytest.mark.parametrize("t, outcome", [(4, "cycle"), (6, "shortfall")])
+def test_injected_minor_failing_the_gate_ends_at_step_two(t, outcome):
+    # no vertex of the set {0, 1} touches both {2} and {3}, so the minor
+    # fails the step-2 gate; the induced 4-cycle 0-2-3-1 answers t = 4 only
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    res = main_pipeline(g, t, 2, PipelineOverrides(
+        branch_sets=[{0, 1}, {2}, {3}], a_count=0))
+    assert [(s.name, s.outcome) for s in res.stages] == [
+        ("minor", "injected"), ("full-minor", outcome)]
+    assert res.success == (outcome == "cycle")
 
 
 def test_pipeline_checks_the_cycle_length(monkeypatch):
@@ -503,3 +511,21 @@ def test_pipeline_rejects_bad_params():
     # a negative count would slice the anchors from the wrong end
     with pytest.raises(ValueError, match="a_count"):
         main_pipeline(g, 6, 2, PipelineOverrides(a_count=-1))
+
+
+@pytest.mark.parametrize("paths_per_pair", [0, -1])
+def test_paths_per_pair_must_be_positive(paths_per_pair):
+    # 0 would leave step 5 no path to extract from, and -1 would slice off
+    # the last clean path of each pair
+    t = 6
+    g, sets = pipeline_full_instance(t, copies=2)
+    # checked up front, so also on a searched run, which ends at step 2
+    for ov in (PipelineOverrides(branch_sets=sets, a_count=t // 2,
+                                 paths_per_pair=paths_per_pair),
+               PipelineOverrides(paths_per_pair=paths_per_pair)):
+        with pytest.raises(ValueError, match="paths_per_pair"):
+            main_pipeline(g, t, 3, ov)
+    g, pool, connectors = _standalone_linked_instance(t, 2)
+    with pytest.raises(ValueError, match="paths_per_pair"):
+        build_linked_families(g, pool, connectors, t=t, ell=3,
+                              paths_per_pair=paths_per_pair)

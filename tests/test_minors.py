@@ -368,9 +368,17 @@ def test_full_vertex_minor_matches_brute_force(g, t):
 
 
 def test_full_vertex_minor_p1():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    out = full_vertex_minor(g, CliqueMinor.from_sets([{0}, {1}, {2}]), 1, 4)
-    assert isinstance(out, CliqueMinor) and len(out) == 1
+    # p = 1 returns no minor: a triangle has no cycle of 4 vertices, so the
+    # shortfall reports p, and on the star ring p = 1 finds the cycle that
+    # p = len(minor) finds
+    with pytest.raises(StageShortfall) as exc:
+        full_vertex_minor(complete_graph(3),
+                          CliqueMinor.from_sets([{0}, {1}, {2}]), 1, 4)
+    assert (exc.value.stage, exc.value.required, exc.value.achieved) == \
+        ("full-minor", 1, 0)
+    g, minor = star_ring(6)
+    assert full_vertex_minor(g, minor, 1, 6) == \
+        full_vertex_minor(g, minor, len(minor), 6)
 
 
 def test_full_vertex_minor_p1_of_empty_minor_is_a_shortfall():
@@ -493,8 +501,14 @@ def test_branch_set_table_matches_reference_scans(case, t):
         assert _outcome(check_branch_diameter, g, minimal, d) == \
             _outcome(_reference_diameter_cycle, g, minimal.branch_sets, d)
     # the reference keeps the paper's spare-set merge, which needs more than
-    # p * p sets, so it is the oracle for every p with len(minor) <= p * p
-    for p in {1, 2, 3, len(minor)}:
-        if p == 1 or len(minor) <= p * p:
+    # p * p sets, so it is the oracle for every p >= 2 with len(minor) <= p * p
+    for p in {2, 3, len(minor)}:
+        if p >= 2 and len(minor) <= p * p:
             assert _outcome(full_vertex_minor, g, minor, p, t) == \
                 _outcome(_reference_full_vertex_minor, g, minor, p, t)
+    # p = 1 returns no minor: the cycle of p = len(minor), or a shortfall
+    # that reports p
+    full = _outcome(full_vertex_minor, g, minor, len(minor), t)
+    assert _outcome(full_vertex_minor, g, minor, 1, t) == (
+        full if isinstance(full, InducedCycle)
+        else (StageShortfall, StageShortfall("full-minor", 1, 0).args))
