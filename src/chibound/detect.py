@@ -15,20 +15,27 @@ nodes spent and the certificates are those of iterating over sorted
 neighbor sets.
 
 The path and cycle searches settle each node in its parent's loop over
-candidates: the loop spends the child's node, records what the child
-completes and computes the child's free mask (the vertices its extensions
-may still use), candidates and bound, and it calls the search on the child
-only when the child has candidates worth trying, so a leaf costs no Python
+candidates: the loop spends the child's node (longest_induced_path spends
+them all on entering the parent), records what the child completes and
+computes the child's free mask (the vertices its extensions may still
+use), candidates and bound, and it calls the search on the child only
+when the child has candidates worth trying, so a leaf costs no Python
 call.  The bound of a node counts the vertices an extension can still
-add: for a path one candidate plus the free vertices; for a cycle one
-candidate, the free vertices off the root's neighborhood and one closing
-vertex, the only one that may come from that neighborhood.  The root
-neighbors between the root and the second vertex v1 are unusable (the
+add: for a path one candidate plus the free vertices, and one vertex on
+the root's other side for a path grown both ways from its root; for a
+cycle one candidate, the free vertices off the root's neighborhood and one
+closing vertex, the only one that may come from that neighborhood.  The
+root neighbors between the root and the second vertex v1 are unusable (the
 closing vertex lies above v1), so they are never free.  A bound cuts only
 subtrees that cannot reach the search's target (the stop length, else one
-more vertex than the best so far), so the search order and every
-certificate are those of the unbounded search, which spends at least as
-many nodes.
+more vertex than the best so far, or as many while a tie may still give a
+smaller certificate), so every certificate is that of the unbounded
+search, which spends at least as many nodes.
+
+longest_induced_path roots each induced path at its least vertex, as the
+cycle search roots each cycle, and grows it both ways from there, so it
+meets each path once; the DFS behind has_induced_path, which stops at the
+first path long enough, meets a path from both of its ends.
 
 The subdivided-star search settles its (middle, leaf) children the same
 way, and bounds them by a look-ahead count.  Every later middle lies in
@@ -133,18 +140,18 @@ def find_biclique_subgraph(g: Graph, a: int, b: int,
     return BicliqueWitness(right, left)
 
 
-def _induced_path_search(g: Graph, stop_len: Optional[int],
+def _induced_path_search(g: Graph, stop_len: int,
                          budget: Optional[int]) -> OrientedPath:
-    """Longest induced path by DFS over partial induced paths.
+    """The first induced path on stop_len vertices in a DFS over partial
+    induced paths, or a shorter path when there is none.
 
     extend(path, free, candidates) settles each candidate w of path in its
     own loop: it spends w's node, records path + w as the best path when it
-    is longer, and descends into w only when w has candidates and path + w
-    can still grow to the target (stop_len, else one more vertex than the
-    best path).  `free` is the mask of the vertices no path vertex is
-    adjacent or equal to, so every candidate of w keeps the path induced;
-    the start vertices are the candidates of the empty path.  Stops early
-    at stop_len vertices when given.
+    is longer, stops once it has stop_len vertices, and descends into w
+    only when w has candidates and path + w can still grow to stop_len.
+    `free` is the mask of the vertices no path vertex is adjacent or equal
+    to, so every candidate of w keeps the path induced; the start vertices
+    are the candidates of the empty path.
     """
     masks = g.masks()
     bud = SearchBudget(budget)
@@ -161,15 +168,14 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
             size = len(path)
             if size > len(best):
                 best = tuple(path)
-                if stop_len is not None and size >= stop_len:
+                if size >= stop_len:
                     return True
             # Every extension of path + w is one candidate of w followed by
             # vertices of w_free only.
-            target = stop_len if stop_len is not None else len(best) + 1
             w_mask = masks[w]
             w_free = free & ~(w_mask | low)
             w_candidates = w_mask & free
-            if w_candidates and size + 1 + w_free.bit_count() >= target \
+            if w_candidates and size + 1 + w_free.bit_count() >= stop_len \
                     and extend(path, w_free, w_candidates):
                 return True
             path.pop()
@@ -184,8 +190,98 @@ def _induced_path_search(g: Graph, stop_len: Optional[int],
 
 
 def longest_induced_path(g: Graph, budget: Optional[int] = None) -> OrientedPath:
-    """A maximum-cardinality induced path (empty path for the empty graph)."""
-    return _induced_path_search(g, None, budget)
+    """A maximum-cardinality induced path (empty path for the empty graph).
+
+    The certificate is the least vertex sequence of all longest induced
+    paths, each read from its smaller endpoint.  A path is searched once,
+    rooted at its least vertex m, among the vertices above m: arm A = m,
+    a1, a2, ... grows from m, and at each node of arm A, arm B = b1, b2,
+    ... grows from m's other side with b1 > a1, giving the path ..., a2,
+    a1, m, b1, b2, ...  A path rooted above best[0] has both endpoints
+    above it, so it beats the best path only by being longer: the target
+    is len(best) while m <= best[0] and len(best) + 1 above.  Once the best
+    path starts at m itself, only a longer path can beat it too, since
+    arm A meets the paths that start at m in ascending order and every
+    other path rooted at m starts above m.  Unbounded, the search spends a
+    node per vertex and per induced path of two or more vertices; a DFS
+    from every vertex spends two per path.
+
+    grow_a(path, free, candidates, opens) settles each candidate w of arm
+    A in its own loop, as _induced_path_search does, but spends the nodes
+    of all its candidates on entry: the search never stops early, so it
+    settles every one.  `opens` is the mask of the b1 that keep the path
+    induced.  An extension of path + w is at most one candidate of w, one
+    b1 and vertices of w_free.  After its candidates, grow_a grows arm B on
+    the path read backwards, with grow_b, the plain DFS step, taking the
+    opens as its candidates.
+    """
+    masks = g.masks()
+    bud = SearchBudget(budget)
+    best: tuple[int, ...] = ()
+    target = root = 0
+
+    def keep(path: list[int], w: int) -> None:
+        nonlocal best, target
+        seq = (*path, w) if path[0] < w else (w, *reversed(path))
+        if len(seq) > len(best) or seq < best:
+            best = seq
+            target = len(best) + (best[0] <= root)
+
+    def grow_b(path: list[int], free: int, candidates: int) -> None:
+        bud.spend(candidates.bit_count())
+        size = len(path) + 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            if size >= target:
+                keep(path, w)
+            w_mask = masks[w]
+            w_candidates = w_mask & free
+            if w_candidates:
+                w_free = free & ~(w_mask | low)
+                if size + 1 + w_free.bit_count() >= target:
+                    path.append(w)
+                    grow_b(path, w_free, w_candidates)
+                    path.pop()
+
+    def grow_a(path: list[int], free: int, candidates: int, opens: int) -> None:
+        bud.spend(candidates.bit_count())
+        size = len(path) + 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            w = low.bit_length() - 1
+            if size >= target:
+                keep(path, w)
+            w_mask = masks[w]
+            w_free = free & ~(w_mask | low)
+            w_candidates = w_mask & free
+            # With w = a1 the opens are m's neighbors above a1, which are
+            # the candidates of [m] not yet tried.
+            w_opens = (candidates if size == 2 else opens) & ~w_mask
+            if (w_candidates or w_opens) and size + (w_candidates != 0) \
+                    + (w_opens != 0) + w_free.bit_count() >= target:
+                path.append(w)
+                grow_a(path, w_free, w_candidates, w_opens)
+                path.pop()
+        if opens and size + free.bit_count() >= target:
+            grow_b(path[::-1], free, opens)
+
+    full = (1 << g.n) - 1
+    try:
+        for root in range(g.n):
+            bud.spend()
+            best = best or (root,)
+            target = len(best) + (best[0] < root)
+            above = full & ~((2 << root) - 1)
+            free = above & ~masks[root]
+            later = masks[root] & above
+            if later and 3 + free.bit_count() >= target:
+                grow_a([root], free, later, 0)
+    except BudgetExceeded:
+        raise BudgetExceeded(best=OrientedPath(best))
+    return OrientedPath(best)
 
 
 def has_induced_path(g: Graph, t: int,

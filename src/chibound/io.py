@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import Graph
+from .graph import DEFAULT_VERTEX_CAP, Graph
 
 _G6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile("[^?-~]")
@@ -100,8 +100,12 @@ def from_graph6(s: str) -> Graph:
     vals = _values(body)
     if need:  # clear the padding bits past the n(n-1)/2 of the triangle
         vals[-1] &= 64 - (1 << (6 * need - n * (n - 1) // 2))
+    if n > DEFAULT_VERTEX_CAP:
+        raise ValueError(f"vertex count {n} exceeds cap {DEFAULT_VERTEX_CAP}")
+    # With the padding cleared, every set bit is one pair i < j < n, met
+    # once, so the neighbor sets are built here without from_edges' checks.
     marks = vals.translate(_G6_MARK)
-    edges = []
+    sets: list[set[int]] = [set() for _ in range(n)]
     j = end = 1  # column j holds bits end - j .. end - 1
     at = marks.find(1)
     while at >= 0:
@@ -110,9 +114,11 @@ def from_graph6(s: str) -> Graph:
             while k >= end:
                 j += 1
                 end += j
-            edges.append((k - end + j, j))
+            i = k - end + j
+            sets[i].add(j)
+            sets[j].add(i)
         at = marks.find(1, at + 1)
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(map(frozenset, sets)))
 
 
 def to_dimacs(g: Graph) -> str:

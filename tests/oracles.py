@@ -501,13 +501,6 @@ def reference_full_vertices(g: Graph, sets) -> list[Optional[int]]:
             for i, s in enumerate(sets)]
 
 
-def reference_high_adjacency_sets(g: Graph, sets, p: int) -> list[tuple[int, int]]:
-    found = [(i, next((v for v in sorted(s)
-                       if len(reference_touched_sets(g, sets, i, v)) >= p * p), None))
-             for i, s in enumerate(sets)]
-    return [(i, v) for i, v in found if v is not None][:p]
-
-
 def reference_private_set(g: Graph, sets, idx: int, v: int) -> Optional[int]:
     """The least other set that v touches and the rest of its set does not."""
     rest = sets[idx] - {v}

@@ -71,6 +71,40 @@ def test_longest_induced_path_examples():
     assert has_induced_path(cycle_graph(7), 7) is None
 
 
+@pytest.mark.parametrize("g, certificate", [
+    # The least vertex 0 is interior: arm A is 0-1-3 and arm B 0-2-4, and
+    # the certificate reads arm A backwards from the smaller endpoint 3.
+    (Graph.from_edges(5, [(3, 1), (1, 0), (0, 2), (2, 4)]), (3, 1, 0, 2, 4)),
+    # Arm A is 0-1-4 and arm B 0-2-3: the smaller endpoint ends arm B, so
+    # the path is read from there.
+    (Graph.from_edges(5, [(4, 1), (1, 0), (0, 2), (2, 3)]), (3, 2, 0, 1, 4)),
+    (cycle_graph(6), (0, 1, 2, 3, 4)),
+    (complete_bipartite(3, 3), (0, 3, 1)),
+    # K_{2,2,2} with parts {0, 1}, {2, 3}, {4, 5}: longest paths of three
+    # vertices are rooted at 0, 1, 2 and 3, and the least one wins.
+    (Graph.from_edges(6, [(a, b) for a, b in combinations(range(6), 2)
+                          if a // 2 != b // 2]), (0, 2, 1)),
+])
+def test_longest_induced_path_is_the_least_sequence(g, certificate):
+    assert longest_induced_path(g).vertices == certificate
+    assert oracles.reference_induced_path_search(g, None).vertices == certificate
+
+
+def test_longest_induced_path_node_ratchet():
+    # Node counts do not depend on the machine, so this total pins the
+    # search's pruning: the figure may only be lowered.  A DFS from every
+    # vertex, which meets each path from both ends, spent 39,302.
+    params = {"gnp": {"p": 0.3}, "planted-cycle": {"t": 10},
+              "planted-biclique": {"ell": 3}}
+    total = 0
+    for family in gen.FAMILIES:
+        for n in (16, 20, 24):
+            for seed in (1, 2):
+                g = next(generate(family, {"n": n, **params.get(family, {})}, seed))
+                total += _spent(lambda: longest_induced_path(g))[1]
+    assert total <= 20_822
+
+
 def test_long_induced_cycle_examples():
     w = find_long_induced_cycle(cycle_graph(7), 7)
     assert w is not None and len(w.vertices) == 7
@@ -342,6 +376,7 @@ def _check_searches_against_oracles(g: Graph) -> None:
     path_len = oracles.brute_longest_induced_path(g)
     path = longest_induced_path(g)
     assert len(path) == path_len and verify_induced_path(g, path)
+    assert path == oracles.reference_induced_path_search(g, None)
     for t in range(1, g.n + 2):
         found = has_induced_path(g, t)
         assert (found is not None) == (path_len >= t)
@@ -413,11 +448,15 @@ def _spent(call):
 @given(graphs_of_any_density(), st.data())
 def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
     # The path and cycle searches settle each node in its parent's loop,
-    # which spends the reference's nodes in its order, and their bounds
-    # (the cycle's counts one closer plus interior vertices off the root's
-    # neighbors, and forbids the root neighbors below v1) only cut subtrees
-    # that cannot reach the target, so the certificates are the
-    # reference's and no node is added.  The star search's look-ahead count
+    # and their bounds (the cycle's counts one closer plus interior
+    # vertices off the root's neighbors, and forbids the root neighbors
+    # below v1) only cut subtrees that cannot reach the target, so the
+    # certificates are the reference's.  has_induced_path and the cycle
+    # searches spend the reference's nodes in its order, so no node is
+    # added.  longest_induced_path roots each path at its least vertex: it
+    # spends at most n + P nodes on n vertices and P induced paths of two
+    # or more vertices, and the reference, which meets each path from both
+    # ends, spends n + 2P.  The star search's look-ahead count
     # cuts a middle, or a child, only when too few later middles can still
     # get a leaf, which no completion survives.  The mask-based
     # independent-set search visits the reference's nodes.

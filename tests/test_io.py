@@ -21,6 +21,19 @@ def test_graph6_roundtrip(rng):
         assert from_graph6(to_graph6(g)) == g
 
 
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 200, 211])
+def test_graph6_decodes_the_graph_of_from_edges(n):
+    # from_graph6 builds the neighbor sets without from_edges; 62 and 63
+    # bracket the one-character vertex count.
+    shapes = [[], [(i, j) for i in range(n) for j in range(i + 1, n)]]
+    for seed in (1, 2, 3):
+        shapes.append(random_graph(random.Random(seed), n, 6 / max(n - 1, 1)).edges())
+    for edges in shapes:
+        g = Graph.from_edges(n, edges)
+        h = from_graph6(to_graph6(g))
+        assert h == g and h.m == g.m and h.masks() == g.masks()
+
+
 def test_graph6_matches_networkx(rng):
     # networkx is the external reference for bit-exactness
     for _ in range(200):

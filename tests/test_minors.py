@@ -18,8 +18,8 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              full_vertices, minimize_minor, validate_minor)
 from conftest import graphs, random_graph
 from oracles import (brute_longest_induced_cycle, reference_full_vertices,
-                     reference_high_adjacency_sets, reference_minimize_minor,
-                     reference_private_set, reference_series_parallel_reducible,
+                     reference_minimize_minor, reference_private_set,
+                     reference_series_parallel_reducible,
                      reference_touched_sets, reference_valid_minor)
 
 
@@ -455,28 +455,15 @@ def _reference_full_vertex_minor(g, minor, p, t):
     cycle = _reference_diameter_cycle(g, minimal, t) if len(minimal) >= 3 else None
     if cycle is not None:
         return cycle
-    if p == 1 and minimal:
-        return CliqueMinor.from_sets(minimal[:1])
-    selected = reference_high_adjacency_sets(g, minimal, p)
-    if len(selected) < p:
-        high = {i for i, _ in selected}
-        low, ids = g.induced(v for i, s in enumerate(minimal) if i not in high for v in s)
-        found = find_long_induced_cycle(low, max(t, 3))
-        if found is None:
-            raise StageShortfall("full-minor", p, len(selected))
-        return InducedCycle(tuple(ids[v] for v in found.vertices))
-    used = {i for i, _ in selected}
-    merged = []
-    for i, _ in selected:
-        s = set(minimal[i])
-        for j, b in selected:
-            if j != i:
-                pick = next(c for c in reference_touched_sets(g, minimal, j, b)
-                            if c not in used)
-                used.add(pick)
-                s |= minimal[pick]
-        merged.append(s)
-    return CliqueMinor.from_sets(merged)
+    # The caller passes p >= 2 and len(minor) <= p * p, and a vertex
+    # touches at most len(minor) - 1 other sets, so no set has a vertex
+    # touching p * p others: the paper's merge never starts, and the cycle
+    # is sought in the union of all the sets.
+    union, ids = g.induced(v for s in minimal for v in s)
+    found = find_long_induced_cycle(union, max(t, 3))
+    if found is None:
+        raise StageShortfall("full-minor", p, 0)
+    return InducedCycle(tuple(ids[v] for v in found.vertices))
 
 
 @settings(max_examples=500, deadline=None)
