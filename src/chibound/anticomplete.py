@@ -20,14 +20,14 @@ that fails its check raises InternalInconsistency.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from .certificates import (Certificate, CounterWitness, InducedCycle,
                            InternalInconsistency, certificate_to_json,
                            certified, require)
-from .detect import (BudgetExceeded, SearchBudget, StageShortfall,
+from .detect import (Budget, BudgetExceeded, SearchBudget, StageShortfall,
                      max_independent_subset)
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
                     are_anticomplete, first_bad_pair, is_independent,
@@ -47,7 +47,7 @@ class AssemblyError(Exception):
 
 def select_noninterfering(core: VertexSet,
                           touched: Mapping[tuple[int, int], VertexSet], s: int,
-                          budget: Optional[int] = None) -> tuple[int, ...]:
+                          budget: Budget = None) -> tuple[int, ...]:
     """The lexicographically first s vertices of `core` that do not interfere.
 
     touched[(u, v)], for u < v, holds the core vertices that the (u, v)
@@ -63,7 +63,7 @@ def select_noninterfering(core: VertexSet,
     for (u, v), hit in touched.items():
         if not u < v or u in hit or v in hit:
             raise ValueError(f"entry ({u},{v}) is unordered or contains its own pair")
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     chosen: list[int] = []
     best: tuple[int, ...] = ()
 
@@ -111,24 +111,24 @@ class LinkedFamilies:
 
     a_prime: tuple[int, ...]
     families: dict[tuple[int, int], PathFamily]
-    reports: list[StageReport] = field(default_factory=list)
 
 
 def build_linked_families(g: Graph, a_pool: VertexSet,
-                          branch_sets: Sequence[VertexSet],
-                          t: int, ell: int, paths_per_pair: int = 1,
-                          budget: Optional[int] = None) -> LinkedFamilies:
+                          branch_sets: Sequence[VertexSet], t: int, ell: int,
+                          stages: list[StageReport], paths_per_pair: int = 1,
+                          budget: Budget = None) -> LinkedFamilies:
     """From a vertex pool fully adjacent to every branch set, produce an
     independent core and, per pair, vertex-disjoint connector paths, then
     keep t/2 anchors A' of the core (select_noninterfering) whose paths
     touch the chosen anchors only at their designated endpoints.
 
-    Raises StageShortfall naming the stage when a target size is missed and
+    Each sub-stage that passes appends its report to `stages`.  Raises
+    StageShortfall naming the stage when a target size is missed and
     CounterWitness when the overload filter surfaces a biclique.
     """
     if paths_per_pair < 1:
         raise ValueError("paths_per_pair must be positive")
-    reports: list[StageReport] = []
+    bud = SearchBudget.of(budget)
     target_core = t // 2
     branch_sets = [frozenset(b) for b in branch_sets]
     a_pool = frozenset(a_pool)
@@ -136,12 +136,12 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         if b & a_pool:
             raise ValueError("pool overlaps a branch set")
 
-    independent_core = max_independent_subset(g, a_pool, budget).vertices
+    independent_core = max_independent_subset(g, a_pool, bud).vertices
     if len(independent_core) < max(2, target_core):
         raise StageShortfall("independent-core", max(2, target_core),
                              len(independent_core))
-    reports.append(StageReport("independent-core", target_core,
-                               len(independent_core), "ok"))
+    stages.append(StageReport("independent-core", target_core,
+                              len(independent_core), "ok"))
 
     pairs = list(combinations(sorted(independent_core), 2))
     groups: dict[tuple[int, int], list[frozenset[int]]] = {p: [] for p in pairs}
@@ -150,7 +150,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
     empty = [p for p in pairs if not groups[p]]
     if empty:
         raise StageShortfall("groups", len(pairs), len(pairs) - len(empty))
-    reports.append(StageReport("groups", len(pairs), len(pairs), "ok"))
+    stages.append(StageReport("groups", len(pairs), len(pairs), "ok"))
 
     core_set = frozenset(independent_core)
     families: dict[tuple[int, int], list[OrientedPath]] = {}
@@ -164,27 +164,27 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         heavy = frozenset(w for p in raw for w in p.vertices
                           if g.degree_in(w, core_set) >= ell)
         if heavy:
-            screen = max_independent_subset(g, heavy, budget).vertices
+            screen = max_independent_subset(g, heavy, bud).vertices
             cor_traces_check(g, core_set, frozenset(screen), ell, 1, t,
                              coloring={x: 0 for x in core_set})
         clean = [p for p in raw if not (p.vertex_set() & heavy)]
         if len(clean) < paths_per_pair:
             raise StageShortfall(f"paths[{u},{v}]", paths_per_pair, len(clean))
-        reports.append(StageReport(f"paths[{u},{v}]", paths_per_pair,
-                                   len(clean), "ok"))
+        stages.append(StageReport(f"paths[{u},{v}]", paths_per_pair,
+                                  len(clean), "ok"))
         families[(u, v)] = clean[:paths_per_pair]
 
     touched: dict[tuple[int, int], frozenset[int]] = {}
     for (u, v), paths in families.items():
         span = frozenset(w for p in paths for w in p.vertices)
         touched[(u, v)] = frozenset(x for x in core_set - {u, v} if g.adj(x) & span)
-    a_prime = select_noninterfering(core_set, touched, target_core, budget)
+    a_prime = select_noninterfering(core_set, touched, target_core, bud)
     if len(a_prime) < target_core:
         raise StageShortfall("interference", target_core, len(a_prime))
-    reports.append(StageReport("interference", target_core, len(a_prime), "ok"))
+    stages.append(StageReport("interference", target_core, len(a_prime), "ok"))
     keep = {p: PathFamily(tuple(paths)) for p, paths in families.items()
             if p[0] in a_prime and p[1] in a_prime}
-    result = LinkedFamilies(a_prime, keep, reports)
+    result = LinkedFamilies(a_prime, keep)
     _verify_linked(g, result)
     return result
 
@@ -208,7 +208,7 @@ def _verify_linked(g: Graph, linked: LinkedFamilies) -> None:
 
 
 def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
-                                   budget: Optional[int] = None) -> PathFamily:
+                                   budget: Budget = None) -> PathFamily:
     """The layered-independence refinement: keep paths whose vertex at each
     position survives an exact maximum-independent-set pass over that layer.
     Output verified partially anticomplete."""
@@ -226,9 +226,10 @@ def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
         if not verify_induced_path(g, p):
             raise ValueError("paths must be induced")
     survivors = list(paths)
+    bud = SearchBudget.of(budget)
     for i in range(k):
         layer = frozenset(p.vertices[i] for p in survivors)
-        kept = set(max_independent_subset(g, layer, budget).vertices)
+        kept = set(max_independent_subset(g, layer, bud).vertices)
         survivors = [p for p in survivors if p.vertices[i] in kept]
     result = PathFamily(tuple(survivors))
     require(is_partially_anticomplete(g, result),
@@ -347,7 +348,8 @@ class PipelineOverrides:
     branch_sets, when given, is a pre-built minor injected in place of the
     step-1 search; it is validated, and steps 3-6 run on it only when every
     set already holds a full vertex within diameter 2t.  Any other minor
-    ends at step 2, in a cycle or a shortfall.
+    ends at step 2, in a cycle or a shortfall.  budget bounds the whole run:
+    every stage spends from one SearchBudget.
     """
 
     minor_size: Optional[int] = None
@@ -394,6 +396,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
     if ell < 2:
         raise ValueError("ell must be at least 2")
     ov = overrides or PipelineOverrides()
+    bud = SearchBudget.of(ov.budget)
     stages: list[StageReport] = []
     cert: Optional[Certificate] = None
     minor_size = ov.minor_size if ov.minor_size is not None \
@@ -413,7 +416,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
                 raise ValueError("injected branch sets are not a valid clique minor")
             stages.append(StageReport("minor", minor_size, len(minor), "injected"))
         else:
-            minor = find_clique_minor(g, minor_size, ov.budget)
+            minor = find_clique_minor(g, minor_size, bud)
             if minor is None:
                 stages.append(StageReport("minor", minor_size, 0, "absent"))
                 return PipelineResult(None, stages, ov.seed)
@@ -429,7 +432,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
             stages.append(StageReport("full-minor", len(minor), len(minor),
                                       "preverified"))
         else:  # a cycle, certified for t by the minor layer, or a raise
-            cycle = full_vertex_minor(g, minor, len(minor), t, budget=ov.budget)
+            cycle = full_vertex_minor(g, minor, len(minor), t, budget=bud)
             stages.append(StageReport("full-minor", len(minor),
                                       len(cycle.vertices), "cycle"))
             return PipelineResult(cycle, stages, ov.seed)
@@ -444,8 +447,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
         # Steps 4-6
         linked = build_linked_families(
             g, frozenset(anchors), minor.branch_sets[a_count:], t, ell,
-            paths_per_pair=ov.paths_per_pair, budget=ov.budget)
-        stages.extend(linked.reports)
+            stages, paths_per_pair=ov.paths_per_pair, budget=bud)
         core = linked.a_prime  # t/2 anchors in ascending order
         cyclic: list[PathFamily] = []
         for i in range(len(core)):
@@ -455,7 +457,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
                 by_len.setdefault(len(p), []).append(p)
             length = max(by_len, key=lambda k: (len(by_len[k]), -k))
             extracted = extract_partially_anticomplete(g, by_len[length],
-                                                       ov.budget)
+                                                       bud)
             stages.append(StageReport(f"extract[{u},{v}]", 1,
                                       len(extracted), "ok"))
             if u > v:

@@ -1,8 +1,9 @@
 """Exact detectors for forbidden structures, each returning a verifiable witness.
 
 Every exponential search takes a node budget and raises BudgetExceeded when it
-runs out, which is distinct from a proven "absent".  Traversal order is
-ascending vertex id throughout so certificates are reproducible.
+runs out, which is distinct from a proven "absent".  An int or None starts one
+allowance for the whole call; a SearchBudget is spent from.  Traversal order
+is ascending vertex id throughout so certificates are reproducible.
 
 The induced path, induced cycle, subdivided-star, independent-set and
 clique searches work on the adjacency bitmasks of Graph.masks() (the clique
@@ -48,7 +49,7 @@ absence costs one node per center.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .certificates import (BicliqueWitness, EliminationOrder, InducedCycle,
                            IndependentSetWitness, SubdividedStarWitness)
@@ -56,6 +57,7 @@ from .graph import (DegreeQueue, Graph, OrientedPath, VertexSet,
                     check_vertices, mask_vertices)
 
 DEFAULT_BUDGET = 10_000_000
+Budget = Union[int, "SearchBudget", None]
 
 
 class BudgetExceeded(Exception):
@@ -86,12 +88,17 @@ class StageShortfall(BudgetExceeded):
 
 
 class SearchBudget:
-    """Counts search nodes; spend() raises once the allowance is gone."""
+    """Counts search nodes; spend() raises once the allowance is gone, and
+    of() starts one from an int or None and passes a SearchBudget on."""
 
     __slots__ = ("remaining",)
 
     def __init__(self, nodes: Optional[int] = None):
         self.remaining = DEFAULT_BUDGET if nodes is None else nodes
+
+    @staticmethod
+    def of(budget: Budget) -> SearchBudget:
+        return budget if isinstance(budget, SearchBudget) else SearchBudget(budget)
 
     def spend(self, amount: int = 1) -> None:
         self.remaining -= amount
@@ -100,7 +107,7 @@ class SearchBudget:
 
 
 def find_biclique_subgraph(g: Graph, a: int, b: int,
-                           budget: Optional[int] = None) -> Optional[BicliqueWitness]:
+                           budget: Budget = None) -> Optional[BicliqueWitness]:
     """Find K_{a,b} as a (not necessarily induced) subgraph, or prove absence.
 
     Enumerates candidate left sides of size min(a, b) in ascending id order,
@@ -109,7 +116,7 @@ def find_biclique_subgraph(g: Graph, a: int, b: int,
     if a < 1 or b < 1:
         raise ValueError("biclique sides must be at least 1")
     small, large = min(a, b), max(a, b)
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     # A left vertex needs >= large neighbors.
     candidates = [v for v in range(g.n) if g.degree(v) >= large]
 
@@ -141,7 +148,7 @@ def find_biclique_subgraph(g: Graph, a: int, b: int,
 
 
 def _induced_path_search(g: Graph, stop_len: int,
-                         budget: Optional[int]) -> OrientedPath:
+                         budget: Budget) -> OrientedPath:
     """The first induced path on stop_len vertices in a DFS over partial
     induced paths, or a shorter path when there is none.
 
@@ -154,7 +161,7 @@ def _induced_path_search(g: Graph, stop_len: int,
     are the candidates of the empty path.
     """
     masks = g.masks()
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     best: tuple[int, ...] = ()
 
     def extend(path: list[int], free: int, candidates: int) -> bool:
@@ -189,7 +196,7 @@ def _induced_path_search(g: Graph, stop_len: int,
     return OrientedPath(best)
 
 
-def longest_induced_path(g: Graph, budget: Optional[int] = None) -> OrientedPath:
+def longest_induced_path(g: Graph, budget: Budget = None) -> OrientedPath:
     """A maximum-cardinality induced path (empty path for the empty graph).
 
     The certificate is the least vertex sequence of all longest induced
@@ -216,7 +223,7 @@ def longest_induced_path(g: Graph, budget: Optional[int] = None) -> OrientedPath
     opens as its candidates.
     """
     masks = g.masks()
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     best: tuple[int, ...] = ()
     target = root = 0
 
@@ -285,7 +292,7 @@ def longest_induced_path(g: Graph, budget: Optional[int] = None) -> OrientedPath
 
 
 def has_induced_path(g: Graph, t: int,
-                     budget: Optional[int] = None) -> Optional[OrientedPath]:
+                     budget: Budget = None) -> Optional[OrientedPath]:
     """An induced path on at least t vertices, or None if none exists."""
     if t < 1:
         raise ValueError("t must be positive")
@@ -294,7 +301,7 @@ def has_induced_path(g: Graph, t: int,
 
 
 def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
-                          budget: Optional[int]) -> Optional[tuple[int, ...]]:
+                          budget: Budget) -> Optional[tuple[int, ...]]:
     """Enumerate chordless cycles with >= min_len vertices.
 
     A cycle root, v1, ..., closer is rooted at its minimum vertex, and v1
@@ -317,7 +324,7 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
     with w's least closing candidate; otherwise it descends into w.
     """
     masks = g.masks()
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     best: Optional[tuple[int, ...]] = None
 
     def extend(path: list[int], free: int, candidates: int,
@@ -376,7 +383,7 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
 
 
 def find_long_induced_cycle(g: Graph, t: int,
-                            budget: Optional[int] = None) -> Optional[InducedCycle]:
+                            budget: Budget = None) -> Optional[InducedCycle]:
     """An induced cycle with at least t vertices, or None if none exists."""
     if t < 3:
         raise ValueError("t must be at least 3")
@@ -384,14 +391,14 @@ def find_long_induced_cycle(g: Graph, t: int,
     return InducedCycle(cyc) if cyc else None
 
 
-def longest_induced_cycle(g: Graph, budget: Optional[int] = None) -> Optional[InducedCycle]:
+def longest_induced_cycle(g: Graph, budget: Budget = None) -> Optional[InducedCycle]:
     """A maximum-length induced cycle, or None in a forest."""
     cyc = _induced_cycle_search(g, 3, stop_at_first=False, budget=budget)
     return InducedCycle(cyc) if cyc else None
 
 
 def find_induced_subdivided_star(g: Graph, d: int,
-                                 budget: Optional[int] = None
+                                 budget: Budget = None
                                  ) -> Optional[SubdividedStarWitness]:
     """An induced 1-subdivision of the star with d leaves, or None.
 
@@ -417,7 +424,7 @@ def find_induced_subdivided_star(g: Graph, d: int,
     if d < 2:
         raise ValueError("d must be at least 2")
     masks = g.masks()
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     middles: list[int] = []
     leaves: list[int] = []
     off_center = 0  # the vertices outside N[r], where the leaves lie
@@ -477,7 +484,7 @@ def find_induced_subdivided_star(g: Graph, d: int,
 
 
 def max_independent_subset(g: Graph, within: Optional[VertexSet] = None,
-                           budget: Optional[int] = None) -> IndependentSetWitness:
+                           budget: Budget = None) -> IndependentSetWitness:
     """Maximum independent set inside `within` (default: all vertices).
 
     Branch and bound on the adjacency masks of g: degree-0 and degree-1
@@ -491,7 +498,7 @@ def max_independent_subset(g: Graph, within: Optional[VertexSet] = None,
         vs = set(within)
         check_vertices(g, vs)
         pool = sum(1 << v for v in vs)
-    return _max_independent(g.masks(), pool, SearchBudget(budget))
+    return _max_independent(g.masks(), pool, SearchBudget.of(budget))
 
 
 def _max_independent(masks: Sequence[int], pool: int,
@@ -549,7 +556,7 @@ def _max_independent(masks: Sequence[int], pool: int,
     return IndependentSetWitness(tuple(mask_vertices(best)))
 
 
-def max_independent_set(g: Graph, budget: Optional[int] = None) -> IndependentSetWitness:
+def max_independent_set(g: Graph, budget: Budget = None) -> IndependentSetWitness:
     return max_independent_subset(g, None, budget)
 
 
@@ -571,7 +578,7 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrder]:
     return d, EliminationOrder(tuple(order), d)
 
 
-def max_clique(g: Graph, budget: Optional[int] = None) -> tuple[int, ...]:
+def max_clique(g: Graph, budget: Budget = None) -> tuple[int, ...]:
     """A maximum clique, in ascending id order.
 
     The independent-set search of max_independent_subset run on the
@@ -580,13 +587,9 @@ def max_clique(g: Graph, budget: Optional[int] = None) -> tuple[int, ...]:
     """
     if g.n == 0:
         return ()
-    return _max_clique(g, SearchBudget(budget)).vertices
-
-
-def _max_clique(g: Graph, bud: SearchBudget) -> IndependentSetWitness:
     full = (1 << g.n) - 1
     complement = [full & ~(m | 1 << v) for v, m in enumerate(g.masks())]
-    return _max_independent(complement, full, bud)
+    return _max_independent(complement, full, SearchBudget.of(budget)).vertices
 
 
 def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
@@ -629,22 +632,21 @@ def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
     return colors if assign() else None
 
 
-def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
+def optimal_coloring(g: Graph, budget: Budget = None) -> dict[int, int]:
     """A proper coloring of g with the fewest colors, 0..chi-1.
 
     Lower bound from an exact maximum clique (the search of max_clique),
     upper bound from greedy coloring in reverse degeneracy order;
     k-colorability tested in between, and the greedy coloring returned when
     no smaller k works, or as soon as a clique of `upper` vertices turns
-    up, even in a clique search that ran out of budget.  The clique and
-    colorability searches spend one budget between them.  On budget
+    up, even in a clique search that ran out of budget.  On budget
     exhaustion raises BudgetExceeded with best=(lower, upper): the size of
     the clique found so far, or once the clique is exact the number of
     colors under test.
     """
     if g.n == 0:
         return {}
-    bud = SearchBudget(budget)
+    bud = SearchBudget.of(budget)
     _, elim = degeneracy(g)
     greedy: dict[int, int] = {}
     for v in reversed(elim.order):
@@ -655,7 +657,7 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
         greedy[v] = c
     upper = max(greedy.values()) + 1
     try:
-        clique = _max_clique(g, bud).vertices
+        clique = max_clique(g, bud)
     except BudgetExceeded as exc:
         clique = exc.best.vertices  # a clique, maybe not a maximum one
         if len(clique) < upper:
@@ -672,6 +674,6 @@ def optimal_coloring(g: Graph, budget: Optional[int] = None) -> dict[int, int]:
     return greedy
 
 
-def chromatic_number_exact(g: Graph, budget: Optional[int] = None) -> int:
+def chromatic_number_exact(g: Graph, budget: Budget = None) -> int:
     """Exact chromatic number: the number of colors optimal_coloring uses."""
     return max(optimal_coloring(g, budget).values(), default=-1) + 1

@@ -281,7 +281,8 @@ def pipeline_poison_instance(t: int, ell: int, per_pair: int
 
     Every bridge vertex is adjacent to all anchors a_i and every tail to all
     anchors s_i; `per_pair` controls how many connector sets each anchor
-    pair receives (enough of them defeats the trace bound).
+    pair receives (enough of them defeats the trace bound).  `ell` does not
+    shape the graph; it is accepted for the benchmark's positional call.
     """
     m = t // 2
     return _planted_minor(t, per_pair, lambda i, j, x, tail:

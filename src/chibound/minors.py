@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 from .certificates import (InducedCycle, InternalInconsistency, certified,
                            require)
-from .detect import SearchBudget, StageShortfall, find_long_induced_cycle
+from .detect import Budget, SearchBudget, StageShortfall, find_long_induced_cycle
 from .graph import DegreeQueue, Graph, check_vertices, mask_vertices
 
 
@@ -208,7 +208,7 @@ def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMi
     return None
 
 
-def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
+def find_clique_minor(g: Graph, p: int, budget: Budget = None,
                       seed: int = 0) -> Optional[CliqueMinor]:
     """A clique minor of size p, or None when absence is proven.
 
@@ -238,7 +238,7 @@ def find_clique_minor(g: Graph, p: int, budget: Optional[int] = None,
         if len(quotient) >= p:
             found = CliqueMinor(tuple(quotient[:p]))
         elif k4:  # without a K4 minor there is no K_p minor
-            found = _assignment_search(g, p, SearchBudget(budget))
+            found = _assignment_search(g, p, SearchBudget.of(budget))
             # None comes only after a complete enumeration
             require(found is not None or p > 4, "a K4 minor exists but none was found")
     if found is not None:
@@ -326,7 +326,7 @@ def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
 
 
 def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
-                      seed: int = 0, budget: Optional[int] = None
+                      seed: int = 0, budget: Budget = None
                       ) -> InducedCycle:
     """Step 2 of the pipeline: an induced cycle of >= t vertices.
 

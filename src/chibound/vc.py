@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .certificates import (BicliqueWitness, CounterWitness, InducedCycle,
                            InternalInconsistency, certified, require)
-from .detect import BudgetExceeded, SearchBudget, optimal_coloring
+from .detect import Budget, BudgetExceeded, SearchBudget, optimal_coloring
 from .graph import Graph, VertexSet, is_independent
 
 DEFAULT_UNIVERSE_CAP = 20
@@ -122,13 +122,13 @@ def vc_dimension(system: SetSystem, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
 
 
 def find_shattered_set(system: SetSystem, size: int,
-                       budget: Optional[int] = None) -> Optional[tuple[int, ...]]:
+                       budget: Budget = None) -> Optional[tuple[int, ...]]:
     """The lexicographically first shattered subset of the universe (by
     index) with exactly `size` elements, or None.
 
     Runs _shattered_levels up to level `size` and spends no node beyond it.
     """
-    for level in _shattered_levels(system, SearchBudget(budget)):
+    for level in _shattered_levels(system, SearchBudget.of(budget)):
         if len(level[0]) == size:
             return tuple(system.universe[i] for i in level[0])
     return None

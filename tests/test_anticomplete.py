@@ -16,12 +16,14 @@ from chibound.anticomplete import (AssemblyError, LinkedFamilies,
 from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    InducedCycle, InternalInconsistency,
                                    verify_certificate)
-from chibound.detect import BudgetExceeded, find_biclique_subgraph
+from chibound.detect import (BudgetExceeded, SearchBudget, find_biclique_subgraph,
+                             max_independent_subset, optimal_coloring)
 from chibound.generate import (gnp, pipeline_full_instance,
                                pipeline_ideal_instance, pipeline_poison_instance,
                                planted_cycle)
 from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
                             complete_graph, is_partially_anticomplete)
+from chibound.minors import CliqueMinor, find_clique_minor, full_vertex_minor
 from conftest import random_graph
 import oracles
 
@@ -104,8 +106,12 @@ def _standalone_linked_instance(t: int, copies: int):
 def test_build_linked_families_planted():
     t = 6
     g, pool, connectors = _standalone_linked_instance(t, 2)
+    stages = []
     linked = build_linked_families(g, pool, connectors, t=t, ell=3,
-                                   paths_per_pair=2)
+                                   stages=stages, paths_per_pair=2)
+    assert [(s.name, s.outcome) for s in stages] == [
+        ("independent-core", "ok"), ("groups", "ok"), ("paths[0,1]", "ok"),
+        ("paths[0,2]", "ok"), ("paths[1,2]", "ok"), ("interference", "ok")]
     assert len(linked.a_prime) == 3
     assert len(linked.families) == 3
     for (u, v), fam in linked.families.items():
@@ -121,7 +127,8 @@ def test_build_linked_families_interference_shortfall():
     g, pool, connectors = _standalone_linked_instance(t, 2)
     g = Graph.from_edges(g.n, list(g.edges()) + [(6, 2)])
     with pytest.raises(StageShortfall) as exc:
-        build_linked_families(g, pool, connectors, t=t, ell=4, paths_per_pair=2)
+        build_linked_families(g, pool, connectors, t=t, ell=4, stages=[],
+                              paths_per_pair=2)
     assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
         "interference", 3, 2)
 
@@ -129,14 +136,16 @@ def test_build_linked_families_interference_shortfall():
 def test_build_linked_families_no_connectors():
     g = Graph.from_edges(4, [])
     with pytest.raises(StageShortfall) as exc:
-        build_linked_families(g, frozenset({0, 1, 2}), [], t=6, ell=2)
+        build_linked_families(g, frozenset({0, 1, 2}), [], t=6, ell=2,
+                              stages=[])
     assert exc.value.stage == "groups"
 
 
 def test_build_linked_families_single_anchor():
     g = Graph.from_edges(3, [(1, 2)])
     with pytest.raises(StageShortfall):
-        build_linked_families(g, frozenset({0}), [frozenset({1, 2})], t=6, ell=2)
+        build_linked_families(g, frozenset({0}), [frozenset({1, 2})], t=6,
+                              ell=2, stages=[])
 
 
 def test_build_linked_families_paths_shortfall():
@@ -144,7 +153,8 @@ def test_build_linked_families_paths_shortfall():
     t = 6
     g, pool, connectors = _standalone_linked_instance(t, 2)
     with pytest.raises(StageShortfall) as exc:
-        build_linked_families(g, pool, connectors, t=t, ell=3, paths_per_pair=3)
+        build_linked_families(g, pool, connectors, t=t, ell=3, stages=[],
+                              paths_per_pair=3)
     assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
         "paths[0,1]", 3, 2)
 
@@ -430,6 +440,92 @@ def test_pipeline_poison_biclique():
     assert isinstance(res.certificate, BicliqueWitness)
     assert verify_certificate(g, res.certificate)
     assert find_biclique_subgraph(g, 2, 2) is not None
+    # the step-4 witness keeps the reports of the sub-stages that passed
+    assert [(s.name, s.outcome) for s in res.stages] == [
+        ("minor", "injected"), ("full-minor", "preverified"),
+        ("partition", "ok"), ("independent-core", "ok"), ("groups", "ok"),
+        ("witness", "BicliqueWitness")]
+
+
+@pytest.mark.parametrize("t, total", [(6, 8), (8, 10)])
+def test_pipeline_budget_bounds_the_whole_run(t, total):
+    # one allowance for the run: a budget of B charges at most B + 1 nodes
+    # over all stages, the run assembles exactly when B covers its unbounded
+    # total, and a run cut short keeps the reports of the stages that passed
+    g, sets = pipeline_full_instance(t, copies=2)
+
+    def run(budget):
+        return main_pipeline(g, t, 3, PipelineOverrides(
+            branch_sets=sets, a_count=t // 2, paths_per_pair=2, budget=budget))
+
+    with oracles.node_count() as spent:
+        full = run(None)
+    assert spent[0] == total and full.stages[-1].name == "assemble"
+    for budget in range(13):
+        with oracles.node_count() as spent:
+            res = run(budget)
+        assert spent[0] <= budget + 1
+        assert res.success == (budget >= total)
+        if not res.success:
+            last = res.stages[-1]
+            assert (last.name, last.outcome) == ("budget", "budget")
+            assert res.stages[:-1] == full.stages[:len(res.stages) - 1]
+
+
+def _k4_subdivision() -> Graph:
+    # contracts to a K4 quotient, so asking for K5 runs the assignment search
+    return Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 2),
+                                (1, 5), (5, 3), (2, 3)])
+
+
+def _linked_stage():
+    g, pool, connectors = _standalone_linked_instance(6, 2)
+    return lambda bud: build_linked_families(
+        g, pool, connectors, t=6, ell=3, stages=[], paths_per_pair=2,
+        budget=bud)
+
+
+def _extract_stage():
+    g, pool, connectors = _standalone_linked_instance(6, 2)
+    linked = build_linked_families(g, pool, connectors, t=6, ell=3, stages=[],
+                                   paths_per_pair=2)
+    return lambda bud: extract_partially_anticomplete(
+        g, linked.families[(0, 1)], bud)
+
+
+def _full_minor_stage():
+    # K5 has no induced cycle of 4 vertices: the search proves a shortfall
+    g, singles = complete_graph(5), CliqueMinor.from_sets([{i} for i in range(5)])
+
+    def stage(bud):
+        with pytest.raises(StageShortfall):
+            full_vertex_minor(g, singles, 5, 4, budget=bud)
+    return stage
+
+
+@pytest.mark.parametrize("make_stage", [
+    lambda: lambda bud: find_clique_minor(_k4_subdivision(), 5, bud),
+    _full_minor_stage, _linked_stage, _extract_stage,
+    lambda: lambda bud: select_noninterfering(frozenset(range(5)),
+                                              {(0, 1): {2}}, 3, bud),
+    lambda: lambda bud: max_independent_subset(gnp(16, 0.5, random.Random(3)),
+                                               None, bud),
+    lambda: lambda bud: optimal_coloring(gnp(12, 0.5, random.Random(4)), bud),
+], ids=["find_clique_minor", "full_vertex_minor", "build_linked_families",
+        "extract_partially_anticomplete", "select_noninterfering",
+        "max_independent_subset", "optimal_coloring"])
+def test_stage_spends_the_budget_it_is_given(make_stage):
+    # a SearchBudget handed in is spent from, not replaced by a new allowance,
+    # and an int allowance bounds the whole call, sub-searches included
+    stage = make_stage()
+    bud = SearchBudget(10_000)
+    with oracles.node_count() as spent:
+        stage(bud)
+    assert spent[0] > 0
+    assert 10_000 - bud.remaining == spent[0]
+    with pytest.raises(BudgetExceeded) as exc:
+        stage(spent[0] - 1)
+    assert type(exc.value) is BudgetExceeded
 
 
 def test_pipeline_tree_inconclusive():
@@ -527,5 +623,5 @@ def test_paths_per_pair_must_be_positive(paths_per_pair):
             main_pipeline(g, t, 3, ov)
     g, pool, connectors = _standalone_linked_instance(t, 2)
     with pytest.raises(ValueError, match="paths_per_pair"):
-        build_linked_families(g, pool, connectors, t=t, ell=3,
+        build_linked_families(g, pool, connectors, t=t, ell=3, stages=[],
                               paths_per_pair=paths_per_pair)

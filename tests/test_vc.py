@@ -293,8 +293,8 @@ def test_uncolored_shattering_route_colors_x_once(monkeypatch, lemma):
     g, xs, ys, ell, coloring = trace_instance("shatter8")
     assert coloring is None
     calls = []
-    real = detect._max_clique
-    monkeypatch.setattr(detect, "_max_clique",
+    real = detect.max_clique
+    monkeypatch.setattr(detect, "max_clique",
                         lambda *args: calls.append(args) or real(*args))
     with pytest.raises(CounterWitness) as exc:
         lemma(g, xs, ys, ell, 1, 4)
