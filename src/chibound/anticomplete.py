@@ -136,6 +136,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         if b & a_pool:
             raise ValueError("pool overlaps a branch set")
 
+    bud.stage = ("independent-core", target_core)
     independent_core = max_independent_subset(g, a_pool, bud).vertices
     if len(independent_core) < max(2, target_core):
         raise StageShortfall("independent-core", max(2, target_core),
@@ -153,7 +154,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
     stages.append(StageReport("groups", len(pairs), len(pairs), "ok"))
 
     core_set = frozenset(independent_core)
-    families: dict[tuple[int, int], list[OrientedPath]] = {}
+    families: dict[tuple[int, int], PathFamily] = {}
     for (u, v) in pairs:
         raw: list[OrientedPath] = []
         for branch in groups[(u, v)]:
@@ -163,6 +164,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
                 raw.append(OrientedPath(tuple(path[1:-1])))
         heavy = frozenset(w for p in raw for w in p.vertices
                           if g.degree_in(w, core_set) >= ell)
+        bud.stage = (f"paths[{u},{v}]", paths_per_pair)
         if heavy:
             screen = max_independent_subset(g, heavy, bud).vertices
             cor_traces_check(g, core_set, frozenset(screen), ell, 1, t,
@@ -172,17 +174,18 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
             raise StageShortfall(f"paths[{u},{v}]", paths_per_pair, len(clean))
         stages.append(StageReport(f"paths[{u},{v}]", paths_per_pair,
                                   len(clean), "ok"))
-        families[(u, v)] = clean[:paths_per_pair]
+        families[(u, v)] = tuple(clean[:paths_per_pair])
 
     touched: dict[tuple[int, int], frozenset[int]] = {}
     for (u, v), paths in families.items():
         span = frozenset(w for p in paths for w in p.vertices)
         touched[(u, v)] = frozenset(x for x in core_set - {u, v} if g.adj(x) & span)
+    bud.stage = ("interference", target_core)
     a_prime = select_noninterfering(core_set, touched, target_core, bud)
     if len(a_prime) < target_core:
         raise StageShortfall("interference", target_core, len(a_prime))
     stages.append(StageReport("interference", target_core, len(a_prime), "ok"))
-    keep = {p: PathFamily(tuple(paths)) for p, paths in families.items()
+    keep = {p: paths for p, paths in families.items()
             if p[0] in a_prime and p[1] in a_prime}
     result = LinkedFamilies(a_prime, keep)
     _verify_linked(g, result)
@@ -214,7 +217,7 @@ def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
     Output verified partially anticomplete."""
     paths = tuple(family)
     if not paths:
-        return PathFamily(())
+        return ()
     k = len(paths[0])
     seen: set[int] = set()
     for p in paths:
@@ -231,7 +234,7 @@ def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
         layer = frozenset(p.vertices[i] for p in survivors)
         kept = set(max_independent_subset(g, layer, bud).vertices)
         survivors = [p for p in survivors if p.vertices[i] in kept]
-    result = PathFamily(tuple(survivors))
+    result = tuple(survivors)
     require(is_partially_anticomplete(g, result),
             "extracted family is not partially anticomplete")
     return result
@@ -262,13 +265,13 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     propagates as CounterWitness.
     """
     _validate_separation_input(g, p_fam, q_fam, t)
-    if not (p_fam.paths and q_fam.paths):
+    if not (p_fam and q_fam):
         return p_fam, q_fam
     q = 2 * t - 1
-    k_q = len(q_fam.paths[0])
+    k_q = len(q_fam[0])
     coloring = {v: i for p in p_fam for i, v in enumerate(p.vertices)}
     x_set = frozenset(w for p in p_fam for w in p.vertices)
-    q_current = list(q_fam.paths)
+    q_current = list(q_fam)
     for i in range(k_q):
         if not q_current:
             break
@@ -280,7 +283,7 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     q_kept = tuple(q_current)
     require(all(are_anticomplete(g, p, qq) for p in p_kept for qq in q_kept),
             "separation left an edge")
-    return PathFamily(p_kept), PathFamily(q_kept)
+    return p_kept, q_kept
 
 
 def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
@@ -294,19 +297,19 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
     if not families:
         return []
     if len(families) == 1:
-        if not families[0].paths:
+        if not families[0]:
             raise StageShortfall("selection[last]", 1, 0)
-        return [families[0].paths[0]]
-    head = PathFamily(families[0].paths[:2 * t * t * ell])
+        return [families[0][0]]
+    head = families[0][:2 * t * t * ell]
     reduced: list[PathFamily] = []
     for i in range(1, len(families)):
         head, shrunk = separate_families(g, head, families[i], ell, t)
-        if not head.paths:
+        if not head:
             raise StageShortfall(f"selection[round {i}]", 1, 0)
-        if not shrunk.paths:
+        if not shrunk:
             raise StageShortfall(f"selection[round {i} partner]", 1, 0)
         reduced.append(shrunk)
-    choice = head.paths[0]
+    choice = head[0]
     rest = select_pairwise_anticomplete(g, reduced, ell, t)
     out = [choice] + rest
     require(all(are_anticomplete(g, out[i], out[j])
@@ -406,8 +409,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
         raise ValueError("a_count must be non-negative")
     if ov.paths_per_pair < 1:
         raise ValueError("paths_per_pair must be positive")
-    # the (name, target size) that an exhausted budget is reported against
-    where = ("minor", minor_size)
+    bud.stage = ("minor", minor_size)
     try:
         # Step 1: clique minor (searched, or injected and validated)
         if ov.branch_sets is not None:
@@ -424,7 +426,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
 
         # Step 2: an injected minor whose sets all hold a full vertex within
         # diameter 2t passes the gate; any other minor ends here
-        where = ("full-minor", len(minor))
+        bud.stage = ("full-minor", len(minor))
         if (ov.branch_sets is not None
                 and None not in (fulls := full_vertices(g, minor))
                 and all(eccentric_pair(g, s)[2] + 1 < 2 * t
@@ -438,7 +440,6 @@ def main_pipeline(g: Graph, t: int, ell: int,
             return PipelineResult(cycle, stages, ov.seed)
 
         # Step 3: partition into anchor sets and connector sets
-        where = ("budget", 0)
         if len(minor) < a_count + 1:
             raise StageShortfall("partition", a_count + 1, len(minor))
         anchors = fulls[:a_count]
@@ -456,12 +457,13 @@ def main_pipeline(g: Graph, t: int, ell: int,
             for p in linked.families[(min(u, v), max(u, v))]:
                 by_len.setdefault(len(p), []).append(p)
             length = max(by_len, key=lambda k: (len(by_len[k]), -k))
+            bud.stage = (f"extract[{u},{v}]", 1)
             extracted = extract_partially_anticomplete(g, by_len[length],
                                                        bud)
             stages.append(StageReport(f"extract[{u},{v}]", 1,
                                       len(extracted), "ok"))
             if u > v:
-                extracted = PathFamily(tuple(p.reversed() for p in extracted))
+                extracted = tuple(p.reversed() for p in extracted)
             cyclic.append(extracted)
         picked = select_pairwise_anticomplete(g, cyclic, ell, t)
         cert = assemble_cycle(g, core, picked)
@@ -472,7 +474,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
     except StageShortfall as sf:
         stages.append(StageReport(sf.stage, sf.required, sf.achieved, "shortfall"))
     except BudgetExceeded:
-        stages.append(StageReport(*where, 0, "budget"))
+        stages.append(StageReport(*bud.stage, 0, "budget"))
     if cert is not None:
         certified(g, cert, t=t, ell=ell)
     return PipelineResult(cert, stages, ov.seed)

@@ -89,12 +89,14 @@ class StageShortfall(BudgetExceeded):
 
 class SearchBudget:
     """Counts search nodes; spend() raises once the allowance is gone, and
-    of() starts one from an int or None and passes a SearchBudget on."""
+    of() starts one from an int or None and passes a SearchBudget on.
+    `stage` is the (name, target size) of the pipeline stage spending it."""
 
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "stage")
 
     def __init__(self, nodes: Optional[int] = None):
         self.remaining = DEFAULT_BUDGET if nodes is None else nodes
+        self.stage = ("budget", 0)
 
     @staticmethod
     def of(budget: Budget) -> SearchBudget:

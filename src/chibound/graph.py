@@ -29,8 +29,7 @@ class Graph:
         self._masks: Optional[tuple[int, ...]] = None
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   cap: int = DEFAULT_VERTEX_CAP) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list.
 
         Self-loops and repeated edges are rejected rather than dropped.
@@ -38,8 +37,8 @@ class Graph:
         """
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if n > cap:
-            raise ValueError(f"vertex count {n} exceeds cap {cap}")
+        if n > DEFAULT_VERTEX_CAP:
+            raise ValueError(f"vertex count {n} exceeds cap {DEFAULT_VERTEX_CAP}")
         sets: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -252,17 +251,8 @@ class OrientedPath:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    """A collection of oriented paths, typically equal-length and vertex-disjoint."""
-
-    paths: tuple[OrientedPath, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self) -> Iterator[OrientedPath]:
-        return iter(self.paths)
+#: A collection of oriented paths, typically equal-length and vertex-disjoint.
+PathFamily = tuple[OrientedPath, ...]
 
 
 def mask_vertices(mask: int) -> list[int]:
@@ -303,9 +293,8 @@ def are_anticomplete(g: Graph, p: OrientedPath, q: OrientedPath) -> bool:
 
 def is_partially_anticomplete(g: Graph, family: PathFamily) -> bool:
     """All paths pairwise vertex-disjoint, equal-length, aligned positions non-adjacent."""
-    paths = family.paths
-    for i, p in enumerate(paths):
-        for q in paths[i + 1:]:
+    for i, p in enumerate(family):
+        for q in family[i + 1:]:
             if (len(p) != len(q) or p.vertex_set() & q.vertex_set()
                     or any(g.has_edge(a, b) for a, b in zip(p.vertices, q.vertices))):
                 return False

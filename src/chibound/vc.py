@@ -7,8 +7,8 @@ traces force a shattered set, which assembles into an induced cycle of t
 vertices.  The decision raises that certificate as
 certificates.CounterWitness, the one way out the lemma layer has for it:
 cor_traces_check returns nothing and cor_traces3_split only its split.
-Without a given coloring G[X] is colored once; that coloring both
-certifies q-colorability and picks the shattered set's color class.
+Both lemmas take the caller's coloring of G[X]: it certifies that G[X] is
+q-colorable and picks the shattered set's color class.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .certificates import (BicliqueWitness, CounterWitness, InducedCycle,
                            InternalInconsistency, certified, require)
-from .detect import Budget, BudgetExceeded, SearchBudget, optimal_coloring
+from .detect import Budget, SearchBudget
 from .graph import Graph, VertexSet, is_independent
 
 DEFAULT_UNIVERSE_CAP = 20
@@ -104,7 +104,7 @@ def _shattered_levels(system: SetSystem, bud: SearchBudget
         level = nxt
 
 
-def vc_dimension(system: SetSystem, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
+def vc_dimension(system: SetSystem) -> int:
     """Exact VC dimension: the size of the last level of _shattered_levels,
     -1 for an empty family (not even the empty set is shattered).
 
@@ -114,8 +114,8 @@ def vc_dimension(system: SetSystem, cap: int = DEFAULT_UNIVERSE_CAP) -> int:
     polynomial in the number of shattered sets (see _shattered_levels).
     """
     n = len(system.universe)
-    if n > cap:
-        raise ValueError(f"universe size {n} exceeds cap {cap}")
+    if n > DEFAULT_UNIVERSE_CAP:
+        raise ValueError(f"universe size {n} exceeds cap {DEFAULT_UNIVERSE_CAP}")
     if len(set(system.members)) == 1 << n:
         return n
     return sum(1 for _ in _shattered_levels(system, SearchBudget(math.inf))) - 1
@@ -163,10 +163,11 @@ def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
                          t: int) -> InducedCycle:
     """Assemble an induced t-cycle from an independent shattered set.
 
-    Uses the first t/2 elements of z_set; for each consecutive pair a tagged
-    member whose trace meets the chosen set in exactly that pair supplies
-    the in-between vertex.  Alternative witnesses are tried per slot before
-    failing, which only matters when the tag set is not independent.
+    Uses the first t/2 elements of z_set; for each consecutive pair the
+    least tag not yet taken whose trace meets the chosen set in exactly
+    that pair supplies the in-between vertex (two pairs share their tags
+    only when t = 4).  The lemmas pass an independent Y as the tags, so the
+    picks are independent; picks that are not raise ValueError.
     """
     if t % 2 or t < 4:
         raise ValueError("t must be even and at least 4")
@@ -180,31 +181,15 @@ def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
         raise ValueError("set system must carry tags")
     zs = z_sorted[:m]
     chosen_set = frozenset(zs)
-    candidates: list[list[int]] = []
+    picked: list[int] = []
     for i in range(m):
         pattern = frozenset({zs[i], zs[(i + 1) % m]})
-        pool = sorted(tag for member, tag in zip(system.members, system.tags)
-                      if member & chosen_set == pattern)
+        pool = [tag for member, tag in zip(system.members, system.tags)
+                if member & chosen_set == pattern and tag not in picked]
         if not pool:
-            raise ValueError(f"no witness for pair {sorted(pattern)}: "
-                             "set is not shattered by the system")
-        candidates.append(pool)
-
-    picked: list[int] = []
-
-    def assign(i: int) -> bool:
-        if i == m:
-            return True
-        for y in candidates[i]:
-            if y in picked or any(g.has_edge(y, w) for w in picked):
-                continue
-            picked.append(y)
-            if assign(i + 1):
-                return True
-            picked.pop()
-        return False
-
-    if not assign(0):
+            raise ValueError(f"no witness left for pair {sorted(pattern)}")
+        picked.append(min(pool))
+    if not is_independent(g, picked):
         raise ValueError("witnesses conflict; cannot assemble an induced cycle")
     cycle: list[int] = []
     for i in range(m):
@@ -214,28 +199,20 @@ def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
 
 
 def _check_coloring(g: Graph, x_set: frozenset[int], q: int,
-                    coloring: Optional[dict[int, int]]
-                    ) -> tuple[dict[int, int], Optional[str]]:
-    """A coloring of G[X] and None if it certifies G[X] q-colorable, else a
-    failure description.  Without a coloring, G[X] is colored once with
-    optimal_coloring, which uses chi(G[X]) colors."""
-    if coloring is None:
-        sub, back = g.induced(x_set)
-        try:
-            coloring = {back[v]: c for v, c in optimal_coloring(sub).items()}
-        except BudgetExceeded:
-            return {}, "q-colorability could not be decided within budget"
+                    coloring: dict[int, int]) -> Optional[str]:
+    """None if the coloring certifies G[X] q-colorable, else a failure
+    description."""
     for v in x_set:
         if v not in coloring:
-            return coloring, f"coloring misses vertex {v}"
+            return f"coloring misses vertex {v}"
     used = len({coloring[v] for v in x_set})
     if used > q:
-        return coloring, f"coloring uses {used} > q = {q} colors"
+        return f"coloring uses {used} > q = {q} colors"
     for v in x_set:
         for w in g.adj(v):
             if w in x_set and w > v and coloring[v] == coloring[w]:
-                return coloring, f"coloring repeats on edge ({v},{w})"
-    return coloring, None
+                return f"coloring repeats on edge ({v},{w})"
+    return None
 
 
 def _trace_exponent(q: int, t: int) -> int:
@@ -245,26 +222,19 @@ def _trace_exponent(q: int, t: int) -> int:
 
 
 def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
-                      ell: int, q: int, t: int,
-                      coloring: Optional[dict[int, int]],
-                      check_degrees: bool) -> tuple[list[str], dict[int, int]]:
-    """The failed hypotheses and the coloring of G[X] they were checked with."""
+                      q: int, t: int, coloring: dict[int, int]) -> list[str]:
+    """The failed hypotheses that both trace lemmas share."""
     failures = []
     if x_set & y_set:
         failures.append("X and Y overlap")
     if len(x_set) < _trace_exponent(q, t):
         failures.append(f"|X| = {len(x_set)} below q*t/2 = {_trace_exponent(q, t)}")
-    coloring, msg = _check_coloring(g, x_set, q, coloring)
+    msg = _check_coloring(g, x_set, q, coloring)
     if msg:
         failures.append(msg)
     if not is_independent(g, y_set):
         failures.append("Y is not independent")
-    if check_degrees:
-        lazy = [y for y in sorted(y_set) if g.degree_in(y, x_set) < ell]
-        if lazy:
-            failures.append(f"vertices {lazy[:5]} have fewer than ell = {ell} "
-                            "neighbors in X")
-    return failures, coloring
+    return failures
 
 
 def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
@@ -272,10 +242,11 @@ def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
               ) -> tuple[frozenset[int], frozenset[int]]:
     """The largest trace bucket of Y and its trace, unless an overload
     yields a certificate, which is raised as CounterWitness: a biclique when
-    bucket and trace both reach ell; else, when the counting applies (the
-    caller then passes the coloring that certifies G[X] q-colorable) and
+    bucket and trace both reach ell; else, when the counting applies and
     the bucket stays below ell, an induced t-cycle through a shattered set
-    of size qt/2, whose largest color class is independent."""
+    of size qt/2, whose largest color class is independent.  The caller
+    passes the checked coloring of G[X] when the counting applies and None
+    when it does not."""
     system = neighborhood_system(g, x_set, y_set)
     bucket, trace, _ = _buckets(system)
     if len(bucket) >= ell and len(trace) >= ell:
@@ -295,13 +266,20 @@ def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
 
 
 def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
-                     ell: int, q: int, t: int,
-                     coloring: Optional[dict[int, int]] = None) -> None:
+                     ell: int, q: int, t: int, coloring: dict[int, int]) -> None:
     """Verify |Y| < ell * |X|^(qt/2); on failure raise CounterWitness with
     the certificate of _overload: a biclique from a bucket of ell same-trace
-    vertices, failing that an induced t-cycle through a shattered set."""
+    vertices, failing that an induced t-cycle through a shattered set.
+
+    `coloring` is the caller's certificate that G[X] is q-colorable; it is
+    checked with the other hypotheses, and a violated one raises ValueError.
+    """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    failures, coloring = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, True)
+    failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)
+    lazy = [y for y in sorted(y_set) if g.degree_in(y, x_set) < ell]
+    if lazy:
+        failures.append(f"vertices {lazy[:5]} have fewer than ell = {ell} "
+                        "neighbors in X")
     if failures:
         raise ValueError("hypotheses violated: " + "; ".join(failures))
     if len(y_set) < ell * len(x_set) ** _trace_exponent(q, t):
@@ -313,8 +291,7 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
 
 
 def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
-                      ell: int, q: int, t: int,
-                      coloring: Optional[dict[int, int]] = None
+                      ell: int, q: int, t: int, coloring: dict[int, int]
                       ) -> tuple[frozenset[int], frozenset[int]]:
     """Split off the largest trace bucket Y' and the trace-free part X' of X.
 
@@ -322,11 +299,12 @@ def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
     stated hypotheses |X'| > |X| - ell and |Y'| >= |Y| / |X|^(qt/2); a
     bucket and trace both of size >= ell instead raise CounterWitness with
     the biclique (or, when the hypotheses hold and the bucket stays small
-    against the counting, with an induced t-cycle).  Inputs that miss the
-    hypotheses are split all the same.
+    against the counting, with an induced t-cycle).  `coloring` is the
+    caller's certificate that G[X] is q-colorable.  Inputs that miss the
+    hypotheses, this certificate among them, are split all the same.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    failures, coloring = _trace_hypotheses(g, x_set, y_set, ell, q, t, coloring, False)
+    failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)
     if not y_set:
         return x_set, frozenset()
     counted = not failures and len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)

@@ -21,7 +21,7 @@ from chibound.detect import (BudgetExceeded, SearchBudget, find_biclique_subgrap
 from chibound.generate import (gnp, pipeline_full_instance,
                                pipeline_ideal_instance, pipeline_poison_instance,
                                planted_cycle)
-from chibound.graph import (Graph, OrientedPath, PathFamily, are_anticomplete,
+from chibound.graph import (Graph, OrientedPath, are_anticomplete,
                             complete_graph, is_partially_anticomplete)
 from chibound.minors import CliqueMinor, find_clique_minor, full_vertex_minor
 from conftest import random_graph
@@ -178,12 +178,12 @@ def test_extract_eight_edges_with_conflicts(rng):
     paths = [OrientedPath(e) for e in base]
     fam = extract_partially_anticomplete(g, paths)
     assert is_partially_anticomplete(g, fam)
-    assert set(fam.paths) <= set(paths)
+    assert set(fam) <= set(paths)
 
     best = 0
     for mask in range(1 << 8):
         chosen = [paths[i] for i in range(8) if mask >> i & 1]
-        sub = PathFamily(tuple(chosen))
+        sub = tuple(chosen)
         if is_partially_anticomplete(g, sub):
             best = max(best, len(chosen))
     assert len(fam) <= best
@@ -192,27 +192,26 @@ def test_extract_eight_edges_with_conflicts(rng):
 
 def test_separate_disjoint_components():
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    p = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))))
-    q = PathFamily((OrientedPath((4, 5)), OrientedPath((6, 7))))
+    p = (OrientedPath((0, 1)), OrientedPath((2, 3)))
+    q = (OrientedPath((4, 5)), OrientedPath((6, 7)))
     p2, q2 = separate_families(g, p, q, ell=2, t=4)
-    assert p2.paths == p.paths and q2.paths == q.paths
+    assert p2 == p and q2 == q
 
 
 def test_separate_empty_q():
     g = Graph.from_edges(2, [(0, 1)])
-    p = PathFamily((OrientedPath((0, 1)),))
-    q = PathFamily(())
+    p = (OrientedPath((0, 1)),)
+    q = ()
     p2, q2 = separate_families(g, p, q, ell=2, t=4)
-    assert p2.paths == p.paths and len(q2) == 0
+    assert p2 == p and len(q2) == 0
 
 
 def test_separate_planted_sparse_conflicts():
     # two families of 2-vertex paths with one cross edge
     edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (1, 4)]
     g = Graph.from_edges(10, edges)
-    p = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))))
-    q = PathFamily((OrientedPath((4, 5)), OrientedPath((6, 7)),
-                    OrientedPath((8, 9))))
+    p = (OrientedPath((0, 1)), OrientedPath((2, 3)))
+    q = (OrientedPath((4, 5)), OrientedPath((6, 7)), OrientedPath((8, 9)))
     p2, q2 = separate_families(g, p, q, ell=2, t=4)
     for a in p2:
         for b in q2:
@@ -224,26 +223,26 @@ def test_separate_size_floors_hold():
     # ell = 1 and one P path of 3 = q*t/2 vertices meet the paper's
     # cardinality hypotheses, under which no path is lost
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    p = PathFamily((OrientedPath((0, 1, 2)),))
-    q = PathFamily((OrientedPath((3, 4, 5)),))
+    p = (OrientedPath((0, 1, 2)),)
+    q = (OrientedPath((3, 4, 5)),)
     p2, q2 = separate_families(g, p, q, ell=1, t=2)
-    assert p2.paths == p.paths and q2.paths == q.paths
+    assert p2 == p and q2 == q
 
 
 def test_separate_rejects_malformed():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2)])
-    touching = PathFamily((OrientedPath((0, 1)),))
+    touching = (OrientedPath((0, 1)),)
     with pytest.raises(ValueError):
         separate_families(g, touching, touching, 2, 4)
 
 
 def test_select_pairwise_base_cases():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    fams = [PathFamily((OrientedPath((0, 1)),))]
+    fams = [(OrientedPath((0, 1)),)]
     assert select_pairwise_anticomplete(g, fams, 2, 4) == [OrientedPath((0, 1))]
-    fams3 = [PathFamily((OrientedPath((0, 1)),)),
-             PathFamily((OrientedPath((2, 3)),)),
-             PathFamily((OrientedPath((4, 5)),))]
+    fams3 = [(OrientedPath((0, 1)),),
+             (OrientedPath((2, 3)),),
+             (OrientedPath((4, 5)),)]
     out = select_pairwise_anticomplete(g, fams3, 2, 4)
     assert out == [OrientedPath((0, 1)), OrientedPath((2, 3)),
                    OrientedPath((4, 5))]
@@ -251,13 +250,13 @@ def test_select_pairwise_base_cases():
 
 def test_select_pairwise_shortfalls():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    head = PathFamily((OrientedPath((0,)),))
-    empty = PathFamily(())
+    head = (OrientedPath((0,)),)
+    empty = ()
     cases = [
         # nothing left for the last family
         ([empty], "selection[last]"),
         # 1 ~ 0, so the split keeps 1 and strips the head's only vertex
-        ([head, PathFamily((OrientedPath((1,)),))], "selection[round 1]"),
+        ([head, (OrientedPath((1,)),)], "selection[round 1]"),
         ([head, empty], "selection[round 1 partner]"),
     ]
     for fams, stage in cases:
@@ -285,7 +284,7 @@ def test_select_pairwise_planted_conflicts():
                  (paths[1][2].vertices[2], paths[2][0].vertices[1]),
                  (paths[0][3].vertices[0], paths[2][2].vertices[2])]
     g = Graph.from_edges(vid, base_edges + conflicts)
-    fams = [PathFamily(tuple(f)) for f in paths]
+    fams = [tuple(f) for f in paths]
     out = select_pairwise_anticomplete(g, fams, ell=2, t=6)
     assert len(out) == k
     for i in range(k):
@@ -447,11 +446,21 @@ def test_pipeline_poison_biclique():
         ("witness", "BicliqueWitness")]
 
 
+#: The stage a run on pipeline_full_instance(t, 2) runs out in, by budget.
+BUDGET_STOPS = {
+    6: ["independent-core"] + ["interference"] * 4
+       + ["extract[0,1]", "extract[1,2]", "extract[2,0]"],
+    8: ["independent-core"] + ["interference"] * 5
+       + ["extract[0,1]", "extract[1,2]", "extract[2,3]", "extract[3,0]"],
+}
+
+
 @pytest.mark.parametrize("t, total", [(6, 8), (8, 10)])
 def test_pipeline_budget_bounds_the_whole_run(t, total):
     # one allowance for the run: a budget of B charges at most B + 1 nodes
     # over all stages, the run assembles exactly when B covers its unbounded
     # total, and a run cut short keeps the reports of the stages that passed
+    # and names the stage it ran out in
     g, sets = pipeline_full_instance(t, copies=2)
 
     def run(budget):
@@ -468,7 +477,7 @@ def test_pipeline_budget_bounds_the_whole_run(t, total):
         assert res.success == (budget >= total)
         if not res.success:
             last = res.stages[-1]
-            assert (last.name, last.outcome) == ("budget", "budget")
+            assert (last.name, last.outcome) == (BUDGET_STOPS[t][budget], "budget")
             assert res.stages[:-1] == full.stages[:len(res.stages) - 1]
 
 

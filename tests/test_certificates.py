@@ -34,6 +34,30 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+#: Handlers that catch an exhausted budget, by the names they catch.
+BUDGET_CATCHERS = {"BudgetExceeded", "StageShortfall", "Exception", "BaseException"}
+
+
+def test_package_swallows_no_budget_exhaustion():
+    # a handler that catches BudgetExceeded re-raises it, maybe with its best
+    # object, unless it is main_pipeline's, which reports the stage that ran
+    # out; an exhausted budget never turns into an answer
+    found = []
+    for path in PACKAGE_MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        reporter = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "main_pipeline"
+                    for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or id(node) in reporter:
+                continue
+            caught = ast.unparse(node.type) if node.type else "BaseException"
+            if (any(name in caught for name in BUDGET_CATCHERS)
+                    and not any(isinstance(n, ast.Raise) for n in ast.walk(node))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _importers(module: str) -> set[str]:
     """The package modules that import `module`."""
     found = set()

@@ -17,10 +17,9 @@ depend on the search order, so a kernel change that keeps the certificates
 but visits nodes in a different order fails here too.
 
 The upper layers are pinned on the same terms: chromatic_number_exact (value,
-nodes and BudgetExceeded.best), cor_traces_check (including the uncolored
-shattering route), cor_traces3_split (the split or the CounterWitness
-certificate), check_branch_diameter and full_vertex_minor on the
-G(20, 1/2) minors, the JSON record of main_pipeline on the planted, ideal,
+nodes and BudgetExceeded.best), cor_traces_check, cor_traces3_split (the
+split or the CounterWitness certificate), check_branch_diameter and
+full_vertex_minor on the G(20, 1/2) minors, the JSON record of main_pipeline on the planted, ideal,
 tree and G(20, 1/2) instances, and the pipeline instance builders' graphs
 and branch sets.
 
@@ -163,7 +162,8 @@ PIPELINE_BUDGET = 20_000
 #: (kind, t, copies or (ell, per_pair)): the builders at the benchmark's
 #: parameters.
 INSTANCES = [("full", 6, 2), ("full", 8, 2), ("poison", 6, (2, 54))]
-#: cor_traces_check instances, see trace_instance().
+#: cor_traces_check instances, see trace_instance(); each comes with its
+#: coloring, so "shatter8-colored" repeats "shatter8".
 TRACE_INSTANCES = ("shatter8", "shatter8-colored", "shatter7", "bucket", "holds")
 
 
@@ -304,9 +304,9 @@ def instance_record(kind: str, t: int, extra) -> dict:
 def trace_instance(name: str):
     """(graph, X, Y, ell, coloring) with q = 1 and t = 4.
 
-    X is an edgeless set of 8 (or 7) vertices and each vertex of Y is
-    adjacent to its own subset of X of at least 2 vertices: the first |Y|
-    such subsets by size, then lexicographically.  With 128 = 2 * 8^2
+    X is an edgeless set of 8 (or 7) vertices, all of color 0, and each
+    vertex of Y is adjacent to its own subset of X of at least 2 vertices:
+    the first |Y| such subsets by size, then lexicographically.  With 128 = 2 * 8^2
     distinct traces the bound of cor_traces_check fails and no bucket holds
     2 vertices, so the shattering route answers; "bucket" repeats every
     trace once, which gives a biclique instead, and "holds" stays one
@@ -320,7 +320,7 @@ def trace_instance(name: str):
         ny -= 1
     edges = [(nx + i, z) for i, tr in enumerate(traces[:ny]) for z in tr]
     g = Graph.from_edges(nx + ny, edges)
-    coloring = {z: 0 for z in range(nx)} if name == "shatter8-colored" else None
+    coloring = dict.fromkeys(range(nx), 0)
     return g, frozenset(range(nx)), frozenset(range(nx, nx + ny)), 2, coloring
 
 

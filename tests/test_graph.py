@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chibound.graph import (DegreeQueue, Graph, OrientedPath, PathFamily, are_anticomplete,
+from chibound.graph import (DEFAULT_VERTEX_CAP, DegreeQueue, Graph,
+                            OrientedPath, are_anticomplete,
                             complete_graph, cycle_graph, empty_graph,
                             first_bad_pair, is_independent,
                             is_partially_anticomplete, mask_vertices,
@@ -23,7 +24,8 @@ def test_construction_rejects_bad_input():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
-        Graph.from_edges(5, [(0, 1)], cap=4)
+        # the guard raises before anything is allocated
+        Graph.from_edges(DEFAULT_VERTEX_CAP + 1, [])
 
 
 def test_edge_order_insensitive():
@@ -75,15 +77,15 @@ def test_anticomplete_symmetric(rng):
 
 def test_partially_anticomplete():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-    single = PathFamily((OrientedPath((0, 1, 2)),))
+    single = (OrientedPath((0, 1, 2)),)
     assert is_partially_anticomplete(g, single)
-    two = PathFamily((OrientedPath((0, 1, 2)), OrientedPath((3, 4, 5))))
+    two = (OrientedPath((0, 1, 2)), OrientedPath((3, 4, 5)))
     assert is_partially_anticomplete(g, two)
-    uneven = PathFamily((OrientedPath((0, 1)), OrientedPath((3, 4, 5))))
+    uneven = (OrientedPath((0, 1)), OrientedPath((3, 4, 5)))
     assert not is_partially_anticomplete(g, uneven)
     # aligned adjacent positions break it
     g2 = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2)])
-    fam = PathFamily((OrientedPath((0, 1)), OrientedPath((2, 3))))
+    fam = (OrientedPath((0, 1)), OrientedPath((2, 3)))
     assert not is_partially_anticomplete(g2, fam)
 
 

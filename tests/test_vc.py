@@ -5,17 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chibound import detect
 from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    InducedCycle, verify_certificate)
+from chibound.detect import optimal_coloring
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
-from chibound.vc import (SetSystem, cor_traces3_split, cor_traces_check,
-                         cycle_from_shattered, find_shattered_set,
-                         neighborhood_system, sauer_shelah_bound,
-                         trace_buckets, vc_dimension)
+from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces3_split,
+                         cor_traces_check, cycle_from_shattered,
+                         find_shattered_set, neighborhood_system,
+                         sauer_shelah_bound, trace_buckets, vc_dimension)
 from conftest import random_graph
 from oracles import brute_shattered_sets, brute_vc_dimension, node_count
-from test_golden import trace_instance
+
+
+def chi_coloring(g: Graph, xs: frozenset) -> dict[int, int]:
+    """An optimal coloring of G[X], keyed by the vertices of g."""
+    sub, back = g.induced(xs)
+    return {back[v]: c for v, c in optimal_coloring(sub).items()}
 
 
 def powerset_system(n: int) -> SetSystem:
@@ -76,7 +81,8 @@ def test_vc_dimension_examples():
     assert vc_dimension(singles) == 1
     assert vc_dimension(SetSystem((0, 1), ())) == -1
     with pytest.raises(ValueError):
-        vc_dimension(powerset_system(3), cap=2)
+        # the guard raises before the search
+        vc_dimension(SetSystem(tuple(range(DEFAULT_UNIVERSE_CAP + 1)), ()))
 
 
 def test_sauer_shelah_bound():
@@ -213,6 +219,17 @@ def test_cycle_from_shattered_missing_pattern():
         cycle_from_shattered(g, x, broken, 6)
 
 
+def test_cycle_from_shattered_takes_one_witness_per_pair():
+    # every pair of X = {0, 1, 2} has a witness; the least witness 3 of
+    # {0, 1} is adjacent to the only witness 5 of {1, 2}, and the other
+    # witness 4 of {0, 1} is not tried in its place
+    g = Graph.from_edges(7, [(3, 0), (3, 1), (4, 0), (4, 1), (5, 1), (5, 2),
+                             (6, 2), (6, 0), (3, 5)])
+    system = neighborhood_system(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}))
+    with pytest.raises(ValueError, match="witnesses conflict"):
+        cycle_from_shattered(g, frozenset({0, 1, 2}), system, 6)
+
+
 def test_cor_traces_check_holds_small(rng):
     checked = attempts = 0
     while checked < 40 and attempts < 4000:
@@ -227,7 +244,8 @@ def test_cor_traces_check_holds_small(rng):
             continue
         try:
             # tiny |Y| never beats the bound: a CounterWitness fails the test
-            cor_traces_check(g, xs, ys, ell=2, q=2, t=4)
+            cor_traces_check(g, xs, ys, ell=2, q=2, t=4,
+                             coloring=chi_coloring(g, xs))
         except ValueError:
             continue  # e.g. G[X] not 2-colorable
         checked += 1
@@ -253,14 +271,15 @@ def test_cor_traces_check_planted_biclique():
 def test_cor_traces_check_empty_y():
     g = empty_graph(4)
     assert cor_traces_check(g, frozenset({0, 1, 2}), frozenset(),
-                            ell=2, q=1, t=6) is None
+                            ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0}) is None
 
 
 def test_cor_traces_check_rejects_bad_hypotheses():
     g = Graph.from_edges(4, [(2, 3), (2, 0), (2, 1), (3, 0), (3, 1)])
     with pytest.raises(ValueError):
         # Y = {2,3} is not independent
-        cor_traces_check(g, frozenset({0, 1}), frozenset({2, 3}), 2, 1, 4)
+        cor_traces_check(g, frozenset({0, 1}), frozenset({2, 3}), 2, 1, 4,
+                         coloring={0: 0, 1: 0})
 
 
 def test_cor_traces_check_shattering_cycle():
@@ -286,23 +305,6 @@ def test_cor_traces_check_shattering_cycle():
     assert len(witness.vertices) == t
 
 
-@pytest.mark.parametrize("lemma", [cor_traces_check, cor_traces3_split])
-def test_uncolored_shattering_route_colors_x_once(monkeypatch, lemma):
-    # one optimal coloring of G[X] both certifies q-colorability and picks
-    # the shattered set's color class, so one maximum-clique search runs
-    g, xs, ys, ell, coloring = trace_instance("shatter8")
-    assert coloring is None
-    calls = []
-    real = detect.max_clique
-    monkeypatch.setattr(detect, "max_clique",
-                        lambda *args: calls.append(args) or real(*args))
-    with pytest.raises(CounterWitness) as exc:
-        lemma(g, xs, ys, ell, 1, 4)
-    witness = exc.value.certificate
-    assert isinstance(witness, InducedCycle) and verify_certificate(g, witness)
-    assert len(calls) == 1
-
-
 def test_cor_traces3_trivial_splits():
     g = empty_graph(7)
     xp, yp = cor_traces3_split(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}),
@@ -313,7 +315,7 @@ def test_cor_traces3_trivial_splits():
     edges = [(0, y) for y in range(3, 7)]
     g2 = Graph.from_edges(7, edges)
     xp, yp = cor_traces3_split(g2, frozenset({0, 1, 2}), frozenset(range(3, 7)),
-                               ell=2, q=1, t=6)
+                               ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
     assert xp == frozenset({1, 2}) and yp == frozenset(range(3, 7))
     assert all(not g2.adj(y) & xp for y in yp)
 
@@ -327,7 +329,7 @@ def test_cor_traces3_splits_a_full_bucket_with_a_small_trace():
              for x in c]
     g = Graph.from_edges(36, edges)
     xp, yp = cor_traces3_split(g, frozenset(range(4)), frozenset(range(4, 36)),
-                               ell=2, q=1, t=4)
+                               ell=2, q=1, t=4, coloring=dict.fromkeys(range(4), 0))
     assert xp == frozenset(range(4)) and yp == frozenset({4, 5})
 
 
@@ -339,7 +341,7 @@ def test_cor_traces3_surfaces_biclique():
     g = Graph.from_edges(3 + nY, edges)
     with pytest.raises(CounterWitness) as exc:
         cor_traces3_split(g, frozenset({0, 1, 2}), frozenset(range(3, 3 + nY)),
-                          ell=2, q=1, t=6)
+                          ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
     assert isinstance(exc.value.certificate, BicliqueWitness)
     assert verify_certificate(g, exc.value.certificate)
 
@@ -354,7 +356,8 @@ def test_cor_traces3_postconditions_random(rng):
         if not ys:
             continue
         try:
-            xp, yp = cor_traces3_split(g, xs, ys, ell=2, q=2, t=4)
+            xp, yp = cor_traces3_split(g, xs, ys, ell=2, q=2, t=4,
+                                       coloring=chi_coloring(g, xs))
         except CounterWitness as w:
             assert verify_certificate(g, w.certificate)
             done += 1
