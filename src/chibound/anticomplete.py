@@ -168,7 +168,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         if heavy:
             screen = max_independent_subset(g, heavy, bud).vertices
             cor_traces_check(g, core_set, frozenset(screen), ell, 1, t,
-                             coloring={x: 0 for x in core_set})
+                             coloring={x: 0 for x in core_set}, budget=bud)
         clean = [p for p in raw if not (p.vertex_set() & heavy)]
         if len(clean) < paths_per_pair:
             raise StageShortfall(f"paths[{u},{v}]", paths_per_pair, len(clean))
@@ -255,14 +255,16 @@ def _validate_separation_input(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
 
 def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
-                      ell: int, t: int) -> tuple[PathFamily, PathFamily]:
+                      ell: int, t: int, budget: Budget = None
+                      ) -> tuple[PathFamily, PathFamily]:
     """Shrink both families until no edges run between them.
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
     against the remaining P-vertices.  That no edge is left between the
     two results is required; how many paths survive is not (the paper's
     size floors need ell <= 1).  A biclique or cycle found along the way
-    propagates as CounterWitness.
+    propagates as CounterWitness; every round's shattered-set search spends
+    the one budget.
     """
     _validate_separation_input(g, p_fam, q_fam, t)
     if not (p_fam and q_fam):
@@ -272,12 +274,13 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     coloring = {v: i for p in p_fam for i, v in enumerate(p.vertices)}
     x_set = frozenset(w for p in p_fam for w in p.vertices)
     q_current = list(q_fam)
+    bud = SearchBudget.of(budget)
     for i in range(k_q):
         if not q_current:
             break
         layer = frozenset(p.vertices[i] for p in q_current)
         x_set, bucket = cor_traces3_split(g, x_set, layer, ell, q, t,
-                                          coloring=coloring)
+                                          coloring=coloring, budget=bud)
         q_current = [p for p in q_current if p.vertices[i] in bucket]
     p_kept = tuple(p for p in p_fam if p.vertex_set() <= x_set)
     q_kept = tuple(q_current)
@@ -287,12 +290,14 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
 
 def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
-                                 ell: int, t: int) -> list[OrientedPath]:
+                                 ell: int, t: int, budget: Budget = None
+                                 ) -> list[OrientedPath]:
     """One path per family, pairwise anticomplete.
 
     Trims the first family to a working set of 2 t^2 ell paths, separates
     it against each of the others in turn, keeps a survivor, and recurses
-    on the reduced remainder.  Output is re-verified pairwise anticomplete.
+    on the reduced remainder, spending one budget throughout.  Output is
+    re-verified pairwise anticomplete.
     """
     if not families:
         return []
@@ -301,16 +306,17 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
             raise StageShortfall("selection[last]", 1, 0)
         return [families[0][0]]
     head = families[0][:2 * t * t * ell]
+    bud = SearchBudget.of(budget)
     reduced: list[PathFamily] = []
     for i in range(1, len(families)):
-        head, shrunk = separate_families(g, head, families[i], ell, t)
+        head, shrunk = separate_families(g, head, families[i], ell, t, bud)
         if not head:
             raise StageShortfall(f"selection[round {i}]", 1, 0)
         if not shrunk:
             raise StageShortfall(f"selection[round {i} partner]", 1, 0)
         reduced.append(shrunk)
     choice = head[0]
-    rest = select_pairwise_anticomplete(g, reduced, ell, t)
+    rest = select_pairwise_anticomplete(g, reduced, ell, t, bud)
     out = [choice] + rest
     require(all(are_anticomplete(g, out[i], out[j])
                 for i in range(len(out)) for j in range(i + 1, len(out))),
@@ -465,7 +471,8 @@ def main_pipeline(g: Graph, t: int, ell: int,
             if u > v:
                 extracted = tuple(p.reversed() for p in extracted)
             cyclic.append(extracted)
-        picked = select_pairwise_anticomplete(g, cyclic, ell, t)
+        bud.stage = ("selection", 1)
+        picked = select_pairwise_anticomplete(g, cyclic, ell, t, bud)
         cert = assemble_cycle(g, core, picked)
         stages.append(StageReport("assemble", t, len(cert.vertices), "ok"))
     except CounterWitness as cw:

@@ -17,6 +17,15 @@ and private sets are all read off it.  Connectivity has one too: every
 branch set, the assignment search's parts included, is tested with
 Graph.is_connected_subset, so Graph.bfs is the only BFS.
 
+Step 2 checks each minor once.  find_clique_minor validates what it
+returns and minimize_minor validates its input, while every removal of the
+minimization keeps the minor valid, so its result is not validated again;
+a pass re-scans only the sets that lost a vertex in the pass before,
+since a removal can make another set's vertex private but never
+removable.  check_branch_diameter skips a set of fewer than t vertices,
+and eccentric_pair skips each BFS root whose eccentricity bound (Takes &
+Kosters, CIKM 2011) cannot beat the best pair found so far.
+
 The clique-minor search has one reduction, the contraction of
 _contract_to_clique: its steps below degree 3 are series-parallel
 reductions (Duffin 1965) and a minor of least degree 3 holds a K4 (Dirac
@@ -250,18 +259,31 @@ def find_clique_minor(g: Graph, p: int, budget: Budget = None,
 
 def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
     """Remove branch-set vertices that are neither cutvertices nor hold a
-    private adjacent branch set, until none is removable.  Only the set being
-    thinned changes meanwhile, so its table is built once per pass."""
+    private adjacent branch set, until none is removable.
+
+    The minor is validated once, on entry (ValueError), and every removal
+    keeps it valid: the BFS test keeps the set connected, len(k) > 1 keeps
+    it non-empty, and a vertex goes only when every set it touches is also
+    touched by another vertex of its own set, so every adjacency survives.
+
+    Each pass goes through the sets in index order, testing each vertex of a
+    set once, in descending id; only the set being thinned changes
+    meanwhile, so its table is built once per pass.  A removal from one set
+    adds no touch to another set's table and can only lower its hits, which
+    can make a vertex there private, never removable.  So a set that lost
+    nothing in a pass has nothing removable in the next, and only the sets
+    that lost a vertex are scanned again: the fixpoint is the one that
+    scanning every set in every pass reaches.
+    """
     if not validate_minor(g, minor):
         raise ValueError("input is not a valid clique minor")
     sets = [set(s) for s in minor.branch_sets]
     owner = _owners(sets)
-    changed = True
-    while changed:
-        changed = False
-        for idx, k in enumerate(sets):
-            if len(k) == 1:
-                continue
+    dirty = [idx for idx, k in enumerate(sets) if len(k) > 1]
+    while dirty:
+        lost = []
+        for idx in dirty:
+            k, size = sets[idx], len(sets[idx])
             touched = _touched(g, owner, idx, k)
             hits = Counter(j for js in touched.values() for j in js)
             for v in sorted(k, reverse=True):
@@ -270,23 +292,38 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
                     k.discard(v)
                     hits.subtract(touched[v])
                     del owner[v]
-                    changed = True
-    result = CliqueMinor.from_sets(sets)
-    require(validate_minor(g, result), "minimized minor does not validate")
-    return result
+            if 1 < len(k) < size:
+                lost.append(idx)
+        dirty = lost
+    return CliqueMinor.from_sets(sets)
 
 
 def eccentric_pair(g: Graph, s: frozenset[int]) -> tuple[int, int, int]:
     """(u, v, dist) with maximum distance inside g[s]; lexicographic
-    tie-break; (-1, -1, 0) when no two vertices of s are connected in g[s]."""
+    tie-break; (-1, -1, 0) when no two vertices of s are connected in g[s].
+
+    The BFS roots go in ascending id, and a pair replaces the best only
+    when it is strictly longer.  After the BFS from w, of eccentricity e,
+    every vertex u it reached has ecc(u) <= d(u, w) + e (Takes & Kosters,
+    Determining the diameter of small world networks, CIKM 2011).  A root
+    whose least such bound is at most the best distance so far cannot
+    replace the best, so its BFS is skipped and the answer is unchanged.
+    """
     best = (0, -1, -1)
+    bound: dict[int, int] = {}  # root -> an upper bound on its eccentricity
     for u in sorted(s):
+        if bound.get(u, len(s)) <= best[0]:
+            continue
         dist: dict[int, int] = {}
         for w, parent in g.bfs(u, s).items():  # parents come first
             dist[w] = dist[parent] + 1 if parent >= 0 else 0
+        ecc = dist[w]  # the last vertex reached is a farthest one
         for v in sorted(dist):
-            if v > u and dist[v] > best[0]:
-                best = (dist[v], u, v)
+            if v > u:
+                if dist[v] > best[0]:
+                    best = (dist[v], u, v)
+                if dist[v] + ecc < bound.get(v, len(s)):
+                    bound[v] = dist[v] + ecc
     return best[1], best[2], best[0]
 
 
@@ -294,11 +331,14 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
                           ) -> Optional[InducedCycle]:
     """If a branch set of a minimal minor holds a shortest path with >= t
     vertices, rebuild the induced cycle through the endpoints' private
-    branch sets; None when all diameters are small."""
+    branch sets; None when all diameters are small.  A set of fewer than t
+    vertices holds no path of t vertices, so its diameter is not computed."""
     if len(minor) < 3:
         raise ValueError("need a minor of size at least 3")
     sets = minor.branch_sets
     for idx, k in enumerate(sets):
+        if len(k) < t:
+            continue
         u, v, dist = eccentric_pair(g, k)
         if u < 0 or dist + 1 < t:
             continue

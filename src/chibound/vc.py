@@ -238,15 +238,15 @@ def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
 
 
 def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
-              ell: int, q: int, t: int, coloring: Optional[dict[int, int]]
-              ) -> tuple[frozenset[int], frozenset[int]]:
+              ell: int, q: int, t: int, coloring: Optional[dict[int, int]],
+              budget: Budget = None) -> tuple[frozenset[int], frozenset[int]]:
     """The largest trace bucket of Y and its trace, unless an overload
     yields a certificate, which is raised as CounterWitness: a biclique when
     bucket and trace both reach ell; else, when the counting applies and
     the bucket stays below ell, an induced t-cycle through a shattered set
     of size qt/2, whose largest color class is independent.  The caller
     passes the checked coloring of G[X] when the counting applies and None
-    when it does not."""
+    when it does not; the shattered-set search spends the caller's budget."""
     system = neighborhood_system(g, x_set, y_set)
     bucket, trace, _ = _buckets(system)
     if len(bucket) >= ell and len(trace) >= ell:
@@ -255,7 +255,7 @@ def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
             ell=ell))
     if coloring is None or len(bucket) >= ell:
         return bucket, trace
-    shattered = find_shattered_set(system, _trace_exponent(q, t))
+    shattered = find_shattered_set(system, _trace_exponent(q, t), budget)
     require(shattered is not None, "counting promised a shattered set; none found")
     by_color: dict[int, list[int]] = {}
     for z in shattered:
@@ -266,13 +266,16 @@ def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
 
 
 def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
-                     ell: int, q: int, t: int, coloring: dict[int, int]) -> None:
+                     ell: int, q: int, t: int, coloring: dict[int, int],
+                     budget: Budget = None) -> None:
     """Verify |Y| < ell * |X|^(qt/2); on failure raise CounterWitness with
     the certificate of _overload: a biclique from a bucket of ell same-trace
     vertices, failing that an induced t-cycle through a shattered set.
 
     `coloring` is the caller's certificate that G[X] is q-colorable; it is
     checked with the other hypotheses, and a violated one raises ValueError.
+    The shattered-set search spends `budget` and raises BudgetExceeded when
+    it runs out.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
     failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)
@@ -286,13 +289,13 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
         return
     # every y has >= ell neighbors in X, so a bucket of ell has a trace of
     # ell, and _overload raises its certificate
-    _overload(g, x_set, y_set, ell, q, t, coloring)
+    _overload(g, x_set, y_set, ell, q, t, coloring, budget)
     raise InternalInconsistency("the trace bound failed without a certificate")
 
 
 def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
-                      ell: int, q: int, t: int, coloring: dict[int, int]
-                      ) -> tuple[frozenset[int], frozenset[int]]:
+                      ell: int, q: int, t: int, coloring: dict[int, int],
+                      budget: Budget = None) -> tuple[frozenset[int], frozenset[int]]:
     """Split off the largest trace bucket Y' and the trace-free part X' of X.
 
     X' and Y' have no edges between them, unconditionally.  Under the
@@ -301,7 +304,8 @@ def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
     the biclique (or, when the hypotheses hold and the bucket stays small
     against the counting, with an induced t-cycle).  `coloring` is the
     caller's certificate that G[X] is q-colorable.  Inputs that miss the
-    hypotheses, this certificate among them, are split all the same.
+    hypotheses, this certificate among them, are split all the same.  The
+    shattered-set search spends `budget`, as in cor_traces_check.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
     failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)
@@ -309,7 +313,7 @@ def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
         return x_set, frozenset()
     counted = not failures and len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)
     bucket, trace = _overload(g, x_set, y_set, ell, q, t,
-                              coloring if counted else None)
+                              coloring if counted else None, budget)
     x_prime = x_set - trace
     require(all(not (g.adj(y) & x_prime) for y in bucket), "split left an X'-Y' edge")
     return x_prime, bucket

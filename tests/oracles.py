@@ -17,6 +17,8 @@ reference_gnp is G(n, p) drawn one rng.random() call per pair, which the
 bulk draw of generate.gnp must reproduce graph for graph and state for
 state, and reference_verify_elimination is the elimination-order check by
 order positions, which the backward walk of certificates must agree with.
+node_count and call_count count the search nodes spent and the calls made
+inside a block.
 """
 from __future__ import annotations
 
@@ -47,6 +49,24 @@ def node_count() -> Iterator[list[int]]:
         yield count
     finally:
         SearchBudget.spend = original
+
+
+@contextmanager
+def call_count(obj, attr: str) -> Iterator[list[int]]:
+    """Count calls of obj.attr, a module function or a plain method, by
+    wrapping it: count[0] holds the calls made inside the block."""
+    count = [0]
+    original = getattr(obj, attr)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    setattr(obj, attr, counted)
+    try:
+        yield count
+    finally:
+        setattr(obj, attr, original)
 
 
 def complement(g: Graph) -> Graph:

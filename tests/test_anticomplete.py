@@ -446,6 +446,26 @@ def test_pipeline_poison_biclique():
         ("witness", "BicliqueWitness")]
 
 
+def test_pipeline_hands_its_allowance_to_the_trace_lemmas(monkeypatch):
+    # the shattered-set route of both trace lemmas spends the run's one
+    # allowance, which names the stage calling them: step 4's heavy screen
+    # (poison instance) and step 6's separation (full instance)
+    seen = []
+    for name in ("cor_traces_check", "cor_traces3_split"):
+        def spy(*args, budget=None, lemma=getattr(anticomplete, name), **kw):
+            seen.append((lemma.__name__, budget.stage[0]))
+            return lemma(*args, budget=budget, **kw)
+        monkeypatch.setattr(anticomplete, name, spy)
+    t = 6
+    g, sets = pipeline_poison_instance(t, ell=2, per_pair=54)
+    main_pipeline(g, t, 2, PipelineOverrides(branch_sets=sets, a_count=t // 2))
+    g, sets = pipeline_full_instance(t, copies=2)
+    main_pipeline(g, t, 3, PipelineOverrides(branch_sets=sets, a_count=t // 2,
+                                             paths_per_pair=2))
+    assert set(seen) == {("cor_traces_check", "paths[0,1]"),
+                         ("cor_traces3_split", "selection")}
+
+
 #: The stage a run on pipeline_full_instance(t, 2) runs out in, by budget.
 BUDGET_STOPS = {
     6: ["independent-core"] + ["interference"] * 4

@@ -18,7 +18,8 @@ but visits nodes in a different order fails here too.
 
 The upper layers are pinned on the same terms: chromatic_number_exact (value,
 nodes and BudgetExceeded.best), cor_traces_check, cor_traces3_split (the
-split or the CounterWitness certificate), check_branch_diameter and
+split or the CounterWitness certificate, and on "shatter8" the nodes the
+shattered-set route spends from the caller's budget), check_branch_diameter and
 full_vertex_minor on the G(20, 1/2) minors, the JSON record of main_pipeline on the planted, ideal,
 tree and G(20, 1/2) instances, and the pipeline instance builders' graphs
 and branch sets.
@@ -463,6 +464,24 @@ def test_golden_cor_traces_check(golden, name):
 @pytest.mark.parametrize("name", TRACE_INSTANCES, ids=_trace3_key)
 def test_golden_cor_traces3_split(golden, name):
     assert trace3_record(name) == golden[_trace3_key(name)]
+
+
+@pytest.mark.parametrize("lemma, key", [(cor_traces_check, _trace_key),
+                                        (cor_traces3_split, _trace3_key)],
+                         ids=["cor_traces_check", "cor_traces3_split"])
+def test_shattering_route_spends_the_callers_budget(golden, lemma, key):
+    # the shattered-set search of "shatter8" spends 36 nodes, all from the
+    # budget the caller passes: one short runs out, exactly enough answers
+    g, xs, ys, ell, coloring = trace_instance("shatter8")
+    with node_count() as nodes, pytest.raises(CounterWitness):
+        lemma(g, xs, ys, ell, 1, 4, coloring=coloring)
+    assert nodes[0] == 36
+    with pytest.raises(BudgetExceeded):
+        lemma(g, xs, ys, ell, 1, 4, coloring=coloring, budget=nodes[0] - 1)
+    with pytest.raises(CounterWitness) as cw:
+        lemma(g, xs, ys, ell, 1, 4, coloring=coloring, budget=nodes[0])
+    witness = json.loads(json.dumps(_cert_json(cw.value.certificate)))
+    assert witness == golden[key("shatter8")]["witness"]
 
 
 def _outcome_kind(r: dict) -> str:

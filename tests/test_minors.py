@@ -11,13 +11,15 @@ from chibound.certificates import (InducedCycle, InternalInconsistency,
                                    verify_certificate)
 from chibound.detect import (BudgetExceeded, SearchBudget, StageShortfall,
                              find_long_induced_cycle)
-from chibound.generate import planted_cycle, random_tree
+from chibound.generate import (gnp, pipeline_ideal_instance, planted_cycle,
+                               random_tree)
 from chibound.graph import Graph, complete_graph, cycle_graph, path_graph
 from chibound.minors import (CliqueMinor, check_branch_diameter,
                              eccentric_pair, find_clique_minor, full_vertex_minor,
                              full_vertices, minimize_minor, validate_minor)
 from conftest import graphs, random_graph
-from oracles import (brute_longest_induced_cycle, reference_full_vertices,
+from oracles import (brute_longest_induced_cycle, call_count,
+                     reference_full_vertices,
                      reference_minimize_minor, reference_private_set,
                      reference_series_parallel_reducible,
                      reference_touched_sets, reference_valid_minor)
@@ -299,20 +301,88 @@ def test_branch_diameter_rejects_a_minor_that_is_not_minimal():
         check_branch_diameter(g, minor, 3)
 
 
+def _networkx_eccentric_pair(g: Graph, s) -> tuple[int, int, int]:
+    h = nx.Graph()
+    h.add_nodes_from(s)
+    h.add_edges_from((u, v) for u, v in g.edges() if u in s and v in s)
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    pairs = [(-dist[u][v], u, v) for u in sorted(s) for v in sorted(s)
+             if u < v and v in dist[u]]
+    return (min(pairs)[1], min(pairs)[2], -min(pairs)[0]) if pairs else (-1, -1, 0)
+
+
 def test_eccentric_pair_against_networkx(rng):
-    import networkx as nx
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 12), rng.random() * 0.5)
         s = frozenset(v for v in g.vertices() if rng.random() < 0.7)
-        h = nx.Graph()
-        h.add_nodes_from(s)
-        h.add_edges_from((u, v) for u, v in g.edges() if u in s and v in s)
-        dist = dict(nx.all_pairs_shortest_path_length(h))
-        pairs = [(-dist[u][v], u, v) for u in sorted(s) for v in sorted(s)
-                 if u < v and v in dist[u]]
-        expected = (min(pairs)[1], min(pairs)[2], -min(pairs)[0]) if pairs \
-            else (-1, -1, 0)
-        assert eccentric_pair(g, s) == expected
+        assert eccentric_pair(g, s) == _networkx_eccentric_pair(g, s)
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    ids = rng.sample(range(g.n), g.n)
+    return Graph.from_edges(g.n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+def test_eccentric_pair_on_long_paths_and_cycles(rng):
+    # the eccentricity bound prunes most roots of a path once a middle
+    # vertex is a root; ties everywhere on a cycle
+    for n in range(3, 61, 3):
+        for g in (path_graph(n), cycle_graph(n)):
+            for h in (g, _relabelled(g, rng)):
+                whole = frozenset(h.vertices())
+                assert eccentric_pair(h, whole) == _networkx_eccentric_pair(h, whole)
+
+
+@pytest.fixture(scope="module")
+def step2_minors() -> list[tuple[str, Graph, CliqueMinor, int, int]]:
+    """(name, g, minor, p, t) at bench scale: the K5-K9 minors that
+    find_clique_minor returns on G(20, 1/2) at seeds 1-6 (branch sets of 1-6
+    vertices), with t = 6, and the K4 minors of the ideal pipeline instances
+    at t = 8 and 10 (branch sets of 1-77 vertices)."""
+    cases = []
+    for seed in range(1, 7):
+        g = gnp(20, 0.5, random.Random(seed))
+        for p in range(5, 10):
+            cases.append((f"gnp-s{seed}-K{p}", g, find_clique_minor(g, p, 20_000), p, 6))
+    for t in (8, 10):
+        g = pipeline_ideal_instance(t)
+        cases.append((f"ideal-t{t}-K4", g, find_clique_minor(g, 4), 4, t))
+    return cases
+
+
+def test_step2_validates_each_minor_once(step2_minors):
+    for name, g, minor, p, t in step2_minors:
+        with call_count(minors, "validate_minor") as calls:
+            assert find_clique_minor(g, p, 20_000) == minor
+        assert calls[0] == 1, name
+        with call_count(minors, "validate_minor") as calls:
+            _outcome(full_vertex_minor, g, minor, p, t)
+        assert calls[0] == 1, name
+
+
+def test_step2_bfs_ratchet(step2_minors):
+    # Graph.bfs calls of full_vertex_minor, measured when step 2 began to
+    # validate once, re-scan only changed sets and bound its BFS roots
+    # (the figures before were 953, 141 and 362).  They may only fall.
+    ceiling = {"gnp": 364, "ideal-t8-K4": 107, "ideal-t10-K4": 320}
+    spent = Counter()
+    for name, g, minor, p, t in step2_minors:
+        with call_count(Graph, "bfs") as calls:
+            _outcome(full_vertex_minor, g, minor, p, t)
+        spent["gnp" if name.startswith("gnp") else name] += calls[0]
+    assert all(spent[k] <= ceiling[k] for k in ceiling), spent
+
+
+def test_step2_matches_references_at_bench_scale(step2_minors):
+    for name, g, minor, p, t in step2_minors:
+        minimal = minimize_minor(g, minor)
+        assert minimal == CliqueMinor.from_sets(
+            reference_minimize_minor(g, minor.branch_sets)), name
+        for d in range(3, 11):
+            assert _outcome(check_branch_diameter, g, minimal, d) == \
+                _outcome(_reference_diameter_cycle, g, minimal.branch_sets, d), (name, d)
+        for s in minor.branch_sets + minimal.branch_sets:
+            assert eccentric_pair(g, s) == _networkx_eccentric_pair(g, s), name
 
 
 def test_full_vertex_minor_finds_the_cycle_in_the_minimal_sets():
