@@ -264,7 +264,11 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     two results is required; how many paths survive is not (the paper's
     size floors need ell <= 1).  A biclique or cycle found along the way
     propagates as CounterWitness; every round's shattered-set search spends
-    the one budget.
+    the one budget.  That search never runs at a runnable size: with
+    q = 2t - 1 and the pipeline's t >= 4 the exponent (2t - 1)t/2 of the
+    trace count is at least 14, and buckets all below ell while the count
+    applies take more than 10^27 vertices, so each round is the
+    largest-bucket split and its biclique exit.
     """
     _validate_separation_input(g, p_fam, q_fam, t)
     if not (p_fam and q_fam):

@@ -137,6 +137,47 @@ class Graph:
             path.append(parent[path[-1]])
         return path[::-1]
 
+    def cut_counts(self, within: VertexSet | set[int]) -> dict[int, int]:
+        """The number of components of the subgraph induced on within - {x},
+        for every x in within; x is a cut vertex of its component iff the
+        count exceeds that of within itself.
+
+        One depth-first lowpoint pass (Hopcroft & Tarjan, Efficient
+        algorithms for graph manipulation, CACM 1973), kept on an explicit
+        stack so that long sets do not recurse.  A root's count is its
+        number of tree children; any other vertex counts the component
+        holding its parent plus each child whose subtree reaches no higher
+        than the vertex itself.  The other components of within add to
+        every count.
+        """
+        disc: dict[int, int] = {}
+        low: dict[int, int] = {}
+        counts: dict[int, int] = {}
+        parts = 0
+        for root in within:
+            if root in disc:
+                continue
+            parts += 1
+            disc[root] = low[root] = len(disc)
+            counts[root] = 0
+            stack = [(root, iter(self._adj[root] & within))]
+            while stack:
+                v, rest = stack[-1]
+                for w in rest:
+                    if w not in disc:
+                        disc[w] = low[w] = len(disc)
+                        counts[w] = 1
+                        stack.append((w, iter(self._adj[w] & within)))
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        low[u] = min(low[u], low[v])
+                        counts[u] += low[v] >= disc[u]
+        return {x: c + parts - 1 for x, c in counts.items()}
+
     def is_connected_subset(self, s: Iterable[int]) -> bool:
         """True iff the induced subgraph on s is connected (empty set counts as not)."""
         sset = set(s)

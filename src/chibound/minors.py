@@ -15,7 +15,9 @@ Branch-set adjacency has one computation, the table of _touched: each vertex
 of a set -> the other sets it has a neighbour in.  Validity, full vertices
 and private sets are all read off it.  Connectivity has one too: every
 branch set, the assignment search's parts included, is tested with
-Graph.is_connected_subset, so Graph.bfs is the only BFS.
+Graph.is_connected_subset, so Graph.bfs is the only BFS.  Minimization
+asks instead which vertices of a set are cut vertices, and one
+Graph.cut_counts pass answers that for the whole set.
 
 Step 2 checks each minor once.  find_clique_minor validates what it
 returns and minimize_minor validates its input, while every removal of the
@@ -262,9 +264,18 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
     private adjacent branch set, until none is removable.
 
     The minor is validated once, on entry (ValueError), and every removal
-    keeps it valid: the BFS test keeps the set connected, len(k) > 1 keeps
-    it non-empty, and a vertex goes only when every set it touches is also
-    touched by another vertex of its own set, so every adjacency survives.
+    keeps it valid: only a vertex that is no cut vertex goes, which keeps
+    the set connected, len(k) > 1 keeps it non-empty, and a vertex goes only
+    when every set it touches is also touched by another vertex of its own
+    set, so every adjacency survives.
+
+    The cut vertices come from Graph.cut_counts(k), taken lazily.  A vertex
+    with one neighbour u in k is never a cut vertex and needs no count, and
+    its removal lowers only u's count, by one.  Any other removal makes the
+    counts stale, and they are taken again only when the next vertex with
+    two or more neighbours in k that holds no private set is tested.  So a
+    set costs one traversal per pass plus one per such removal, not one BFS
+    per vertex.
 
     Each pass goes through the sets in index order, testing each vertex of a
     set once, in descending id; only the set being thinned changes
@@ -286,12 +297,23 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
             k, size = sets[idx], len(sets[idx])
             touched = _touched(g, owner, idx, k)
             hits = Counter(j for js in touched.values() for j in js)
+            cuts = None  # Graph.cut_counts(k), or None when stale
             for v in sorted(k, reverse=True):
-                if (len(k) > 1 and _private(touched, hits, v) is None
-                        and g.is_connected_subset(k - {v})):
-                    k.discard(v)
-                    hits.subtract(touched[v])
-                    del owner[v]
+                if len(k) == 1 or _private(touched, hits, v) is not None:
+                    continue
+                around = g.adj(v) & k
+                if len(around) == 1:  # a leaf: only its neighbour's count drops
+                    if cuts is not None:
+                        cuts[min(around)] -= 1
+                else:
+                    if cuts is None:
+                        cuts = g.cut_counts(k)
+                    if cuts[v] > 1:
+                        continue
+                    cuts = None
+                k.discard(v)
+                hits.subtract(touched[v])
+                del owner[v]
             if 1 < len(k) < size:
                 lost.append(idx)
         dirty = lost

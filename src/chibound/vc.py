@@ -305,7 +305,11 @@ def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
     against the counting, with an induced t-cycle).  `coloring` is the
     caller's certificate that G[X] is q-colorable.  Inputs that miss the
     hypotheses, this certificate among them, are split all the same.  The
-    shattered-set search spends `budget`, as in cor_traces_check.
+    shattered-set search spends `budget`, as in cor_traces_check.  Step 6
+    calls this with q = 2t - 1, where the exponent (2t - 1)t/2 is at least
+    14 for t >= 4: small buckets under the counting then need more than
+    10^27 vertices, so at any runnable size the counting route never
+    applies and the lemma is the split plus its biclique exit.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
     failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)

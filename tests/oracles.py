@@ -52,21 +52,26 @@ def node_count() -> Iterator[list[int]]:
 
 
 @contextmanager
-def call_count(obj, attr: str) -> Iterator[list[int]]:
-    """Count calls of obj.attr, a module function or a plain method, by
-    wrapping it: count[0] holds the calls made inside the block."""
+def call_count(obj, *attrs: str) -> Iterator[list[int]]:
+    """Count calls of obj.attr for each of attrs, module functions or plain
+    methods, by wrapping them: count[0] holds the calls of all of them made
+    inside the block."""
     count = [0]
-    original = getattr(obj, attr)
+    originals = {attr: getattr(obj, attr) for attr in attrs}
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+        return counted
 
-    setattr(obj, attr, counted)
+    for attr, original in originals.items():
+        setattr(obj, attr, counting(original))
     try:
         yield count
     finally:
-        setattr(obj, attr, original)
+        for attr, original in originals.items():
+            setattr(obj, attr, original)
 
 
 def complement(g: Graph) -> Graph:

@@ -193,6 +193,37 @@ def test_connected_subset_against_networkx(rng):
         assert g.is_connected_subset(s) == expected
 
 
+def _nx_cut_counts(h: nx.Graph) -> dict[int, int]:
+    return {x: nx.number_connected_components(h.subgraph(set(h) - {x})) for x in h}
+
+
+def test_cut_counts_on_the_atlas():
+    # every connected graph of at most 7 vertices, the whole vertex set
+    for h in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(h):
+            g = Graph.from_edges(h.number_of_nodes(), h.edges())
+            assert g.cut_counts(frozenset(g.vertices())) == _nx_cut_counts(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12), st.data())
+def test_cut_counts_against_networkx(g, data):
+    # on a drawn subset, connected or not, and on the component of its
+    # least vertex
+    s = frozenset(data.draw(st.sets(st.sampled_from(range(g.n))) if g.n else st.just(set())))
+    assert g.cut_counts(s) == _nx_cut_counts(_nx_induced(g, s))
+    if s:
+        component = frozenset(nx.node_connected_component(_nx_induced(g, s), min(s)))
+        assert g.cut_counts(component) == _nx_cut_counts(_nx_induced(g, component))
+
+
+def test_cut_counts_on_a_long_path():
+    # 5,000 vertices deep: a recursive DFS would pass the recursion limit
+    n = 5_000
+    counts = path_graph(n).cut_counts(set(range(n)))
+    assert counts == {v: 1 if v in (0, n - 1) else 2 for v in range(n)}
+
+
 def _first_bad_pair_reference(g: Graph, vs, closed: bool):
     k = len(vs)
     for i in range(k):

@@ -227,6 +227,21 @@ def test_minimize_examples():
     assert slim2 == CliqueMinor.from_sets([{0}, {1}, {2}])
 
 
+def test_minimize_counts_after_leaf_removals():
+    # the set {0, 1, 2, 5, 6, 7}: triangle 0-5-6, leaves 1 and 2 on 0 and 7
+    # on 6; 7 alone touches {8} and 5 alone touches {9}.  Testing 6 takes
+    # the cut counts (6 separates 7), removing the leaves 2 and 1 lowers
+    # 0's count from 3 to 1, and 0 then goes with no second pass over k
+    g = Graph.from_edges(10, [(0, 5), (0, 6), (5, 6), (0, 1), (0, 2), (6, 7),
+                              (7, 8), (5, 9), (8, 9)])
+    minor = CliqueMinor.from_sets([{0, 1, 2, 5, 6, 7}, {8}, {9}])
+    with call_count(Graph, "cut_counts") as calls:
+        assert minimize_minor(g, minor) == \
+            CliqueMinor.from_sets([{5, 6, 7}, {8}, {9}])
+    assert calls[0] == 2  # one per pass over the set
+    assert reference_minimize_minor(g, minor.branch_sets) == [{5, 6, 7}, {8}, {9}]
+
+
 def test_minimize_rejects_an_invalid_minor():
     # the end sets of a path do not touch
     with pytest.raises(ValueError, match="not a valid clique minor"):
@@ -337,16 +352,17 @@ def test_eccentric_pair_on_long_paths_and_cycles(rng):
 def step2_minors() -> list[tuple[str, Graph, CliqueMinor, int, int]]:
     """(name, g, minor, p, t) at bench scale: the K5-K9 minors that
     find_clique_minor returns on G(20, 1/2) at seeds 1-6 (branch sets of 1-6
-    vertices), with t = 6, and the K4 minors of the ideal pipeline instances
-    at t = 8 and 10 (branch sets of 1-77 vertices)."""
+    vertices), with t = 6, the K4 minors of the ideal pipeline instances
+    at t = 8 and 10 and the K5 minor that main_pipeline takes at t = 10
+    (branch sets of 1-77 vertices)."""
     cases = []
     for seed in range(1, 7):
         g = gnp(20, 0.5, random.Random(seed))
         for p in range(5, 10):
             cases.append((f"gnp-s{seed}-K{p}", g, find_clique_minor(g, p, 20_000), p, 6))
-    for t in (8, 10):
+    for t, p in ((8, 4), (10, 4), (10, 5)):
         g = pipeline_ideal_instance(t)
-        cases.append((f"ideal-t{t}-K4", g, find_clique_minor(g, 4), 4, t))
+        cases.append((f"ideal-t{t}-K{p}", g, find_clique_minor(g, p), p, t))
     return cases
 
 
@@ -361,16 +377,27 @@ def test_step2_validates_each_minor_once(step2_minors):
 
 
 def test_step2_bfs_ratchet(step2_minors):
-    # Graph.bfs calls of full_vertex_minor, measured when step 2 began to
-    # validate once, re-scan only changed sets and bound its BFS roots
-    # (the figures before were 953, 141 and 362).  They may only fall.
-    ceiling = {"gnp": 364, "ideal-t8-K4": 107, "ideal-t10-K4": 320}
+    # Graph.bfs and Graph.cut_counts calls of full_vertex_minor, measured
+    # when minimization began to test a set's vertices with one cut-vertex
+    # pass (the BFS figures before were 364, 107, 320 and 208, and 953, 141
+    # and 362 before step 2 validated once, re-scanned only changed sets
+    # and bounded its BFS roots).  They may only fall.
+    ceiling = {"gnp": 253, "ideal-t8-K4": 25, "ideal-t10-K4": 32, "ideal-t10-K5": 31}
     spent = Counter()
     for name, g, minor, p, t in step2_minors:
-        with call_count(Graph, "bfs") as calls:
+        with call_count(Graph, "bfs", "cut_counts") as calls:
             _outcome(full_vertex_minor, g, minor, p, t)
         spent["gnp" if name.startswith("gnp") else name] += calls[0]
     assert all(spent[k] <= ceiling[k] for k in ceiling), spent
+
+
+def test_minimize_minor_runs_bfs_only_to_validate(step2_minors):
+    # one BFS per branch set, in the validation on entry; the cut-vertex
+    # tests of the minimization go through Graph.cut_counts
+    for name, g, minor, p, t in step2_minors:
+        with call_count(Graph, "bfs") as calls:
+            minimize_minor(g, minor)
+        assert calls[0] == len(minor), name
 
 
 def test_step2_matches_references_at_bench_scale(step2_minors):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    InducedCycle, verify_certificate)
-from chibound.detect import optimal_coloring
+from chibound.detect import BudgetExceeded, optimal_coloring
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
 from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces3_split,
                          cor_traces_check, cycle_from_shattered,
                          find_shattered_set, neighborhood_system,
                          sauer_shelah_bound, trace_buckets, vc_dimension)
-from conftest import random_graph
+from conftest import distinct_traces, random_graph
 from oracles import brute_shattered_sets, brute_vc_dimension, node_count
 
 
@@ -286,23 +286,33 @@ def test_cor_traces_check_shattering_cycle():
     # all traces distinct: the bound fails with every bucket of size 1 < ell,
     # so the trace count forces a shattered pair and an induced C4 comes out
     t, ell = 4, 2
-    nx = 7  # 2^7 = 128 > ell * 7^2 = 98
-    x_elems = list(range(nx))
-    traces = [c for r in range(2, nx + 1) for c in combinations(x_elems, r)]
-    edges = []
-    for i, tr in enumerate(traces):
-        edges.extend((nx + i, z) for z in tr)
-    g = Graph.from_edges(nx + len(traces), edges)
-    xs = frozenset(x_elems)
-    ys = frozenset(range(nx, nx + len(traces)))
-    assert len(ys) >= ell * nx ** 2
+    # all 2^7 - 7 - 1 = 120 traces of 2 or more of 7 vertices; 120 >= 2 * 7^2
+    g, xs, ys, coloring = distinct_traces(7, 120)
+    assert len(ys) >= ell * len(xs) ** 2
     with pytest.raises(CounterWitness) as exc:
-        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t,
-                         coloring={z: 0 for z in x_elems})
+        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t, coloring=coloring)
     witness = exc.value.certificate
     assert isinstance(witness, InducedCycle)
     assert verify_certificate(g, witness)
     assert len(witness.vertices) == t
+
+
+def test_cor_traces_check_shattering_route_at_t6():
+    # t = 6 and ell = 2 first let the counting apply at |X| = 12 and
+    # |Y| = 2 * 12^3 = 3,456 (at |X| = 11 fewer traces exist than it needs),
+    # the least such input on which step 4 searches for a shattered set;
+    # the search spends 298 nodes, all from the caller's budget
+    t, ell = 6, 2
+    g, xs, ys, coloring = distinct_traces(12, ell * 12 ** 3)
+    with node_count() as nodes, pytest.raises(CounterWitness) as exc:
+        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t, coloring=coloring)
+    assert nodes[0] == 298
+    witness = exc.value.certificate
+    assert witness == InducedCycle((0, 12, 1, 23, 2, 13))
+    assert verify_certificate(g, witness)
+    with pytest.raises(BudgetExceeded):
+        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t, coloring=coloring,
+                         budget=nodes[0] - 1)
 
 
 def test_cor_traces3_trivial_splits():
