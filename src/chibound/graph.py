@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
+T = TypeVar("T")
 VertexSet = frozenset[int]
 
 #: Construction refuses graphs larger than this; the heavy algorithms are all
@@ -20,13 +21,13 @@ DEFAULT_VERTEX_CAP = 10**6
 class Graph:
     """Immutable undirected simple graph with adjacency-set access."""
 
-    __slots__ = ("n", "_adj", "_m", "_masks")
+    __slots__ = ("n", "_adj", "_m", "_memo")
 
     def __init__(self, n: int, adj: tuple[frozenset[int], ...]):
         self.n = n
         self._adj = adj
         self._m = sum(len(s) for s in adj) // 2
-        self._masks: Optional[tuple[int, ...]] = None
+        self._memo: dict[str, object] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -54,18 +55,31 @@ class Graph:
     def adj(self, v: int) -> frozenset[int]:
         return self._adj[v]
 
+    def memo(self, key: str, build: Callable[["Graph"], T]) -> T:
+        """build(self), computed on the first call with this key and kept.
+
+        The memo holds only immutable values derived from the adjacency
+        alone, such as the masks below and minors' complete quotient; never
+        a validation result, nor anything that depends on a budget, a seed
+        or another argument.  The adjacency never changes, so a kept value
+        is the one a fresh computation would return, and keeping it is
+        safe.  Equality and hashing ignore the memo.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
+
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitmasks: bit w of masks()[v] is set iff vw is an edge.
 
         A vertex set is then one int, and a union, an intersection or a
         membership test is one operation.  Set bits are visited from the
         lowest up (`low = s & -s`), which is ascending id, the same order as
-        sorted(adj(v)).  Built on the first call and cached, which is safe
-        because the graph is immutable; from_edges does not build them.
+        sorted(adj(v)).  Built on the first call and kept in the memo;
+        from_edges does not build them.
         """
-        if self._masks is None:
-            self._masks = tuple(sum(1 << w for w in s) for s in self._adj)
-        return self._masks
+        return self.memo("masks", _adjacency_masks)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -192,6 +206,10 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _adjacency_masks(g: Graph) -> tuple[int, ...]:
+    return tuple(sum(1 << w for w in s) for s in g._adj)
 
 
 class DegreeQueue:

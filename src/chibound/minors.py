@@ -31,7 +31,12 @@ Kosters, CIKM 2011) cannot beat the best pair found so far.
 The clique-minor search has one reduction, the contraction of
 _contract_to_clique: its steps below degree 3 are series-parallel
 reductions (Duffin 1965) and a minor of least degree 3 holds a K4 (Dirac
-1952), so g has a K4 minor iff a supernode it takes has degree >= 3.
+1952), so g has a K4 minor iff a supernode it takes has degree >= 3.  Its
+quotient depends on g alone, so each Graph is contracted once: the first
+find_clique_minor call with p >= 4 keeps the quotient in the graph's memo,
+and every later call on that object, for any p, slices it.  Only the
+contraction is kept; each call still validates what it returns, and the
+assignment search still runs and spends the caller's budget.
 """
 from __future__ import annotations
 
@@ -130,7 +135,7 @@ def _split_cycle(cycle: list[int], parts: int) -> list[frozenset[int]]:
     return [frozenset(cycle[bounds[i]:bounds[i + 1]]) for i in range(parts)]
 
 
-def _contract_to_clique(g: Graph) -> tuple[list[frozenset[int]], bool]:
+def _contract_to_clique(g: Graph) -> tuple[tuple[frozenset[int], ...], bool]:
     """The branch sets of a complete quotient of g, ordered by least vertex,
     and whether some supernode taken had degree 3 or more (a K4 minor).
 
@@ -174,7 +179,7 @@ def _contract_to_clique(g: Graph) -> tuple[list[frozenset[int]], bool]:
                 neigh[u].add(w)
         queue.update(u, len(neigh[u]))
     final = [frozenset(sets[v]) for v in alive]
-    return sorted(max(final, best, key=len), key=min), k4
+    return tuple(sorted(max(final, best, key=len), key=min)), k4
 
 
 def _assignment_search(g: Graph, p: int, bud: SearchBudget) -> Optional[CliqueMinor]:
@@ -229,9 +234,12 @@ def find_clique_minor(g: Graph, p: int, budget: Budget = None,
     that _contract_to_clique reaches, and when that quotient is smaller than
     p the exhaustive assignment search, which spends the one node budget
     and raises BudgetExceeded (inconclusive, not absent) with best=None when
-    it runs out.  A minor found is validated
-    before it is returned, and one that fails raises InternalInconsistency.
-    The search is deterministic: seed is accepted and ignored.
+    it runs out.  The quotient is computed on the first call with p >= 4
+    and kept on the Graph (Graph.memo), so later calls on the same object
+    skip the contraction; the assignment search is never kept.  A minor
+    found is validated before it is returned, on every call, and one that
+    fails raises InternalInconsistency.  The search is deterministic: seed
+    is accepted and ignored.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -245,7 +253,7 @@ def find_clique_minor(g: Graph, p: int, budget: Budget = None,
         cycle = _find_cycle(g)
         found = None if cycle is None else CliqueMinor(tuple(_split_cycle(cycle, 3)))
     else:
-        quotient, k4 = _contract_to_clique(g)
+        quotient, k4 = g.memo("clique quotient", _contract_to_clique)
         if len(quotient) >= p:
             found = CliqueMinor(tuple(quotient[:p]))
         elif k4:  # without a K4 minor there is no K_p minor

@@ -12,6 +12,8 @@ from chibound.graph import (DEFAULT_VERTEX_CAP, DegreeQueue, Graph,
                             is_partially_anticomplete, mask_vertices,
                             path_graph, verify_induced_cycle,
                             verify_induced_path)
+from chibound.generate import gnp
+from chibound.minors import find_clique_minor
 from conftest import graphs, random_graph
 from oracles import complement
 
@@ -145,6 +147,19 @@ def test_masks_agree_with_adjacency(rng):
         assert g.masks() is masks  # built once
         h = Graph.from_edges(g.n, list(g.edges()))
         assert h == g and hash(h) == hash(g)  # the cache plays no part
+
+
+def test_memo_plays_no_part_in_equality():
+    # a Graph that keeps its masks and its complete quotient is equal to,
+    # and hashes like, a fresh one built from the same edges
+    g = gnp(20, 0.5, random.Random(28))
+    masks = g.masks()
+    assert find_clique_minor(g, 5) is not None
+    assert set(g._memo) == {"masks", "clique quotient"}
+    assert g.masks() is masks
+    h = Graph.from_edges(g.n, g.edges())
+    assert not h._memo
+    assert h == g and hash(h) == hash(g)
 
 
 def _nx_induced(g: Graph, within) -> nx.Graph:

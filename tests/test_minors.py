@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chibound import minors
+from chibound.anticomplete import PipelineOverrides, main_pipeline
 from chibound.certificates import (InducedCycle, InternalInconsistency,
                                    verify_certificate)
 from chibound.detect import (BudgetExceeded, SearchBudget, StageShortfall,
@@ -18,7 +19,7 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              eccentric_pair, find_clique_minor, full_vertex_minor,
                              full_vertices, minimize_minor, validate_minor)
 from conftest import graphs, random_graph
-from oracles import (brute_longest_induced_cycle, call_count,
+from oracles import (brute_longest_induced_cycle, call_count, node_count,
                      reference_full_vertices,
                      reference_minimize_minor, reference_private_set,
                      reference_series_parallel_reducible,
@@ -185,17 +186,63 @@ def test_contraction_keeps_a_clique_it_would_shrink(bridged):
 
 
 def test_find_minor_checks_its_answer_without_assert(monkeypatch):
-    # the check must raise even under `python -O`, which strips asserts
+    # the check must raise even under `python -O`, which strips asserts, and
+    # on a call that reuses the kept quotient as on the call that made it
     g = petersen()
     bogus = CliqueMinor.from_sets([{0}, {2}, {4}, {6}, {8}])
     assert not validate_minor(g, bogus)
-    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: (list(bogus.branch_sets), True))
-    with pytest.raises(InternalInconsistency):
-        find_clique_minor(g, 5)
-    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: ([], True))
+    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: (bogus.branch_sets, True))
+    with call_count(minors, "_contract_to_clique") as contractions:
+        for _ in range(2):
+            with pytest.raises(InternalInconsistency):
+                find_clique_minor(g, 5)
+    assert contractions[0] == 1
+    g = petersen()  # the bogus quotient stays on the first graph
+    monkeypatch.setattr(minors, "_contract_to_clique", lambda *a: ((), True))
     monkeypatch.setattr(minors, "_assignment_search", lambda *a: bogus)
-    with pytest.raises(InternalInconsistency):
-        find_clique_minor(g, 5)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency):
+            find_clique_minor(g, 5)
+
+
+@pytest.mark.parametrize("case", ["gnp", "k4-minor-free", "k4"])
+def test_each_graph_is_contracted_once(case):
+    # the quotient depends on the graph alone: the first call with p >= 4
+    # keeps it on the Graph, and every later call there, main_pipeline's
+    # step 1 (a K4 at t = 8) included, answers as on a fresh equal graph
+    g = {"gnp": gnp(20, 0.5, random.Random(28)),
+         "k4-minor-free": planted_cycle(30, 10, random.Random(28)),
+         "k4": complete_graph(4)}[case]
+    sizes = [*range(4, 10), *range(9, 3, -1)]
+    budget = 2_000
+    with call_count(minors, "_contract_to_clique") as contractions:
+        answers = [find_clique_minor(g, p, budget) for p in sizes]
+        run = main_pipeline(g, 8, 3, PipelineOverrides(budget=budget)).to_json()
+        assert contractions[0] == 1
+        assert answers == [find_clique_minor(Graph.from_edges(g.n, g.edges()), p, budget)
+                           for p in sizes]
+        assert run == main_pipeline(Graph.from_edges(g.n, g.edges()), 8, 3,
+                                    PipelineOverrides(budget=budget)).to_json()
+    assert contractions[0] == 1 + len(sizes) + 1  # and once per fresh graph
+    kinds = {type(a) if isinstance(a, CliqueMinor) else a for a in answers}
+    assert kinds == {"gnp": {CliqueMinor},
+                     "k4-minor-free": {None},
+                     "k4": {CliqueMinor, None}}[case]
+
+
+def test_assignment_search_runs_on_every_call():
+    # K4 with p = 5: the kept quotient of four sets is too small, so every
+    # call runs the assignment search, and it spends that call's budget;
+    # the search needs one node, so a budget of 1 answers and 0 runs out
+    g = complete_graph(4)
+    with call_count(minors, "_contract_to_clique") as contractions, \
+            call_count(minors, "_assignment_search") as searches, \
+            node_count() as nodes:
+        assert [find_clique_minor(g, 5, budget=1) for _ in range(2)] == [None, None]
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded):
+                find_clique_minor(g, 5, budget=0)
+    assert (contractions[0], searches[0], nodes[0]) == (1, 4, 4)
 
 
 def test_internal_inconsistency_is_reexported_by_lemmas():

@@ -9,12 +9,14 @@ import random
 
 import networkx as nx
 
+from chibound import minors
 from chibound.certificates import EliminationOrder, verify_certificate
 from chibound.detect import degeneracy
 from chibound.graph import Graph
 from chibound.io import from_graph6, to_graph6
 from chibound.lemmas import sstar_elimination_order
 from chibound.minors import find_clique_minor, validate_minor
+from oracles import call_count
 
 N = 20_000
 M = 60_000
@@ -47,3 +49,6 @@ def test_linear_core_at_scale():
     assert verify_certificate(g, elimination)
     minor = find_clique_minor(g, 5)
     assert minor is not None and validate_minor(g, minor)
+    with call_count(minors, "_contract_to_clique") as contractions:
+        assert find_clique_minor(g, 5) == minor  # the kept quotient
+    assert contractions[0] == 0
