@@ -10,7 +10,9 @@ the random choice would, and the same ones on every run.
 
 Steps 3-6 run only on an injected minor that passes the step-2 gate (each
 branch set holds a full vertex and has diameter below 2t); a searched
-minor ends at step 2 until ROADMAP item 1 lands.
+minor ends at step 2 until ROADMAP item 1 lands.  Step 6 selects one path
+per family by splitting off trace buckets (vc.split_by_trace); it runs no
+search, so it spends nothing from the run's budget.
 
 The quantitative guarantees hold only at astronomically large sizes, so
 every stage runs best-effort: a stage that falls short of its target size
@@ -34,7 +36,7 @@ from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
                     is_partially_anticomplete, verify_induced_path)
 from .minors import (CliqueMinor, eccentric_pair, find_clique_minor,
                      full_vertex_minor, full_vertices, validate_minor)
-from .vc import cor_traces3_split, cor_traces_check
+from .vc import cor_traces_check, split_by_trace
 
 
 class AssemblyError(Exception):
@@ -255,36 +257,27 @@ def _validate_separation_input(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
 
 def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
-                      ell: int, t: int, budget: Budget = None
-                      ) -> tuple[PathFamily, PathFamily]:
+                      ell: int, t: int) -> tuple[PathFamily, PathFamily]:
     """Shrink both families until no edges run between them.
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
-    against the remaining P-vertices.  That no edge is left between the
-    two results is required; how many paths survive is not (the paper's
-    size floors need ell <= 1).  A biclique or cycle found along the way
-    propagates as CounterWitness; every round's shattered-set search spends
-    the one budget.  That search never runs at a runnable size: with
-    q = 2t - 1 and the pipeline's t >= 4 the exponent (2t - 1)t/2 of the
-    trace count is at least 14, and buckets all below ell while the count
-    applies take more than 10^27 vertices, so each round is the
-    largest-bucket split and its biclique exit.
+    against the remaining P-vertices (vc.split_by_trace).  That no edge is
+    left between the two results is required; how many paths survive is
+    not (the paper's size floors need ell <= 1).  A biclique found along
+    the way propagates as CounterWitness.  The paper's trace count at
+    q = 2t - 1 applies only beyond 10^27 vertices (see vc), so no round
+    searches.
     """
     _validate_separation_input(g, p_fam, q_fam, t)
     if not (p_fam and q_fam):
         return p_fam, q_fam
-    q = 2 * t - 1
-    k_q = len(q_fam[0])
-    coloring = {v: i for p in p_fam for i, v in enumerate(p.vertices)}
     x_set = frozenset(w for p in p_fam for w in p.vertices)
     q_current = list(q_fam)
-    bud = SearchBudget.of(budget)
-    for i in range(k_q):
+    for i in range(len(q_fam[0])):
         if not q_current:
             break
         layer = frozenset(p.vertices[i] for p in q_current)
-        x_set, bucket = cor_traces3_split(g, x_set, layer, ell, q, t,
-                                          coloring=coloring, budget=bud)
+        x_set, bucket = split_by_trace(g, x_set, layer, ell)
         q_current = [p for p in q_current if p.vertices[i] in bucket]
     p_kept = tuple(p for p in p_fam if p.vertex_set() <= x_set)
     q_kept = tuple(q_current)
@@ -294,36 +287,33 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
 
 def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
-                                 ell: int, t: int, budget: Budget = None
-                                 ) -> list[OrientedPath]:
+                                 ell: int, t: int) -> list[OrientedPath]:
     """One path per family, pairwise anticomplete.
 
-    Trims the first family to a working set of 2 t^2 ell paths, separates
-    it against each of the others in turn, keeps a survivor, and recurses
-    on the reduced remainder, spending one budget throughout.  Output is
-    re-verified pairwise anticomplete.
+    Each round trims the first remaining family to a working set of
+    2 t^2 ell paths, separates it against each of the others in turn, keeps
+    a survivor, and goes on with the reduced others.  The selection is
+    verified pairwise anticomplete once, at the end.
     """
-    if not families:
-        return []
-    if len(families) == 1:
-        if not families[0]:
+    remaining = list(families)
+    out: list[OrientedPath] = []
+    while len(remaining) > 1:
+        head = remaining[0][:2 * t * t * ell]
+        reduced: list[PathFamily] = []
+        for i in range(1, len(remaining)):
+            head, shrunk = separate_families(g, head, remaining[i], ell, t)
+            if not head:
+                raise StageShortfall(f"selection[round {i}]", 1, 0)
+            if not shrunk:
+                raise StageShortfall(f"selection[round {i} partner]", 1, 0)
+            reduced.append(shrunk)
+        out.append(head[0])
+        remaining = reduced
+    if remaining:
+        if not remaining[0]:
             raise StageShortfall("selection[last]", 1, 0)
-        return [families[0][0]]
-    head = families[0][:2 * t * t * ell]
-    bud = SearchBudget.of(budget)
-    reduced: list[PathFamily] = []
-    for i in range(1, len(families)):
-        head, shrunk = separate_families(g, head, families[i], ell, t, bud)
-        if not head:
-            raise StageShortfall(f"selection[round {i}]", 1, 0)
-        if not shrunk:
-            raise StageShortfall(f"selection[round {i} partner]", 1, 0)
-        reduced.append(shrunk)
-    choice = head[0]
-    rest = select_pairwise_anticomplete(g, reduced, ell, t, bud)
-    out = [choice] + rest
-    require(all(are_anticomplete(g, out[i], out[j])
-                for i in range(len(out)) for j in range(i + 1, len(out))),
+        out.append(remaining[0][0])
+    require(all(are_anticomplete(g, a, b) for a, b in combinations(out, 2)),
             "selected paths are not pairwise anticomplete")
     return out
 
@@ -475,8 +465,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
             if u > v:
                 extracted = tuple(p.reversed() for p in extracted)
             cyclic.append(extracted)
-        bud.stage = ("selection", 1)
-        picked = select_pairwise_anticomplete(g, cyclic, ell, t, bud)
+        picked = select_pairwise_anticomplete(g, cyclic, ell, t)
         cert = assemble_cycle(g, core, picked)
         stages.append(StageReport("assemble", t, len(cert.vertices), "ok"))
     except CounterWitness as cw:

@@ -1,14 +1,19 @@
 """Set systems, exact VC dimension, and the neighborhood-trace machinery.
 
-Whenever a trace bound fails, the failure is converted into a concrete
-certificate by one decision that both trace lemmas share (_overload): a large
-bucket with a large common trace gives a biclique, and too many distinct
-traces force a shattered set, which assembles into an induced cycle of t
-vertices.  The decision raises that certificate as
-certificates.CounterWitness, the one way out the lemma layer has for it:
-cor_traces_check returns nothing and cor_traces3_split only its split.
-Both lemmas take the caller's coloring of G[X]: it certifies that G[X] is
-q-colorable and picks the shattered set's color class.
+The traces of Y on X serve two steps of the pipeline.  Step 4 checks the
+bound |Y| < ell * |X|^(qt/2) with cor_traces_check, the one trace lemma.
+When the bound fails, a bucket of ell same-trace vertices with a common
+trace of ell gives a biclique; failing that, too many distinct traces force
+a shattered set, which assembles into an induced cycle of t vertices.  The
+certificate leaves as certificates.CounterWitness.  The lemma takes the
+caller's coloring of G[X]: it certifies that G[X] is q-colorable and picks
+the shattered set's color class.
+
+Step 6 separates path families with split_by_trace: the largest trace
+bucket and the part of X outside its trace, or the biclique when both reach
+ell.  The paper counts traces there at q = 2t - 1, an exponent (2t - 1)t/2
+of at least 14 for t >= 4: buckets that all stay below ell while the count
+applies need more than 10^27 vertices, so the split builds no counting exit.
 """
 from __future__ import annotations
 
@@ -134,13 +139,6 @@ def find_shattered_set(system: SetSystem, size: int,
     return None
 
 
-def sauer_shelah_bound(n: int, k: int) -> int:
-    """Sum of binomial(n, i) for i = 0..k, as an exact integer."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return sum(math.comb(n, i) for i in range(k + 1))
-
-
 def trace_buckets(g: Graph, x_set: VertexSet, y_set: VertexSet) -> Buckets:
     """Partition Y by trace on X (the members of neighborhood_system):
     (largest bucket, its common trace, all buckets keyed by trace), ties
@@ -215,62 +213,23 @@ def _check_coloring(g: Graph, x_set: frozenset[int], q: int,
     return None
 
 
-def _trace_exponent(q: int, t: int) -> int:
-    if (q * t) % 2:
-        raise ValueError("q*t must be even")
-    return (q * t) // 2
-
-
-def _trace_hypotheses(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
-                      q: int, t: int, coloring: dict[int, int]) -> list[str]:
-    """The failed hypotheses that both trace lemmas share."""
-    failures = []
-    if x_set & y_set:
-        failures.append("X and Y overlap")
-    if len(x_set) < _trace_exponent(q, t):
-        failures.append(f"|X| = {len(x_set)} below q*t/2 = {_trace_exponent(q, t)}")
-    msg = _check_coloring(g, x_set, q, coloring)
-    if msg:
-        failures.append(msg)
-    if not is_independent(g, y_set):
-        failures.append("Y is not independent")
-    return failures
-
-
-def _overload(g: Graph, x_set: frozenset[int], y_set: frozenset[int],
-              ell: int, q: int, t: int, coloring: Optional[dict[int, int]],
-              budget: Budget = None) -> tuple[frozenset[int], frozenset[int]]:
-    """The largest trace bucket of Y and its trace, unless an overload
-    yields a certificate, which is raised as CounterWitness: a biclique when
-    bucket and trace both reach ell; else, when the counting applies and
-    the bucket stays below ell, an induced t-cycle through a shattered set
-    of size qt/2, whose largest color class is independent.  The caller
-    passes the checked coloring of G[X] when the counting applies and None
-    when it does not; the shattered-set search spends the caller's budget."""
-    system = neighborhood_system(g, x_set, y_set)
-    bucket, trace, _ = _buckets(system)
+def _biclique_exit(g: Graph, bucket: frozenset[int], trace: frozenset[int],
+                   ell: int) -> None:
+    """Raise CounterWitness with a K_{ell,ell} when a trace bucket and its
+    common trace both reach ell."""
     if len(bucket) >= ell and len(trace) >= ell:
         raise CounterWitness(certified(
             g, BicliqueWitness(tuple(sorted(bucket))[:ell], tuple(sorted(trace))[:ell]),
             ell=ell))
-    if coloring is None or len(bucket) >= ell:
-        return bucket, trace
-    shattered = find_shattered_set(system, _trace_exponent(q, t), budget)
-    require(shattered is not None, "counting promised a shattered set; none found")
-    by_color: dict[int, list[int]] = {}
-    for z in shattered:
-        by_color.setdefault(coloring[z], []).append(z)
-    best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
-    require(len(best) >= t // 2, "pigeonhole on color classes failed")
-    raise CounterWitness(cycle_from_shattered(g, frozenset(best), system, t))
 
 
 def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
                      ell: int, q: int, t: int, coloring: dict[int, int],
                      budget: Budget = None) -> None:
-    """Verify |Y| < ell * |X|^(qt/2); on failure raise CounterWitness with
-    the certificate of _overload: a biclique from a bucket of ell same-trace
-    vertices, failing that an induced t-cycle through a shattered set.
+    """Verify |Y| < ell * |X|^(qt/2); on failure raise CounterWitness with a
+    biclique from a bucket of ell same-trace vertices, failing that with an
+    induced t-cycle through a shattered set of qt/2 vertices, whose largest
+    color class is independent.
 
     `coloring` is the caller's certificate that G[X] is q-colorable; it is
     checked with the other hypotheses, and a violated one raises ValueError.
@@ -278,46 +237,53 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
     it runs out.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)
+    if (q * t) % 2:
+        raise ValueError("q*t must be even")
+    exponent = q * t // 2
+    failures = []
+    if x_set & y_set:
+        failures.append("X and Y overlap")
+    if len(x_set) < exponent:
+        failures.append(f"|X| = {len(x_set)} below q*t/2 = {exponent}")
+    msg = _check_coloring(g, x_set, q, coloring)
+    if msg:
+        failures.append(msg)
+    if not is_independent(g, y_set):
+        failures.append("Y is not independent")
     lazy = [y for y in sorted(y_set) if g.degree_in(y, x_set) < ell]
     if lazy:
         failures.append(f"vertices {lazy[:5]} have fewer than ell = {ell} "
                         "neighbors in X")
     if failures:
         raise ValueError("hypotheses violated: " + "; ".join(failures))
-    if len(y_set) < ell * len(x_set) ** _trace_exponent(q, t):
+    if len(y_set) < ell * len(x_set) ** exponent:
         return
-    # every y has >= ell neighbors in X, so a bucket of ell has a trace of
-    # ell, and _overload raises its certificate
-    _overload(g, x_set, y_set, ell, q, t, coloring, budget)
+    system = neighborhood_system(g, x_set, y_set)
+    bucket, trace, _ = _buckets(system)
+    # every y has >= ell neighbors in X, so a bucket of ell has a trace of ell
+    _biclique_exit(g, bucket, trace, ell)
+    if len(bucket) < ell:
+        shattered = find_shattered_set(system, exponent, budget)
+        require(shattered is not None, "counting promised a shattered set; none found")
+        by_color: dict[int, list[int]] = {}
+        for z in shattered:
+            by_color.setdefault(coloring[z], []).append(z)
+        best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
+        require(len(best) >= t // 2, "pigeonhole on color classes failed")
+        raise CounterWitness(cycle_from_shattered(g, frozenset(best), system, t))
     raise InternalInconsistency("the trace bound failed without a certificate")
 
 
-def cor_traces3_split(g: Graph, x_set: VertexSet, y_set: VertexSet,
-                      ell: int, q: int, t: int, coloring: dict[int, int],
-                      budget: Budget = None) -> tuple[frozenset[int], frozenset[int]]:
-    """Split off the largest trace bucket Y' and the trace-free part X' of X.
+def split_by_trace(g: Graph, x_set: VertexSet, y_set: VertexSet,
+                   ell: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Split off the largest trace bucket Y' of Y and the part X' of X
+    outside its trace, or raise CounterWitness with the biclique when the
+    bucket and its trace both reach ell.
 
-    X' and Y' have no edges between them, unconditionally.  Under the
-    stated hypotheses |X'| > |X| - ell and |Y'| >= |Y| / |X|^(qt/2); a
-    bucket and trace both of size >= ell instead raise CounterWitness with
-    the biclique (or, when the hypotheses hold and the bucket stays small
-    against the counting, with an induced t-cycle).  `coloring` is the
-    caller's certificate that G[X] is q-colorable.  Inputs that miss the
-    hypotheses, this certificate among them, are split all the same.  The
-    shattered-set search spends `budget`, as in cor_traces_check.  Step 6
-    calls this with q = 2t - 1, where the exponent (2t - 1)t/2 is at least
-    14 for t >= 4: small buckets under the counting then need more than
-    10^27 vertices, so at any runnable size the counting route never
-    applies and the lemma is the split plus its biclique exit.
+    X' and Y' have no edges between them, unconditionally.
     """
-    x_set, y_set = frozenset(x_set), frozenset(y_set)
-    failures = _trace_hypotheses(g, x_set, y_set, q, t, coloring)
-    if not y_set:
-        return x_set, frozenset()
-    counted = not failures and len(y_set) >= ell * len(x_set) ** _trace_exponent(q, t)
-    bucket, trace = _overload(g, x_set, y_set, ell, q, t,
-                              coloring if counted else None, budget)
-    x_prime = x_set - trace
+    bucket, trace, _ = trace_buckets(g, x_set, y_set)
+    _biclique_exit(g, bucket, trace, ell)
+    x_prime = frozenset(x_set) - trace
     require(all(not (g.adj(y) & x_prime) for y in bucket), "split left an X'-Y' edge")
     return x_prime, bucket

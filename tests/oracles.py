@@ -18,10 +18,12 @@ bulk draw of generate.gnp must reproduce graph for graph and state for
 state, and reference_verify_elimination is the elimination-order check by
 order positions, which the backward walk of certificates must agree with.
 node_count and call_count count the search nodes spent and the calls made
-inside a block.
+inside a block.  sauer_shelah_bound is the bound the VC-dimension tests
+check against.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from itertools import combinations
 from typing import Iterator, Optional
@@ -274,6 +276,13 @@ def brute_shattered_sets(system) -> list[tuple[int, ...]]:
     return [zs for k in range(len(system.universe) + 1)
             for zs in combinations(system.universe, k)
             if len({m & frozenset(zs) for m in members}) == 2 ** k]
+
+
+def sauer_shelah_bound(n: int, k: int) -> int:
+    """Sum of binomial(n, i) for i = 0..k, as an exact integer."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    return sum(math.comb(n, i) for i in range(k + 1))
 
 
 def brute_vc_dimension(system) -> int:

@@ -447,23 +447,47 @@ def test_pipeline_poison_biclique():
 
 
 def test_pipeline_hands_its_allowance_to_the_trace_lemmas(monkeypatch):
-    # the shattered-set route of both trace lemmas spends the run's one
-    # allowance, which names the stage calling them: step 4's heavy screen
-    # (poison instance) and step 6's separation (full instance)
+    # the shattered-set route of step 4's trace lemma spends the run's one
+    # allowance, which names the heavy screen calling it; step 6 searches
+    # nothing (test_step6_spends_no_search_node)
     seen = []
-    for name in ("cor_traces_check", "cor_traces3_split"):
-        def spy(*args, budget=None, lemma=getattr(anticomplete, name), **kw):
-            seen.append((lemma.__name__, budget.stage[0]))
-            return lemma(*args, budget=budget, **kw)
-        monkeypatch.setattr(anticomplete, name, spy)
+    lemma = anticomplete.cor_traces_check
+
+    def spy(*args, budget=None, **kw):
+        seen.append(budget.stage[0])
+        return lemma(*args, budget=budget, **kw)
+
+    monkeypatch.setattr(anticomplete, "cor_traces_check", spy)
     t = 6
     g, sets = pipeline_poison_instance(t, ell=2, per_pair=54)
     main_pipeline(g, t, 2, PipelineOverrides(branch_sets=sets, a_count=t // 2))
     g, sets = pipeline_full_instance(t, copies=2)
     main_pipeline(g, t, 3, PipelineOverrides(branch_sets=sets, a_count=t // 2,
                                              paths_per_pair=2))
-    assert set(seen) == {("cor_traces_check", "paths[0,1]"),
-                         ("cor_traces3_split", "selection")}
+    assert set(seen) == {"paths[0,1]"}
+
+
+@pytest.mark.parametrize("t", [6, 8])
+def test_step6_spends_no_search_node(monkeypatch, t):
+    # step 6 splits trace buckets and runs no search: on the families steps
+    # 4-5 extract it spends no node, and main_pipeline assembles its paths
+    calls = []
+
+    def spy(*args):
+        with oracles.node_count() as spent:
+            picked = select_pairwise_anticomplete(*args)
+        calls.append((spent[0], picked))
+        return picked
+
+    monkeypatch.setattr(anticomplete, "select_pairwise_anticomplete", spy)
+    g, sets = pipeline_full_instance(t, copies=2)
+    res = main_pipeline(g, t, 3, PipelineOverrides(
+        branch_sets=sets, a_count=t // 2, paths_per_pair=2))
+    [(spent, picked)] = calls
+    assert spent == 0 and len(picked) == t // 2
+    on_paths = {v for p in picked for v in p.vertices}
+    anchors = [v for v in res.certificate.vertices if v not in on_paths]
+    assert assemble_cycle(g, anchors, picked) == res.certificate
 
 
 #: The stage a run on pipeline_full_instance(t, 2) runs out in, by budget.

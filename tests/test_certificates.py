@@ -58,6 +58,25 @@ def test_package_swallows_no_budget_exhaustion():
     assert found == []
 
 
+def test_every_budget_parameter_is_read():
+    # a function that takes a budget spends it or hands it on; a step that
+    # stops searching drops the parameter instead of ignoring it
+    takers, unread = 0, []
+    for path in PACKAGE_MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if "budget" not in {a.arg for a in args}:
+                continue
+            takers += 1
+            if not any(isinstance(n, ast.Name) and n.id == "budget"
+                       and isinstance(n.ctx, ast.Load)
+                       for stmt in fn.body for n in ast.walk(stmt)):
+                unread.append(f"{path.name}:{fn.name}")
+    assert takers > 0 and unread == []
+
+
 def _importers(module: str) -> set[str]:
     """The package modules that import `module`."""
     found = set()

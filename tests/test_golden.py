@@ -17,9 +17,9 @@ depend on the search order, so a kernel change that keeps the certificates
 but visits nodes in a different order fails here too.
 
 The upper layers are pinned on the same terms: chromatic_number_exact (value,
-nodes and BudgetExceeded.best), cor_traces_check, cor_traces3_split (the
-split or the CounterWitness certificate, and on "shatter8" the nodes the
-shattered-set route spends from the caller's budget), check_branch_diameter and
+nodes and BudgetExceeded.best), cor_traces_check (on "shatter8" with the
+nodes the shattered-set route spends from the caller's budget),
+split_by_trace (the split or the CounterWitness certificate), check_branch_diameter and
 full_vertex_minor on the G(20, 1/2) minors, the JSON record of main_pipeline on the planted, ideal,
 tree and G(20, 1/2) instances, and the pipeline instance builders' graphs
 and branch sets.
@@ -56,8 +56,8 @@ from chibound.lemmas import sstar_elimination_order, sstar_low_degree
 from chibound.minors import (CliqueMinor, check_branch_diameter,
                              find_clique_minor, full_vertex_minor,
                              minimize_minor)
-from chibound.vc import (cor_traces3_split, cor_traces_check,
-                         find_shattered_set, neighborhood_system, vc_dimension)
+from chibound.vc import (cor_traces_check, find_shattered_set,
+                         neighborhood_system, split_by_trace, vc_dimension)
 from oracles import node_count
 
 FIXTURE = Path(__file__).with_name("golden_certificates.json")
@@ -166,6 +166,9 @@ INSTANCES = [("full", 6, 2), ("full", 8, 2), ("poison", 6, (2, 54))]
 #: cor_traces_check instances, see trace_instance(); each comes with its
 #: coloring, so "shatter8-colored" repeats "shatter8".
 TRACE_INSTANCES = ("shatter8", "shatter8-colored", "shatter7", "bucket", "holds")
+#: split_by_trace instances: on the shattering ones it splits off one
+#: vertex, as on "holds".
+SPLIT_INSTANCES = ("bucket", "holds")
 
 
 def _cert_json(cert) -> dict:
@@ -338,11 +341,11 @@ def trace_record(name: str) -> dict:
 
 
 def trace3_record(name: str) -> dict:
-    """cor_traces3_split on a trace instance: the split (X', Y'), or the
+    """split_by_trace on a trace instance: the split (X', Y'), or the
     certificate of the CounterWitness it raises."""
-    g, xs, ys, ell, coloring = trace_instance(name)
+    g, xs, ys, ell, _ = trace_instance(name)
     try:
-        x_prime, y_prime = cor_traces3_split(g, xs, ys, ell, 1, 4, coloring=coloring)
+        x_prime, y_prime = split_by_trace(g, xs, ys, ell)
     except CounterWitness as cw:
         return json.loads(json.dumps({"witness": _cert_json(cw.certificate)}))
     return {"x_prime": sorted(x_prime), "y_prime": sorted(y_prime)}
@@ -407,7 +410,7 @@ def _fixture() -> dict:
     out.update({_pipeline_key(s): pipeline_record(*s) for s in PIPELINES})
     out.update({_instance_key(s): instance_record(*s) for s in INSTANCES})
     out.update({_trace_key(s): trace_record(s) for s in TRACE_INSTANCES})
-    out.update({_trace3_key(s): trace3_record(s) for s in TRACE_INSTANCES})
+    out.update({_trace3_key(s): trace3_record(s) for s in SPLIT_INSTANCES})
     return out
 
 
@@ -461,15 +464,13 @@ def test_golden_cor_traces_check(golden, name):
     assert trace_record(name) == golden[_trace_key(name)]
 
 
-@pytest.mark.parametrize("name", TRACE_INSTANCES, ids=_trace3_key)
+@pytest.mark.parametrize("name", SPLIT_INSTANCES, ids=_trace3_key)
 def test_golden_cor_traces3_split(golden, name):
     assert trace3_record(name) == golden[_trace3_key(name)]
 
 
-@pytest.mark.parametrize("lemma, key", [(cor_traces_check, _trace_key),
-                                        (cor_traces3_split, _trace3_key)],
-                         ids=["cor_traces_check", "cor_traces3_split"])
-def test_shattering_route_spends_the_callers_budget(golden, lemma, key):
+@pytest.mark.parametrize("lemma", [cor_traces_check], ids=["cor_traces_check"])
+def test_shattering_route_spends_the_callers_budget(golden, lemma):
     # the shattered-set search of "shatter8" spends 36 nodes, all from the
     # budget the caller passes: one short runs out, exactly enough answers
     g, xs, ys, ell, coloring = trace_instance("shatter8")
@@ -481,7 +482,7 @@ def test_shattering_route_spends_the_callers_budget(golden, lemma, key):
     with pytest.raises(CounterWitness) as cw:
         lemma(g, xs, ys, ell, 1, 4, coloring=coloring, budget=nodes[0])
     witness = json.loads(json.dumps(_cert_json(cw.value.certificate)))
-    assert witness == golden[key("shatter8")]["witness"]
+    assert witness == golden[_trace_key("shatter8")]["witness"]
 
 
 def _outcome_kind(r: dict) -> str:
@@ -517,7 +518,7 @@ def test_golden_fixture_covers_every_outcome(golden):
                            | {_pipeline_key(s) for s in PIPELINES}
                            | {_instance_key(s) for s in INSTANCES}
                            | {_trace_key(s) for s in TRACE_INSTANCES}
-                           | {_trace3_key(s) for s in TRACE_INSTANCES})
+                           | {_trace3_key(s) for s in SPLIT_INSTANCES})
     for prefix, calls in (("search-", SEARCHES), ("exact-", PINNED)):
         searches = _search_outcomes(golden, prefix)
         for call in calls:
@@ -547,8 +548,8 @@ def test_golden_fixture_covers_every_outcome(golden):
     assert shattered["witness"]["tag"] == "InducedCycle"
     splits = {golden[_trace3_key(s)]["witness"]["tag"]
               if "witness" in golden[_trace3_key(s)] else "split"
-              for s in TRACE_INSTANCES}
-    assert splits == {"split", "BicliqueWitness", "InducedCycle"}
+              for s in SPLIT_INSTANCES}
+    assert splits == {"split", "BicliqueWitness"}
 
 
 def _kind(rec) -> str:

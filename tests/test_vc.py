@@ -9,12 +9,13 @@ from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    InducedCycle, verify_certificate)
 from chibound.detect import BudgetExceeded, optimal_coloring
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
-from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces3_split,
-                         cor_traces_check, cycle_from_shattered,
-                         find_shattered_set, neighborhood_system,
-                         sauer_shelah_bound, trace_buckets, vc_dimension)
+from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces_check,
+                         cycle_from_shattered, find_shattered_set,
+                         neighborhood_system, split_by_trace, trace_buckets,
+                         vc_dimension)
 from conftest import distinct_traces, random_graph
-from oracles import brute_shattered_sets, brute_vc_dimension, node_count
+from oracles import (brute_shattered_sets, brute_vc_dimension, node_count,
+                     sauer_shelah_bound)
 
 
 def chi_coloring(g: Graph, xs: frozenset) -> dict[int, int]:
@@ -317,29 +318,28 @@ def test_cor_traces_check_shattering_route_at_t6():
 
 def test_cor_traces3_trivial_splits():
     g = empty_graph(7)
-    xp, yp = cor_traces3_split(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}),
-                               ell=1, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
+    xp, yp = split_by_trace(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}),
+                            ell=1)
     assert xp == frozenset({0, 1, 2}) and yp == frozenset({3, 4, 5, 6})
 
     # every y adjacent to one fixed x
     edges = [(0, y) for y in range(3, 7)]
     g2 = Graph.from_edges(7, edges)
-    xp, yp = cor_traces3_split(g2, frozenset({0, 1, 2}), frozenset(range(3, 7)),
-                               ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
+    xp, yp = split_by_trace(g2, frozenset({0, 1, 2}), frozenset(range(3, 7)),
+                            ell=2)
     assert xp == frozenset({1, 2}) and yp == frozenset(range(3, 7))
     assert all(not g2.adj(y) & xp for y in yp)
 
 
 def test_cor_traces3_splits_a_full_bucket_with_a_small_trace():
-    # every subset of X = {0..3} is the trace of two y's, so |Y| = 32 =
-    # ell * |X|^2 meets the counting, but the largest bucket already holds
-    # ell = 2 vertices (those of the empty trace): no biclique and no cycle
+    # every subset of X = {0..3} is the trace of two y's: the largest
+    # bucket holds ell = 2 vertices (those of the empty trace), whose trace
+    # is too small for a biclique
     subsets = [c for r in range(5) for c in combinations(range(4), r)]
     edges = [(4 + 2 * i + k, x) for i, c in enumerate(subsets) for k in (0, 1)
              for x in c]
     g = Graph.from_edges(36, edges)
-    xp, yp = cor_traces3_split(g, frozenset(range(4)), frozenset(range(4, 36)),
-                               ell=2, q=1, t=4, coloring=dict.fromkeys(range(4), 0))
+    xp, yp = split_by_trace(g, frozenset(range(4)), frozenset(range(4, 36)), ell=2)
     assert xp == frozenset(range(4)) and yp == frozenset({4, 5})
 
 
@@ -350,8 +350,7 @@ def test_cor_traces3_surfaces_biclique():
         edges += [(3 + i, 0), (3 + i, 1)]
     g = Graph.from_edges(3 + nY, edges)
     with pytest.raises(CounterWitness) as exc:
-        cor_traces3_split(g, frozenset({0, 1, 2}), frozenset(range(3, 3 + nY)),
-                          ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
+        split_by_trace(g, frozenset({0, 1, 2}), frozenset(range(3, 3 + nY)), ell=2)
     assert isinstance(exc.value.certificate, BicliqueWitness)
     assert verify_certificate(g, exc.value.certificate)
 
@@ -366,8 +365,7 @@ def test_cor_traces3_postconditions_random(rng):
         if not ys:
             continue
         try:
-            xp, yp = cor_traces3_split(g, xs, ys, ell=2, q=2, t=4,
-                                       coloring=chi_coloring(g, xs))
+            xp, yp = split_by_trace(g, xs, ys, ell=2)
         except CounterWitness as w:
             assert verify_certificate(g, w.certificate)
             done += 1
