@@ -302,9 +302,20 @@ def has_induced_path(g: Graph, t: int,
     return p if len(p) >= t else None
 
 
+def _pool(g: Graph, within: Optional[VertexSet]) -> int:
+    """The vertex mask of `within`, checked against g; all of g for None."""
+    if within is None:
+        return (1 << g.n) - 1
+    vs = set(within)
+    check_vertices(g, vs)
+    return sum(1 << v for v in vs)
+
+
 def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
-                          budget: Budget) -> Optional[tuple[int, ...]]:
-    """Enumerate chordless cycles with >= min_len vertices.
+                          budget: Budget, pool: int
+                          ) -> Optional[tuple[int, ...]]:
+    """Enumerate chordless cycles with >= min_len vertices inside the vertex
+    mask `pool`.
 
     A cycle root, v1, ..., closer is rooted at its minimum vertex, and v1
     is kept below the closing vertex to kill the reflection.  So the root
@@ -313,7 +324,10 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
     root they are never free.  The other root neighbors (`root_adj`) may
     only appear as the closing vertex, which keeps every cycle chordless by
     construction.  `free` is the mask of the vertices an extension may
-    still use.
+    still use.  The roots, v1 and `free` lie inside pool, and root_adj is
+    only ever read against free or its candidates, so no vertex off pool
+    is touched.  On g.induced of the pool's vertices the search meets the
+    same cycles in the same order, since relabelling keeps ascending id.
 
     extend(path, free, candidates, root_adj) settles each candidate w of
     path in its own loop: a root neighbor closes the cycle; any other w
@@ -364,11 +378,10 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
             path.pop()
         return False
 
-    full = (1 << g.n) - 1
     try:
-        for root in range(g.n):
+        for root in mask_vertices(pool):
             below = (2 << root) - 1
-            later = masks[root] & ~below
+            later = masks[root] & pool & ~below
             while later:
                 low = later & -later
                 later ^= low
@@ -376,7 +389,7 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
                 # vertices up to the root and the root neighbors up to v1
                 # are never free, and the root neighbors above v1 close.
                 upto = (low << 1) - 1
-                if extend([root], full & ~(below | masks[root] & upto), low,
+                if extend([root], pool & ~(below | masks[root] & upto), low,
                           masks[root] & ~upto):
                     return best
     except BudgetExceeded:
@@ -384,18 +397,28 @@ def _induced_cycle_search(g: Graph, min_len: int, stop_at_first: bool,
     return best
 
 
-def find_long_induced_cycle(g: Graph, t: int,
-                            budget: Budget = None) -> Optional[InducedCycle]:
-    """An induced cycle with at least t vertices, or None if none exists."""
+def find_long_induced_cycle(g: Graph, t: int, budget: Budget = None,
+                            within: Optional[VertexSet] = None
+                            ) -> Optional[InducedCycle]:
+    """An induced cycle with at least t vertices inside `within` (default:
+    all vertices), or None if none exists there.
+
+    The search runs on g's own masks restricted to within, so it returns
+    the cycle, spends the nodes and raises BudgetExceeded at the budget
+    that the same search on g.induced(within) would, in g's ids and with no
+    copy built.
+    """
     if t < 3:
         raise ValueError("t must be at least 3")
-    cyc = _induced_cycle_search(g, t, stop_at_first=True, budget=budget)
+    cyc = _induced_cycle_search(g, t, stop_at_first=True, budget=budget,
+                                pool=_pool(g, within))
     return InducedCycle(cyc) if cyc else None
 
 
 def longest_induced_cycle(g: Graph, budget: Budget = None) -> Optional[InducedCycle]:
     """A maximum-length induced cycle, or None in a forest."""
-    cyc = _induced_cycle_search(g, 3, stop_at_first=False, budget=budget)
+    cyc = _induced_cycle_search(g, 3, stop_at_first=False, budget=budget,
+                                pool=_pool(g, None))
     return InducedCycle(cyc) if cyc else None
 
 
@@ -494,13 +517,7 @@ def max_independent_subset(g: Graph, within: Optional[VertexSet] = None,
     exhaustion raises BudgetExceeded with the best set found so far in
     `best`.
     """
-    if within is None:
-        pool = (1 << g.n) - 1
-    else:
-        vs = set(within)
-        check_vertices(g, vs)
-        pool = sum(1 << v for v in vs)
-    return _max_independent(g.masks(), pool, SearchBudget.of(budget))
+    return _max_independent(g.masks(), _pool(g, within), SearchBudget.of(budget))
 
 
 def _max_independent(masks: Sequence[int], pool: int,

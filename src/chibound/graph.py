@@ -106,6 +106,10 @@ class Graph:
 
         Certificates must reference original ids, so callers that hand
         subgraph results onward should translate through the mapping.
+        Nothing in the package calls it any more: the searches restrict
+        themselves to a vertex set in place (their `within`), and the tests
+        keep it as the reference those restricted searches are checked
+        against.
         """
         order = tuple(sorted(set(vertices)))
         pos = {v: i for i, v in enumerate(order)}

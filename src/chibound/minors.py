@@ -11,10 +11,18 @@ absence there otherwise.  Every search is deterministic, in ascending id.
 Path lengths are counted in vertices throughout (a single vertex is a path
 of 1), matching how diameters and cycle lengths are compared against t.
 
-Branch-set adjacency has one computation, the table of _touched: each vertex
-of a set -> the other sets it has a neighbour in.  Validity, full vertices
-and private sets are all read off it.  Connectivity has one too: every
-branch set, the assignment search's parts included, is tested with
+Branch-set adjacency has one representation, int masks over branch-set
+indices.  _owners gives each vertex its owner bit, 1 << i in set i and 0
+off the sets, so the sets a vertex touches are the OR of its neighbours'
+owner bits, one C-level reduce per vertex; _touched keeps that row for
+each vertex of a set, its own bit cleared.  Validity ORs the bits around a
+whole set, full vertices count a row's bits, and a private set is read off
+_single: over a set's rows, `twice |= once & row; once |= row` leaves
+`once & ~twice`, the sets exactly one vertex touches, so a vertex holds a
+private set iff its row meets that mask, and its least one is the lowest
+bit there.  Connectivity has one computation too: each branch set of two
+or more vertices that validation meets (one vertex is connected as it is)
+and each part of the assignment search is tested with
 Graph.is_connected_subset, so Graph.bfs is the only BFS.  Minimization
 asks instead which vertices of a set are cut vertices, and one
 Graph.cut_counts pass answers that for the whole set.
@@ -40,8 +48,9 @@ assignment search still runs and spends the caller's budget.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .certificates import (InducedCycle, InternalInconsistency, certified,
@@ -67,27 +76,37 @@ class CliqueMinor:
         return cls(tuple(frozenset(s) for s in sets))
 
 
-def _owners(sets: Sequence[set[int] | frozenset[int]]) -> dict[int, int]:
-    """The owner map: each vertex of the (disjoint) sets -> its set index."""
-    return {v: i for i, s in enumerate(sets) for v in s}
+def _owners(g: Graph, sets: Sequence[set[int] | frozenset[int]]) -> list[int]:
+    """The owner bits: 1 << i for each vertex of the (disjoint) set i, and
+    0 for each vertex of g off the sets."""
+    owner = [0] * g.n
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for v in s:
+            owner[v] = bit
+    return owner
 
 
-def _touched(g: Graph, owner: dict[int, int], i: int,
-             s: Iterable[int]) -> dict[int, set[int]]:
-    """Each vertex of branch set i -> the indices of the other sets it has
-    a neighbour in."""
-    table, drop = {}, {i, None}
-    for v in s:
-        table[v] = row = set(map(owner.get, g.adj(v)))
-        row -= drop
-    return table
+def _touched(g: Graph, owner: list[int], i: int,
+             s: Iterable[int]) -> dict[int, int]:
+    """Each vertex of branch set i -> the mask of the other sets it has a
+    neighbour in."""
+    keep, bit = ~(1 << i), owner.__getitem__
+    return {v: reduce(or_, map(bit, g.adj(v)), 0) & keep for v in s}
 
 
-def _private(touched: dict[int, set[int]], hits: Counter[int],
-             v: int) -> Optional[int]:
-    """The least set j that v alone of its branch set touches, where hits[j]
-    counts the set's vertices that touch j; None when there is none."""
-    return min((j for j in touched[v] if hits[j] == 1), default=None)
+def _single(rows: Iterable[int]) -> int:
+    """The mask of the sets that exactly one of the rows touches."""
+    once = twice = 0
+    for row in rows:
+        twice |= once & row
+        once |= row
+    return once & ~twice
+
+
+def _least(mask: int) -> Optional[int]:
+    """The index of the lowest set bit of mask; None when it is 0."""
+    return (mask & -mask).bit_length() - 1 if mask else None
 
 
 def validate_minor(g: Graph, minor: CliqueMinor) -> bool:
@@ -99,10 +118,11 @@ def validate_minor(g: Graph, minor: CliqueMinor) -> bool:
             return False
         seen |= s
         check_vertices(g, s)
-        if not g.is_connected_subset(s):
+        if len(s) > 1 and not g.is_connected_subset(s):
             return False
-    owner = _owners(sets)
-    return all(len(set().union(*_touched(g, owner, i, s).values())) == len(sets) - 1
+    owner, full = _owners(g, sets), (1 << len(sets)) - 1
+    return all(reduce(or_, map(owner.__getitem__, set().union(*map(g.adj, s))),
+                      1 << i) == full
                for i, s in enumerate(sets))
 
 
@@ -117,15 +137,18 @@ def _find_cycle(g: Graph) -> Optional[list[int]]:
             x = parent[x]
         return x
 
-    forest: list[tuple[int, int]] = []
+    # Union-find joins two trees per forest edge, so the forest is simple
+    # and its neighbour sets are built here without from_edges' checks.
+    forest: list[set[int]] = [set() for _ in range(g.n)]
     for u, v in g.edges():
         ru, rv = find(u), find(v)
         if ru == rv:
             # the one forest path from v back to u closes the cycle
-            return Graph.from_edges(g.n, forest).shortest_path(
+            return Graph(g.n, tuple(map(frozenset, forest))).shortest_path(
                 v, u, frozenset(range(g.n)))
         parent[ru] = rv
-        forest.append((u, v))
+        forest[u].add(v)
+        forest[v].add(u)
     return None
 
 
@@ -287,27 +310,29 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
 
     Each pass goes through the sets in index order, testing each vertex of a
     set once, in descending id; only the set being thinned changes
-    meanwhile, so its table is built once per pass.  A removal from one set
-    adds no touch to another set's table and can only lower its hits, which
-    can make a vertex there private, never removable.  So a set that lost
-    nothing in a pass has nothing removable in the next, and only the sets
-    that lost a vertex are scanned again: the fixpoint is the one that
-    scanning every set in every pass reaches.
+    meanwhile, so its rows are built once per pass, and its mask of sets
+    touched by one vertex alone (_single) again from the remaining rows
+    after each removal.  A removal from one set adds no touch to another
+    set's rows and can only take touches away, which can make a vertex
+    there private, never removable.  So a set that lost nothing in a pass
+    has nothing removable in the next, and only the sets that lost a vertex
+    are scanned again: the fixpoint is the one that scanning every set in
+    every pass reaches.
     """
     if not validate_minor(g, minor):
         raise ValueError("input is not a valid clique minor")
     sets = [set(s) for s in minor.branch_sets]
-    owner = _owners(sets)
+    owner = _owners(g, sets)
     dirty = [idx for idx, k in enumerate(sets) if len(k) > 1]
     while dirty:
         lost = []
         for idx in dirty:
             k, size = sets[idx], len(sets[idx])
-            touched = _touched(g, owner, idx, k)
-            hits = Counter(j for js in touched.values() for j in js)
+            rows = _touched(g, owner, idx, k)
+            single = _single(rows.values())
             cuts = None  # Graph.cut_counts(k), or None when stale
             for v in sorted(k, reverse=True):
-                if len(k) == 1 or _private(touched, hits, v) is not None:
+                if len(k) == 1 or rows[v] & single:
                     continue
                 around = g.adj(v) & k
                 if len(around) == 1:  # a leaf: only its neighbour's count drops
@@ -320,8 +345,9 @@ def minimize_minor(g: Graph, minor: CliqueMinor) -> CliqueMinor:
                         continue
                     cuts = None
                 k.discard(v)
-                hits.subtract(touched[v])
-                del owner[v]
+                del rows[v]
+                owner[v] = 0
+                single = _single(rows.values())
             if 1 < len(k) < size:
                 lost.append(idx)
         dirty = lost
@@ -373,9 +399,9 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
         if u < 0 or dist + 1 < t:
             continue
         path = g.shortest_path(u, v, k)
-        touched = _touched(g, _owners(sets), idx, k)
-        hits = Counter(j for js in touched.values() for j in js)
-        ku, kv = _private(touched, hits, u), _private(touched, hits, v)
+        rows = _touched(g, _owners(g, sets), idx, k)
+        single = _single(rows.values())
+        ku, kv = _least(rows[u] & single), _least(rows[v] & single)
         if ku is None or kv is None:
             raise ValueError("minor is not minimal: endpoint lacks a private set")
         allowed = frozenset(sets[ku] | sets[kv] | {u, v})
@@ -389,10 +415,10 @@ def check_branch_diameter(g: Graph, minor: CliqueMinor, t: int
 
 def full_vertices(g: Graph, minor: CliqueMinor) -> list[Optional[int]]:
     """Per branch set, the least vertex adjacent to every other branch set."""
-    owner, k = _owners(minor.branch_sets), len(minor) - 1
+    owner, k = _owners(g, minor.branch_sets), len(minor) - 1
     tables = (_touched(g, owner, i, s) for i, s in enumerate(minor.branch_sets))
-    return [min((v for v, js in touched.items() if len(js) >= k), default=None)
-            for touched in tables]
+    return [min((v for v, row in rows.items() if row.bit_count() >= k), default=None)
+            for rows in tables]
 
 
 def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
@@ -402,8 +428,10 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
 
     After minimization a branch set of diameter >= t gives the cycle at
     once.  Otherwise the cycle is sought with find_long_induced_cycle
-    inside the union of all minimal branch sets, spending the one node
-    budget: a cycle found is returned, and absence there raises
+    inside the union of all minimal branch sets, in place: the search runs
+    on g's own masks restricted to the union (its `within`), so no induced
+    copy is built and the cycle comes back in g's ids.  It spends the one
+    node budget: a cycle found is returned, and absence there raises
     StageShortfall("full-minor", p, 0), p being only the size it reports;
     only an exhausted budget raises plain BudgetExceeded.
 
@@ -421,9 +449,9 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
     cycle = check_branch_diameter(g, minimal, t) if len(minimal) >= 3 else None
     if cycle is not None:
         return cycle
-    union, ids = g.induced(v for s in minimal.branch_sets for v in s)
+    union = frozenset().union(*minimal.branch_sets)
     # stops at the first cycle found, so BudgetExceeded carries no best
-    found = find_long_induced_cycle(union, max(t, 3), budget)
+    found = find_long_induced_cycle(g, max(t, 3), budget, within=union)
     if found is None:
         raise StageShortfall("full-minor", p, 0)
-    return certified(g, InducedCycle(tuple(ids[v] for v in found.vertices)), t=t)
+    return certified(g, found, t=t)

@@ -17,9 +17,13 @@ reference_gnp is G(n, p) drawn one rng.random() call per pair, which the
 bulk draw of generate.gnp must reproduce graph for graph and state for
 state, and reference_verify_elimination is the elimination-order check by
 order positions, which the backward walk of certificates must agree with.
+reference_cycle_within is find_long_induced_cycle run on the copy
+g.induced(within), which its in-place `within` must agree with, and
+cycle_within_outcomes gives both sides' answers and nodes to compare.
 node_count and call_count count the search nodes spent and the calls made
-inside a block.  sauer_shelah_bound is the bound the VC-dimension tests
-check against.
+inside a block, and budget_outcomes records the answer and the nodes of a
+search at each of a list of budgets.  sauer_shelah_bound is the bound the
+VC-dimension tests check against.
 """
 from __future__ import annotations
 
@@ -29,8 +33,10 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
-                                   IndependentSetWitness, SubdividedStarWitness)
-from chibound.detect import SearchBudget
+                                   IndependentSetWitness, InducedCycle,
+                                   SubdividedStarWitness)
+from chibound.detect import (BudgetExceeded, SearchBudget,
+                             find_long_induced_cycle)
 from chibound.graph import Graph, OrientedPath
 from chibound.lemmas import sstar_low_degree
 
@@ -51,6 +57,20 @@ def node_count() -> Iterator[list[int]]:
         yield count
     finally:
         SearchBudget.spend = original
+
+
+def budget_outcomes(search, budgets) -> list[tuple[object, int]]:
+    """(answer, nodes) of search(budget) for each budget, the answer being
+    (BudgetExceeded, best) when the search runs out."""
+    out = []
+    for budget in budgets:
+        with node_count() as count:
+            try:
+                answer = search(budget)
+            except BudgetExceeded as exc:
+                answer = (BudgetExceeded, exc.best)
+        out.append((answer, count[0]))
+    return out
 
 
 @contextmanager
@@ -374,6 +394,29 @@ def reference_induced_path_search(g: Graph, stop_len: Optional[int]) -> Oriented
         if stop_len is not None and len(best) >= stop_len:
             break
     return OrientedPath(best)
+
+
+def reference_cycle_within(g: Graph, t: int, budget, within
+                           ) -> Optional[InducedCycle]:
+    """find_long_induced_cycle on the copy g.induced(within), its cycle
+    mapped back to g's ids."""
+    h, ids = g.induced(within)
+    found = find_long_induced_cycle(h, t, budget)
+    return found and InducedCycle(tuple(ids[v] for v in found.vertices))
+
+
+def cycle_within_outcomes(g: Graph, t: int, within) -> tuple[list, list]:
+    """budget_outcomes of find_long_induced_cycle restricted to `within` in
+    place, and of reference_cycle_within, at the same budgets: none, 0,
+    and about half, one less than and all of the nodes the copy spends."""
+    within = frozenset(within)
+    [(_, nodes)] = budget_outcomes(
+        lambda b: reference_cycle_within(g, t, b, within), [None])
+    budgets = [None, *sorted({0, nodes // 2, max(nodes - 1, 0), nodes})]
+    return (budget_outcomes(
+                lambda b: find_long_induced_cycle(g, t, b, within=within), budgets),
+            budget_outcomes(
+                lambda b: reference_cycle_within(g, t, b, within), budgets))
 
 
 def reference_induced_cycle_search(g: Graph, min_len: int,

@@ -494,6 +494,29 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
                 same_nodes=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs_of_any_density(max_n=12), st.data())
+def test_cycle_search_within_matches_the_search_on_the_induced_copy(g, data):
+    within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    for t in range(3, len(within) + 2):
+        got, want = oracles.cycle_within_outcomes(g, t, within)
+        assert got == want
+    # all of g as within, or none, is the unrestricted search
+    for t in range(3, g.n + 2):
+        whole = oracles.budget_outcomes(lambda b: find_long_induced_cycle(g, t, b),
+                                        [None])
+        assert oracles.budget_outcomes(
+            lambda b: find_long_induced_cycle(g, t, b, within=None), [None]) == whole
+        assert oracles.budget_outcomes(
+            lambda b: find_long_induced_cycle(g, t, b, within=range(g.n)),
+            [None]) == whole
+
+
+def test_cycle_search_within_rejects_vertices_off_the_graph():
+    with pytest.raises(ValueError):
+        find_long_induced_cycle(cycle_graph(5), 3, within={0, 5})
+
+
 @pytest.mark.parametrize("n, p, seed", [(12, 0.3, 1), (14, 0.5, 2), (16, 0.2, 3)])
 def test_path_and_cycle_searches_answer_on_exactly_their_node_count(n, p, seed):
     # The budget bounds the whole call: with the nodes the call spends

@@ -19,7 +19,8 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              eccentric_pair, find_clique_minor, full_vertex_minor,
                              full_vertices, minimize_minor, validate_minor)
 from conftest import graphs, random_graph
-from oracles import (brute_longest_induced_cycle, call_count, node_count,
+from oracles import (brute_longest_induced_cycle, call_count,
+                     cycle_within_outcomes, node_count,
                      reference_full_vertices,
                      reference_minimize_minor, reference_private_set,
                      reference_series_parallel_reducible,
@@ -425,11 +426,12 @@ def test_step2_validates_each_minor_once(step2_minors):
 
 def test_step2_bfs_ratchet(step2_minors):
     # Graph.bfs and Graph.cut_counts calls of full_vertex_minor, measured
-    # when minimization began to test a set's vertices with one cut-vertex
-    # pass (the BFS figures before were 364, 107, 320 and 208, and 953, 141
-    # and 362 before step 2 validated once, re-scanned only changed sets
-    # and bounded its BFS roots).  They may only fall.
-    ceiling = {"gnp": 253, "ideal-t8-K4": 25, "ideal-t10-K4": 32, "ideal-t10-K5": 31}
+    # when validation stopped running a BFS on a one-vertex branch set
+    # (253, 25, 32 and 31 before; the BFS figures were 364, 107, 320 and
+    # 208 before minimization tested a set's vertices with one cut-vertex
+    # pass, and 953, 141 and 362 before step 2 validated once, re-scanned
+    # only changed sets and bounded its BFS roots).  They may only fall.
+    ceiling = {"gnp": 220, "ideal-t8-K4": 24, "ideal-t10-K4": 32, "ideal-t10-K5": 30}
     spent = Counter()
     for name, g, minor, p, t in step2_minors:
         with call_count(Graph, "bfs", "cut_counts") as calls:
@@ -439,12 +441,40 @@ def test_step2_bfs_ratchet(step2_minors):
 
 
 def test_minimize_minor_runs_bfs_only_to_validate(step2_minors):
-    # one BFS per branch set, in the validation on entry; the cut-vertex
+    # one BFS per branch set of two or more vertices, in the validation on
+    # entry (a one-vertex set is connected without one); the cut-vertex
     # tests of the minimization go through Graph.cut_counts
     for name, g, minor, p, t in step2_minors:
         with call_count(Graph, "bfs") as calls:
             minimize_minor(g, minor)
-        assert calls[0] == len(minor), name
+        assert calls[0] == sum(len(s) > 1 for s in minor.branch_sets), name
+
+
+def test_step2_union_search_nodes(step2_minors):
+    # The search nodes full_vertex_minor spends, all of them in the cycle
+    # search inside the union of the minimal sets, measured when that
+    # search ran on the copy g.induced(union); the in-place search spends
+    # exactly these.  K5-K9 per G(20, 1/2) seed; the ideal instances find
+    # their cycle in a long branch set, with no search.
+    gnp_nodes = {1: [13, 8, 8, 11, 17], 2: [12, 31, 57, 9, 9],
+                 3: [22, 29, 22, 4, 4], 4: [17, 36, 47, 4, 6],
+                 5: [17, 16, 26, 6, 6], 6: [16, 29, 49, 24, 23]}
+    expected = {f"gnp-s{seed}-K{p}": n for seed, row in gnp_nodes.items()
+                for p, n in zip(range(5, 10), row)}
+    expected |= {"ideal-t8-K4": 0, "ideal-t10-K4": 0, "ideal-t10-K5": 0}
+    spent = {}
+    for name, g, minor, p, t in step2_minors:
+        with node_count() as nodes:
+            _outcome(full_vertex_minor, g, minor, p, t)
+        spent[name] = nodes[0]
+    assert spent == expected
+
+
+def test_step2_union_search_in_place_matches_the_induced_copy(step2_minors):
+    for name, g, minor, p, t in step2_minors:
+        union = frozenset().union(*minimize_minor(g, minor).branch_sets)
+        got, want = cycle_within_outcomes(g, max(t, 3), union)
+        assert got == want, name
 
 
 def test_step2_matches_references_at_bench_scale(step2_minors):
@@ -618,11 +648,13 @@ def test_branch_set_table_matches_reference_scans(case, t):
     valid = validate_minor(g, minor)
     assert valid == reference_valid_minor(g, sets)
     assert full_vertices(g, minor) == reference_full_vertices(g, sets)
-    owner = minors._owners(sets)
+    owner = minors._owners(g, sets)
     for i, s in enumerate(sets):
-        touched = minors._touched(g, owner, i, s)
-        hits = Counter(j for js in touched.values() for j in js)
-        assert [minors._private(touched, hits, v) for v in sorted(s)] == \
+        rows = minors._touched(g, owner, i, s)
+        assert {v: minors.mask_vertices(row) for v, row in rows.items()} == \
+            {v: reference_touched_sets(g, sets, i, v) for v in s}
+        single = minors._single(rows.values())
+        assert [minors._least(rows[v] & single) for v in sorted(s)] == \
             [reference_private_set(g, sets, i, v) for v in sorted(s)]
     if not valid:
         return
