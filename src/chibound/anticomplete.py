@@ -126,7 +126,9 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
 
     Each sub-stage that passes appends its report to `stages`.  Raises
     StageShortfall naming the stage when a target size is missed and
-    CounterWitness when the overload filter surfaces a biclique.
+    CounterWitness when the heavy screen (cor_traces_check on the path
+    vertices with ell or more core neighbors) surfaces a biclique or an
+    induced cycle through a shattered set.
     """
     if paths_per_pair < 1:
         raise ValueError("paths_per_pair must be positive")

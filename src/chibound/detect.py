@@ -35,8 +35,9 @@ search, which spends at least as many nodes.
 
 longest_induced_path roots each induced path at its least vertex, as the
 cycle search roots each cycle, and grows it both ways from there, so it
-meets each path once; the DFS behind has_induced_path, which stops at the
-first path long enough, meets a path from both of its ends.
+meets each path once; a DFS over partial induced paths from every vertex,
+as the reference in tests/oracles.py runs, meets a path from both of its
+ends.
 
 The subdivided-star search settles its (middle, leaf) children the same
 way, and bounds them by a look-ahead count.  Every later middle lies in
@@ -149,55 +150,6 @@ def find_biclique_subgraph(g: Graph, a: int, b: int,
     return BicliqueWitness(right, left)
 
 
-def _induced_path_search(g: Graph, stop_len: int,
-                         budget: Budget) -> OrientedPath:
-    """The first induced path on stop_len vertices in a DFS over partial
-    induced paths, or a shorter path when there is none.
-
-    extend(path, free, candidates) settles each candidate w of path in its
-    own loop: it spends w's node, records path + w as the best path when it
-    is longer, stops once it has stop_len vertices, and descends into w
-    only when w has candidates and path + w can still grow to stop_len.
-    `free` is the mask of the vertices no path vertex is adjacent or equal
-    to, so every candidate of w keeps the path induced; the start vertices
-    are the candidates of the empty path.
-    """
-    masks = g.masks()
-    bud = SearchBudget.of(budget)
-    best: tuple[int, ...] = ()
-
-    def extend(path: list[int], free: int, candidates: int) -> bool:
-        nonlocal best
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            w = low.bit_length() - 1
-            bud.spend()
-            path.append(w)
-            size = len(path)
-            if size > len(best):
-                best = tuple(path)
-                if size >= stop_len:
-                    return True
-            # Every extension of path + w is one candidate of w followed by
-            # vertices of w_free only.
-            w_mask = masks[w]
-            w_free = free & ~(w_mask | low)
-            w_candidates = w_mask & free
-            if w_candidates and size + 1 + w_free.bit_count() >= stop_len \
-                    and extend(path, w_free, w_candidates):
-                return True
-            path.pop()
-        return False
-
-    full = (1 << g.n) - 1
-    try:
-        extend([], full, full)
-    except BudgetExceeded:
-        raise BudgetExceeded(best=OrientedPath(best))
-    return OrientedPath(best)
-
-
 def longest_induced_path(g: Graph, budget: Budget = None) -> OrientedPath:
     """A maximum-cardinality induced path (empty path for the empty graph).
 
@@ -212,17 +164,18 @@ def longest_induced_path(g: Graph, budget: Budget = None) -> OrientedPath:
     path starts at m itself, only a longer path can beat it too, since
     arm A meets the paths that start at m in ascending order and every
     other path rooted at m starts above m.  Unbounded, the search spends a
-    node per vertex and per induced path of two or more vertices; a DFS
-    from every vertex spends two per path.
+    node per vertex and per induced path of two or more vertices; the
+    reference DFS of tests/oracles.py, run from every vertex, meets each
+    such path twice.
 
     grow_a(path, free, candidates, opens) settles each candidate w of arm
-    A in its own loop, as _induced_path_search does, but spends the nodes
-    of all its candidates on entry: the search never stops early, so it
-    settles every one.  `opens` is the mask of the b1 that keep the path
-    induced.  An extension of path + w is at most one candidate of w, one
-    b1 and vertices of w_free.  After its candidates, grow_a grows arm B on
-    the path read backwards, with grow_b, the plain DFS step, taking the
-    opens as its candidates.
+    A in its own loop, as the stop-early reference DFS of tests/oracles.py
+    does, but spends the nodes of all its candidates on entry: the search
+    never stops early, so it settles every one.  `opens` is the mask of
+    the b1 that keep the path induced.  An extension of path + w is at
+    most one candidate of w, one b1 and vertices of w_free.  After its
+    candidates, grow_a grows arm B on the path read backwards, with
+    grow_b, the plain DFS step, taking the opens as its candidates.
     """
     masks = g.masks()
     bud = SearchBudget.of(budget)
@@ -291,15 +244,6 @@ def longest_induced_path(g: Graph, budget: Budget = None) -> OrientedPath:
     except BudgetExceeded:
         raise BudgetExceeded(best=OrientedPath(best))
     return OrientedPath(best)
-
-
-def has_induced_path(g: Graph, t: int,
-                     budget: Budget = None) -> Optional[OrientedPath]:
-    """An induced path on at least t vertices, or None if none exists."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    p = _induced_path_search(g, t, budget)
-    return p if len(p) >= t else None
 
 
 def _pool(g: Graph, within: Optional[VertexSet]) -> int:
@@ -405,8 +349,8 @@ def find_long_induced_cycle(g: Graph, t: int, budget: Budget = None,
 
     The search runs on g's own masks restricted to within, so it returns
     the cycle, spends the nodes and raises BudgetExceeded at the budget
-    that the same search on g.induced(within) would, in g's ids and with no
-    copy built.
+    that the same search on the induced copy tests/oracles.induced(g,
+    within) would, in g's ids and with no copy built.
     """
     if t < 3:
         raise ValueError("t must be at least 3")

@@ -101,22 +101,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph plus the new-index -> original-id mapping.
-
-        Certificates must reference original ids, so callers that hand
-        subgraph results onward should translate through the mapping.
-        Nothing in the package calls it any more: the searches restrict
-        themselves to a vertex set in place (their `within`), and the tests
-        keep it as the reference those restricted searches are checked
-        against.
-        """
-        order = tuple(sorted(set(vertices)))
-        pos = {v: i for i, v in enumerate(order)}
-        adj = tuple(frozenset(pos[w] for w in self._adj[v] if w in pos)
-                    for v in order)
-        return Graph(len(order), adj), order
-
     def degree_in(self, v: int, s: VertexSet | set[int]) -> int:
         """Number of neighbors of v inside s."""
         return len(self._adj[v] & s)

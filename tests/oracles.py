@@ -17,8 +17,10 @@ reference_gnp is G(n, p) drawn one rng.random() call per pair, which the
 bulk draw of generate.gnp must reproduce graph for graph and state for
 state, and reference_verify_elimination is the elimination-order check by
 order positions, which the backward walk of certificates must agree with.
-reference_cycle_within is find_long_induced_cycle run on the copy
-g.induced(within), which its in-place `within` must agree with, and
+induced(g, vertices) is the induced subgraph copy with its ids, the
+reference that every search restricted in place to a vertex set is checked
+against; reference_cycle_within is find_long_induced_cycle run on the copy
+induced(g, within), which its in-place `within` must agree with, and
 cycle_within_outcomes gives both sides' answers and nodes to compare.
 node_count and call_count count the search nodes spent and the calls made
 inside a block, and budget_outcomes records the answer and the nodes of a
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    IndependentSetWitness, InducedCycle,
@@ -338,16 +340,26 @@ def brute_noninterfering(core, touched: dict, s: int):
     return None
 
 
+def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced on `vertices`, relabelled 0.. in ascending id
+    order, and the tuple mapping each new index back to its id in g."""
+    order = tuple(sorted(set(vertices)))
+    pos = {v: i for i, v in enumerate(order)}
+    adj = tuple(frozenset(pos[w] for w in g.adj(v) if w in pos)
+                for v in order)
+    return Graph(len(order), adj), order
+
+
 def naive_sstar_elimination_order(g: Graph, d: int, ell: int):
     """sstar_elimination_order the slow way: sstar_low_degree on
-    g.induced(remaining), rebuilt after every deletion, with the ids mapped
-    back.  Graph.induced relabels monotonically, so ties break the same way
+    induced(g, remaining), rebuilt after every deletion, with the ids mapped
+    back.  induced relabels monotonically, so ties break the same way
     and the certificates must be equal, not only valid."""
     remaining = list(range(g.n))
     order: list[int] = []
     worst = 0
     while remaining:
-        sub, ids = g.induced(remaining)
+        sub, ids = induced(g, remaining)
         cert = sstar_low_degree(sub, d, ell).certificate
         if isinstance(cert, BicliqueWitness):
             return BicliqueWitness(tuple(ids[v] for v in cert.left),
@@ -363,8 +375,10 @@ def naive_sstar_elimination_order(g: Graph, d: int, ell: int):
 
 
 def reference_induced_path_search(g: Graph, stop_len: Optional[int]) -> OrientedPath:
-    """detect._induced_path_search without its bound: the DFS over partial
-    induced paths, stopping at stop_len vertices when given."""
+    """The stop-early DFS over partial induced paths, unbounded: from each
+    start vertex in ascending order it extends a path by every neighbor of
+    its last vertex that keeps it induced, and stops at the first path of
+    stop_len vertices when stop_len is given."""
     masks = g.masks()
     bud = SearchBudget()
     best: tuple[int, ...] = ()
@@ -398,9 +412,9 @@ def reference_induced_path_search(g: Graph, stop_len: Optional[int]) -> Oriented
 
 def reference_cycle_within(g: Graph, t: int, budget, within
                            ) -> Optional[InducedCycle]:
-    """find_long_induced_cycle on the copy g.induced(within), its cycle
+    """find_long_induced_cycle on the copy induced(g, within), its cycle
     mapped back to g's ids."""
-    h, ids = g.induced(within)
+    h, ids = induced(g, within)
     found = find_long_induced_cycle(h, t, budget)
     return found and InducedCycle(tuple(ids[v] for v in found.vertices))
 

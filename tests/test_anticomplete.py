@@ -122,7 +122,8 @@ def test_build_linked_families_planted():
 
 def test_build_linked_families_interference_shortfall():
     # one connector of the pair (0, 1) also touches anchor 2, so only two of
-    # the three anchors fit; ell = 4 keeps it out of the overload filter
+    # the three anchors fit; ell = 4 is more than the three anchors, so no
+    # path vertex is heavy and the cor_traces_check screen never runs
     t = 6
     g, pool, connectors = _standalone_linked_instance(t, 2)
     g = Graph.from_edges(g.n, list(g.edges()) + [(6, 2)])

@@ -10,7 +10,7 @@ from chibound.certificates import (BicliqueWitness, EliminationOrder,
                                    InducedCycle, verify_certificate)
 from chibound.detect import (BudgetExceeded, chromatic_number_exact, degeneracy,
                              find_biclique_subgraph, find_long_induced_cycle,
-                             find_induced_subdivided_star, has_induced_path,
+                             find_induced_subdivided_star,
                              longest_induced_cycle, longest_induced_path,
                              max_clique, max_independent_set,
                              max_independent_subset, optimal_coloring)
@@ -67,8 +67,6 @@ def test_longest_induced_path_examples():
     assert len(longest_induced_path(complete_graph(4))) == 2
     assert len(longest_induced_path(cycle_graph(7))) == 6
     assert len(longest_induced_path(empty_graph(0))) == 0
-    assert has_induced_path(cycle_graph(7), 6) is not None
-    assert has_induced_path(cycle_graph(7), 7) is None
 
 
 @pytest.mark.parametrize("g, certificate", [
@@ -377,11 +375,6 @@ def _check_searches_against_oracles(g: Graph) -> None:
     path = longest_induced_path(g)
     assert len(path) == path_len and verify_induced_path(g, path)
     assert path == oracles.reference_induced_path_search(g, None)
-    for t in range(1, g.n + 2):
-        found = has_induced_path(g, t)
-        assert (found is not None) == (path_len >= t)
-        if found is not None:
-            assert len(found) >= t and verify_induced_path(g, found)
     cycle_len = oracles.brute_longest_induced_cycle(g)
     cycle = longest_induced_cycle(g)
     assert (len(cycle.vertices) if cycle else 0) == cycle_len
@@ -423,7 +416,7 @@ def test_biclique_independent_set_and_clique_match_oracles(g, data):
     within = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
     mis = max_independent_subset(g, within)
     assert set(mis.vertices) <= within and verify_certificate(g, mis)
-    assert len(mis.vertices) == oracles.brute_mis_size(g.induced(within)[0])
+    assert len(mis.vertices) == oracles.brute_mis_size(oracles.induced(g, within)[0])
     clique = max_clique(g)
     assert len(clique) == oracles.brute_clique_size(g)
     assert all(g.has_edge(u, v) for u, v in combinations(clique, 2))
@@ -451,12 +444,12 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
     # and their bounds (the cycle's counts one closer plus interior
     # vertices off the root's neighbors, and forbids the root neighbors
     # below v1) only cut subtrees that cannot reach the target, so the
-    # certificates are the reference's.  has_induced_path and the cycle
-    # searches spend the reference's nodes in its order, so no node is
-    # added.  longest_induced_path roots each path at its least vertex: it
-    # spends at most n + P nodes on n vertices and P induced paths of two
-    # or more vertices, and the reference, which meets each path from both
-    # ends, spends n + 2P.  The star search's look-ahead count
+    # certificates are the reference's.  The cycle searches spend the
+    # reference's nodes in its order, so no node is added.
+    # longest_induced_path roots each path at its least vertex: it spends at
+    # most n + P nodes on n vertices and P induced paths of two or more
+    # vertices, and the reference, which meets each path from both ends,
+    # spends n + 2P.  The star search's look-ahead count
     # cuts a middle, or a child, only when too few later middles can still
     # get a leaf, which no completion survives.  The mask-based
     # independent-set search visits the reference's nodes.
@@ -465,17 +458,12 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
         assert got == want
         assert nodes == ref_nodes if same_nodes else nodes <= ref_nodes
 
-    def reference_path(stop_len):
-        path = oracles.reference_induced_path_search(g, stop_len)
-        return None if stop_len and len(path) < stop_len else path
-
     def reference_cycle(min_len, stop_at_first):
         cycle = oracles.reference_induced_cycle_search(g, min_len, stop_at_first)
         return InducedCycle(cycle) if cycle else None
 
-    compare(lambda: longest_induced_path(g), lambda: reference_path(None))
-    for t in range(1, g.n + 2):
-        compare(lambda: has_induced_path(g, t), lambda: reference_path(t))
+    compare(lambda: longest_induced_path(g),
+            lambda: oracles.reference_induced_path_search(g, None))
     compare(lambda: longest_induced_cycle(g), lambda: reference_cycle(3, False))
     for t in range(3, g.n + 2):
         compare(lambda: find_long_induced_cycle(g, t),
@@ -524,7 +512,6 @@ def test_path_and_cycle_searches_answer_on_exactly_their_node_count(n, p, seed):
     # raises BudgetExceeded instead of answering from a partial search.
     g = random_graph(random.Random(seed), n, p)
     calls = [lambda budget: longest_induced_path(g, budget),
-             lambda budget: has_induced_path(g, 5, budget),
              lambda budget: longest_induced_cycle(g, budget),
              lambda budget: find_long_induced_cycle(g, 5, budget)]
     for call in calls:

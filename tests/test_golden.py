@@ -43,7 +43,7 @@ from chibound.certificates import CounterWitness
 from chibound.detect import (BudgetExceeded, chromatic_number_exact, degeneracy,
                              find_biclique_subgraph,
                              find_induced_subdivided_star,
-                             find_long_induced_cycle, has_induced_path,
+                             find_long_induced_cycle,
                              longest_induced_cycle, longest_induced_path,
                              max_independent_subset)
 from chibound.generate import (generate, gnp, pipeline_full_instance,
@@ -89,10 +89,9 @@ SEARCH_GRAPHS = [
     ("planted-cycle", {"n": 24, "t": 8}, 9),
     ("planted-biclique", {"n": 20, "ell": 3}, 10),
 ]
-#: Node budgets: the smallest one (the middle PIN_BUDGETS one) runs out on
-#: most graphs, even in has_induced_path_6, which the bounded path search
-#: decides within 300 nodes everywhere; the largest one runs out only in the
-#: longest-path and longest-cycle searches on the larger G(n, p).  The
+#: Node budgets: the smallest one (the middle PIN_BUDGETS one) runs out in
+#: the longest-path and longest-cycle searches on nearly every graph, and
+#: the largest one only in the longest-path search on G(30, 0.2).  The
 #: bounded subdivided-star search decides d = 2 within the smallest budget
 #: on every graph (DECIDED_WITHIN_BUDGETS); its budget verdict is pinned at
 #: d = 3.
@@ -100,7 +99,6 @@ SEARCH_BUDGETS = (40, 300, 5000)
 DECIDED_WITHIN_BUDGETS = {"find_induced_subdivided_star_2"}
 SEARCHES = {
     "longest_induced_path": longest_induced_path,
-    "has_induced_path_6": lambda g, budget: has_induced_path(g, 6, budget),
     "longest_induced_cycle": longest_induced_cycle,
     "find_long_induced_cycle_6": lambda g, budget: find_long_induced_cycle(g, 6, budget),
     "find_induced_subdivided_star_2":

@@ -15,7 +15,7 @@ from chibound.graph import (DEFAULT_VERTEX_CAP, DegreeQueue, Graph,
 from chibound.generate import gnp
 from chibound.minors import find_clique_minor
 from conftest import graphs, random_graph
-from oracles import complement
+from oracles import complement, induced
 
 
 def test_construction_rejects_bad_input():
@@ -106,7 +106,7 @@ def test_verify_induced_path_and_cycle():
 
 def test_induced_subgraph_mapping():
     c5 = cycle_graph(5)
-    sub, back = c5.induced({1, 2, 4})
+    sub, back = induced(c5, {1, 2, 4})
     assert sub.n == 3
     assert back == (1, 2, 4)
     assert sub.has_edge(0, 1)  # 1-2

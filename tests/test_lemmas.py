@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    EliminationOrder, LowDegreeVertex,
                                    SubdividedStarWitness, verify_certificate)
-from chibound.detect import find_biclique_subgraph, has_induced_path
+from chibound.detect import find_biclique_subgraph, longest_induced_path
 from chibound.generate import gnp
 from chibound.graph import (Graph, complete_bipartite, cycle_graph,
                             empty_graph, path_graph)
@@ -156,7 +156,7 @@ def test_sstar_screened_always_low_degree(rng):
     while found < 60:
         n = rng.randint(3, 12)
         g = random_graph(rng, n, rng.choice([0.15, 0.3]))
-        if has_induced_path(g, 5) is not None:
+        if len(longest_induced_path(g)) >= 5:
             continue
         if find_biclique_subgraph(g, 2, 2) is not None:
             continue
@@ -208,7 +208,7 @@ def test_elimination_order_screened_split(rng):
     while found < 15:
         n = rng.randint(4, 12)
         g = random_graph(rng, n, 0.25)
-        if has_induced_path(g, 5) or find_biclique_subgraph(g, 2, 2):
+        if len(longest_induced_path(g)) >= 5 or find_biclique_subgraph(g, 2, 2):
             continue
         found += 1
         result = sstar_elimination_order(g, 2, 2)

@@ -20,7 +20,7 @@ from chibound.minors import (CliqueMinor, check_branch_diameter,
                              full_vertices, minimize_minor, validate_minor)
 from conftest import graphs, random_graph
 from oracles import (brute_longest_induced_cycle, call_count,
-                     cycle_within_outcomes, node_count,
+                     cycle_within_outcomes, induced, node_count,
                      reference_full_vertices,
                      reference_minimize_minor, reference_private_set,
                      reference_series_parallel_reducible,
@@ -453,7 +453,7 @@ def test_minimize_minor_runs_bfs_only_to_validate(step2_minors):
 def test_step2_union_search_nodes(step2_minors):
     # The search nodes full_vertex_minor spends, all of them in the cycle
     # search inside the union of the minimal sets, measured when that
-    # search ran on the copy g.induced(union); the in-place search spends
+    # search ran on the copy induced(g, union); the in-place search spends
     # exactly these.  K5-K9 per G(20, 1/2) seed; the ideal instances find
     # their cycle in a long branch set, with no search.
     gnp_nodes = {1: [13, 8, 8, 11, 17], 2: [12, 31, 57, 9, 9],
@@ -528,7 +528,7 @@ def test_full_vertex_minor_matches_brute_force(g, t):
     minor = find_clique_minor(g, 3)
     assume(minor is not None)
     minimal = minimize_minor(g, minor)
-    union, _ = g.induced(set().union(*minimal.branch_sets))
+    union, _ = induced(g, set().union(*minimal.branch_sets))
     expected = (check_branch_diameter(g, minimal, t) is not None
                 or brute_longest_induced_cycle(union) >= t)
     try:
@@ -633,7 +633,7 @@ def _reference_full_vertex_minor(g, minor, p, t):
     # touches at most len(minor) - 1 other sets, so no set has a vertex
     # touching p * p others: the paper's merge never starts, and the cycle
     # is sought in the union of all the sets.
-    union, ids = g.induced(v for s in minimal for v in s)
+    union, ids = induced(g, (v for s in minimal for v in s))
     found = find_long_induced_cycle(union, max(t, 3))
     if found is None:
         raise StageShortfall("full-minor", p, 0)

@@ -14,13 +14,13 @@ from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces_check,
                          neighborhood_system, split_by_trace, trace_buckets,
                          vc_dimension)
 from conftest import distinct_traces, random_graph
-from oracles import (brute_shattered_sets, brute_vc_dimension, node_count,
-                     sauer_shelah_bound)
+from oracles import (brute_shattered_sets, brute_vc_dimension, induced,
+                     node_count, sauer_shelah_bound)
 
 
 def chi_coloring(g: Graph, xs: frozenset) -> dict[int, int]:
     """An optimal coloring of G[X], keyed by the vertices of g."""
-    sub, back = g.induced(xs)
+    sub, back = induced(g, xs)
     return {back[v]: c for v, c in optimal_coloring(sub).items()}
 
 
