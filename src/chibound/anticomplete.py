@@ -120,16 +120,21 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
                           stages: list[StageReport], paths_per_pair: int = 1,
                           budget: Budget = None) -> LinkedFamilies:
     """From a vertex pool fully adjacent to every branch set, produce an
-    independent core and, per pair, vertex-disjoint connector paths, then
-    keep t/2 anchors A' of the core (select_noninterfering) whose paths
-    touch the chosen anchors only at their designated endpoints.
+    independent core of at least t/2 vertices and, per pair, vertex-disjoint
+    connector paths, then keep t/2 anchors A' of the core
+    (select_noninterfering) whose paths touch the chosen anchors only at
+    their designated endpoints.
 
     Each sub-stage that passes appends its report to `stages`.  Raises
     StageShortfall naming the stage when a target size is missed and
-    CounterWitness when the heavy screen (cor_traces_check on the path
-    vertices with ell or more core neighbors) surfaces a biclique or an
-    induced cycle through a shattered set.
+    CounterWitness when the heavy screen surfaces a biclique or an induced
+    cycle through a shattered set: cor_traces_check with the core as the
+    independent X and, as Y, an independent subset of the path vertices
+    with ell or more core neighbors.  An odd t or t < 4 raises ValueError,
+    as in main_pipeline.
     """
+    if t < 4 or t % 2:
+        raise ValueError("t must be even and at least 4")
     if paths_per_pair < 1:
         raise ValueError("paths_per_pair must be positive")
     bud = SearchBudget.of(budget)
@@ -142,9 +147,8 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
 
     bud.stage = ("independent-core", target_core)
     independent_core = max_independent_subset(g, a_pool, bud).vertices
-    if len(independent_core) < max(2, target_core):
-        raise StageShortfall("independent-core", max(2, target_core),
-                             len(independent_core))
+    if len(independent_core) < target_core:
+        raise StageShortfall("independent-core", target_core, len(independent_core))
     stages.append(StageReport("independent-core", target_core,
                               len(independent_core), "ok"))
 
@@ -171,8 +175,7 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         bud.stage = (f"paths[{u},{v}]", paths_per_pair)
         if heavy:
             screen = max_independent_subset(g, heavy, bud).vertices
-            cor_traces_check(g, core_set, frozenset(screen), ell, 1, t,
-                             coloring={x: 0 for x in core_set}, budget=bud)
+            cor_traces_check(g, core_set, frozenset(screen), ell, t, budget=bud)
         clean = [p for p in raw if not (p.vertex_set() & heavy)]
         if len(clean) < paths_per_pair:
             raise StageShortfall(f"paths[{u},{v}]", paths_per_pair, len(clean))

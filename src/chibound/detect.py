@@ -169,10 +169,10 @@ def longest_induced_path(g: Graph, budget: Budget = None) -> OrientedPath:
     such path twice.
 
     grow_a(path, free, candidates, opens) settles each candidate w of arm
-    A in its own loop, as the stop-early reference DFS of tests/oracles.py
-    does, but spends the nodes of all its candidates on entry: the search
-    never stops early, so it settles every one.  `opens` is the mask of
-    the b1 that keep the path induced.  An extension of path + w is at
+    A in its own loop, as the reference DFS of tests/oracles.py does, but
+    spends the nodes of all its candidates on entry: the search never
+    stops early, so it settles every one.  `opens` is the mask of the b1
+    that keep the path induced.  An extension of path + w is at
     most one candidate of w, one b1 and vertices of w_free.  After its
     candidates, grow_a grows arm B on the path read backwards, with
     grow_b, the plain DFS step, taking the opens as its candidates.

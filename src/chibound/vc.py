@@ -1,13 +1,15 @@
 """Set systems, exact VC dimension, and the neighborhood-trace machinery.
 
 The traces of Y on X serve two steps of the pipeline.  Step 4 checks the
-bound |Y| < ell * |X|^(qt/2) with cor_traces_check, the one trace lemma.
+bound |Y| < ell * |X|^(t/2) with cor_traces_check, the one trace lemma.
 When the bound fails, a bucket of ell same-trace vertices with a common
 trace of ell gives a biclique; failing that, too many distinct traces force
-a shattered set, which assembles into an induced cycle of t vertices.  The
-certificate leaves as certificates.CounterWitness.  The lemma takes the
-caller's coloring of G[X]: it certifies that G[X] is q-colorable and picks
-the shattered set's color class.
+a shattered set of t/2 vertices, which assembles into an induced cycle of t
+vertices.  The certificate leaves as certificates.CounterWitness.  The
+paper states the lemma for a q-colorable X and takes the shattered set's
+largest color class; step 4's X is the independent core, so q = 1, the
+lemma checks that X is independent, and the whole shattered set is the
+class.
 
 Step 6 separates path families with split_by_trace: the largest trace
 bucket and the part of X outside its trace, or the biclique when both reach
@@ -196,23 +198,6 @@ def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
     return certified(g, InducedCycle(tuple(cycle)), t=t)
 
 
-def _check_coloring(g: Graph, x_set: frozenset[int], q: int,
-                    coloring: dict[int, int]) -> Optional[str]:
-    """None if the coloring certifies G[X] q-colorable, else a failure
-    description."""
-    for v in x_set:
-        if v not in coloring:
-            return f"coloring misses vertex {v}"
-    used = len({coloring[v] for v in x_set})
-    if used > q:
-        return f"coloring uses {used} > q = {q} colors"
-    for v in x_set:
-        for w in g.adj(v):
-            if w in x_set and w > v and coloring[v] == coloring[w]:
-                return f"coloring repeats on edge ({v},{w})"
-    return None
-
-
 def _biclique_exit(g: Graph, bucket: frozenset[int], trace: frozenset[int],
                    ell: int) -> None:
     """Raise CounterWitness with a K_{ell,ell} when a trace bucket and its
@@ -224,30 +209,28 @@ def _biclique_exit(g: Graph, bucket: frozenset[int], trace: frozenset[int],
 
 
 def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
-                     ell: int, q: int, t: int, coloring: dict[int, int],
-                     budget: Budget = None) -> None:
-    """Verify |Y| < ell * |X|^(qt/2); on failure raise CounterWitness with a
-    biclique from a bucket of ell same-trace vertices, failing that with an
-    induced t-cycle through a shattered set of qt/2 vertices, whose largest
-    color class is independent.
+                     ell: int, t: int, budget: Budget = None) -> None:
+    """Verify |Y| < ell * |X|^(t/2) for an independent X; on failure raise
+    CounterWitness with a biclique from a bucket of ell same-trace vertices,
+    failing that with an induced t-cycle through a shattered set of t/2
+    vertices of X.
 
-    `coloring` is the caller's certificate that G[X] is q-colorable; it is
-    checked with the other hypotheses, and a violated one raises ValueError.
-    The shattered-set search spends `budget` and raises BudgetExceeded when
-    it runs out.
+    The hypotheses (X and Y disjoint and independent, |X| >= t/2, every y
+    with ell or more neighbors in X) are checked first, and a violated one
+    raises ValueError.  The shattered-set search spends `budget` and raises
+    BudgetExceeded when it runs out.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    if (q * t) % 2:
-        raise ValueError("q*t must be even")
-    exponent = q * t // 2
+    if t % 2:
+        raise ValueError("t must be even")
+    exponent = t // 2
     failures = []
     if x_set & y_set:
         failures.append("X and Y overlap")
     if len(x_set) < exponent:
-        failures.append(f"|X| = {len(x_set)} below q*t/2 = {exponent}")
-    msg = _check_coloring(g, x_set, q, coloring)
-    if msg:
-        failures.append(msg)
+        failures.append(f"|X| = {len(x_set)} below t/2 = {exponent}")
+    if not is_independent(g, x_set):
+        failures.append("X is not independent")
     if not is_independent(g, y_set):
         failures.append("Y is not independent")
     lazy = [y for y in sorted(y_set) if g.degree_in(y, x_set) < ell]
@@ -265,12 +248,7 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
     if len(bucket) < ell:
         shattered = find_shattered_set(system, exponent, budget)
         require(shattered is not None, "counting promised a shattered set; none found")
-        by_color: dict[int, list[int]] = {}
-        for z in shattered:
-            by_color.setdefault(coloring[z], []).append(z)
-        best = max(by_color.values(), key=lambda c: (len(c), [-z for z in c]))
-        require(len(best) >= t // 2, "pigeonhole on color classes failed")
-        raise CounterWitness(cycle_from_shattered(g, frozenset(best), system, t))
+        raise CounterWitness(cycle_from_shattered(g, frozenset(shattered), system, t))
     raise InternalInconsistency("the trace bound failed without a certificate")
 
 

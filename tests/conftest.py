@@ -26,15 +26,15 @@ def graphs(draw, max_n: int = 10) -> Graph:
 
 
 def distinct_traces(size_x: int, size_y: int
-                    ) -> tuple[Graph, frozenset[int], frozenset[int], dict[int, int]]:
-    """(graph, X, Y, coloring): a trace-lemma input whose traces are all
-    distinct.  X = 0..size_x-1 is edgeless, every vertex of colour 0, and
-    vertex size_x + i of Y is adjacent to the i-th subset of X of at least
-    2 vertices, by size, then lexicographically."""
+                    ) -> tuple[Graph, frozenset[int], frozenset[int]]:
+    """(graph, X, Y): a trace-lemma input whose traces are all distinct.
+    X = 0..size_x-1 is edgeless, and vertex size_x + i of Y is adjacent to
+    the i-th subset of X of at least 2 vertices, by size, then
+    lexicographically."""
     traces = (c for r in range(2, size_x + 1) for c in combinations(range(size_x), r))
     edges = [(size_x + i, z) for i, tr in zip(range(size_y), traces) for z in tr]
     return (Graph.from_edges(size_x + size_y, edges), frozenset(range(size_x)),
-            frozenset(range(size_x, size_x + size_y)), dict.fromkeys(range(size_x), 0))
+            frozenset(range(size_x, size_x + size_y)))
 
 
 @pytest.fixture

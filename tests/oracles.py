@@ -374,22 +374,20 @@ def naive_sstar_elimination_order(g: Graph, d: int, ell: int):
     return EliminationOrder(tuple(order), worst)
 
 
-def reference_induced_path_search(g: Graph, stop_len: Optional[int]) -> OrientedPath:
-    """The stop-early DFS over partial induced paths, unbounded: from each
-    start vertex in ascending order it extends a path by every neighbor of
-    its last vertex that keeps it induced, and stops at the first path of
-    stop_len vertices when stop_len is given."""
+def reference_induced_path_search(g: Graph) -> OrientedPath:
+    """A longest induced path by DFS over partial induced paths, unbounded:
+    from each start vertex in ascending order it extends a path by every
+    neighbor of its last vertex that keeps it induced, and keeps the first
+    longest path it meets."""
     masks = g.masks()
     bud = SearchBudget()
     best: tuple[int, ...] = ()
 
-    def extend(path: list[int], forbidden: int) -> bool:
+    def extend(path: list[int], forbidden: int) -> None:
         nonlocal best
         bud.spend()
         if len(path) > len(best):
             best = tuple(path)
-            if stop_len is not None and len(best) >= stop_len:
-                return True
         last = path[-1]
         new_forbidden = forbidden | masks[last] | 1 << last
         candidates = masks[last] & ~forbidden
@@ -397,16 +395,11 @@ def reference_induced_path_search(g: Graph, stop_len: Optional[int]) -> Oriented
             low = candidates & -candidates
             candidates ^= low
             path.append(low.bit_length() - 1)
-            if extend(path, new_forbidden):
-                return True
+            extend(path, new_forbidden)
             path.pop()
-        return False
 
     for s in range(g.n):
-        if extend([s], 0):
-            break
-        if stop_len is not None and len(best) >= stop_len:
-            break
+        extend([s], 0)
     return OrientedPath(best)
 
 

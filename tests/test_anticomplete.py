@@ -149,6 +149,17 @@ def test_build_linked_families_single_anchor():
                               ell=2, stages=[])
 
 
+def test_build_linked_families_rejects_odd_or_small_t():
+    # the core's target is t/2 anchors, as in main_pipeline, so an odd t or
+    # t < 4 is refused before any stage runs
+    g, pool, connectors = _standalone_linked_instance(6, 2)
+    for t in (3, 5):
+        stages = []
+        with pytest.raises(ValueError, match="t must be even and at least 4"):
+            build_linked_families(g, pool, connectors, t=t, ell=3, stages=stages)
+        assert stages == []
+
+
 def test_build_linked_families_paths_shortfall():
     # each anchor pair gets two connector sets, one short of three paths
     t = 6

@@ -58,23 +58,35 @@ def test_package_swallows_no_budget_exhaustion():
     assert found == []
 
 
-def test_every_budget_parameter_is_read():
-    # a function that takes a budget spends it or hands it on; a step that
-    # stops searching drops the parameter instead of ignoring it
-    takers, unread = 0, []
+#: Parameters no function reads, as "module:function(parameter)", each with
+#: the reason it stays.
+UNREAD_BY_DESIGN = {
+    "minors.py:find_clique_minor(seed)":
+        "bench/ passes it; it goes with the bench change of ROADMAP item 10",
+    "minors.py:full_vertex_minor(seed)":
+        "bench/ passes it; it goes with the bench change of ROADMAP item 10",
+    "generate.py:pipeline_poison_instance(ell)":
+        "bench/ passes it; it goes with the bench change of ROADMAP item 10",
+}
+
+
+def test_every_parameter_is_read():
+    # a function reads every parameter it takes or hands it on, outside the
+    # allowlist: a step that stops searching drops its budget instead of
+    # ignoring it, and an option nothing reads goes
+    budget_takers, unread = 0, []
     for path in PACKAGE_MODULES:
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(fn, ast.FunctionDef):
                 continue
-            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-            if "budget" not in {a.arg for a in args}:
-                continue
-            takers += 1
-            if not any(isinstance(n, ast.Name) and n.id == "budget"
-                       and isinstance(n.ctx, ast.Load)
-                       for stmt in fn.body for n in ast.walk(stmt)):
-                unread.append(f"{path.name}:{fn.name}")
-    assert takers > 0 and unread == []
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            budget_takers += "budget" in params
+            unread += [f"{path.name}:{fn.name}({p})" for p in params if p not in read]
+    assert budget_takers > 0 and sorted(unread) == sorted(UNREAD_BY_DESIGN)
 
 
 BENCH_MODULES = sorted((Path(__file__).parents[1] / "bench").glob("*.py"))

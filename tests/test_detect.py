@@ -85,7 +85,7 @@ def test_longest_induced_path_examples():
 ])
 def test_longest_induced_path_is_the_least_sequence(g, certificate):
     assert longest_induced_path(g).vertices == certificate
-    assert oracles.reference_induced_path_search(g, None).vertices == certificate
+    assert oracles.reference_induced_path_search(g).vertices == certificate
 
 
 def test_longest_induced_path_node_ratchet():
@@ -374,7 +374,7 @@ def _check_searches_against_oracles(g: Graph) -> None:
     path_len = oracles.brute_longest_induced_path(g)
     path = longest_induced_path(g)
     assert len(path) == path_len and verify_induced_path(g, path)
-    assert path == oracles.reference_induced_path_search(g, None)
+    assert path == oracles.reference_induced_path_search(g)
     cycle_len = oracles.brute_longest_induced_cycle(g)
     cycle = longest_induced_cycle(g)
     assert (len(cycle.vertices) if cycle else 0) == cycle_len
@@ -463,7 +463,7 @@ def test_searches_give_the_certificates_of_the_unbounded_references(g, data):
         return InducedCycle(cycle) if cycle else None
 
     compare(lambda: longest_induced_path(g),
-            lambda: oracles.reference_induced_path_search(g, None))
+            lambda: oracles.reference_induced_path_search(g))
     compare(lambda: longest_induced_cycle(g), lambda: reference_cycle(3, False))
     for t in range(3, g.n + 2):
         compare(lambda: find_long_induced_cycle(g, t),

@@ -161,9 +161,8 @@ PIPELINE_BUDGET = 20_000
 #: (kind, t, copies or (ell, per_pair)): the builders at the benchmark's
 #: parameters.
 INSTANCES = [("full", 6, 2), ("full", 8, 2), ("poison", 6, (2, 54))]
-#: cor_traces_check instances, see trace_instance(); each comes with its
-#: coloring, so "shatter8-colored" repeats "shatter8".
-TRACE_INSTANCES = ("shatter8", "shatter8-colored", "shatter7", "bucket", "holds")
+#: cor_traces_check instances, see trace_instance().
+TRACE_INSTANCES = ("shatter8", "shatter7", "bucket", "holds")
 #: split_by_trace instances: on the shattering ones it splits off one
 #: vertex, as on "holds".
 SPLIT_INSTANCES = ("bucket", "holds")
@@ -304,11 +303,11 @@ def instance_record(kind: str, t: int, extra) -> dict:
 
 
 def trace_instance(name: str):
-    """(graph, X, Y, ell, coloring) with q = 1 and t = 4.
+    """(graph, X, Y, ell) for t = 4.
 
-    X is an edgeless set of 8 (or 7) vertices, all of color 0, and each
-    vertex of Y is adjacent to its own subset of X of at least 2 vertices:
-    the first |Y| such subsets by size, then lexicographically.  With 128 = 2 * 8^2
+    X is an edgeless set of 8 (or 7) vertices, and each vertex of Y is
+    adjacent to its own subset of X of at least 2 vertices: the first |Y|
+    such subsets by size, then lexicographically.  With 128 = 2 * 8^2
     distinct traces the bound of cor_traces_check fails and no bucket holds
     2 vertices, so the shattering route answers; "bucket" repeats every
     trace once, which gives a biclique instead, and "holds" stays one
@@ -322,16 +321,15 @@ def trace_instance(name: str):
         ny -= 1
     edges = [(nx + i, z) for i, tr in enumerate(traces[:ny]) for z in tr]
     g = Graph.from_edges(nx + ny, edges)
-    coloring = dict.fromkeys(range(nx), 0)
-    return g, frozenset(range(nx)), frozenset(range(nx, nx + ny)), 2, coloring
+    return g, frozenset(range(nx)), frozenset(range(nx, nx + ny)), 2
 
 
 def trace_record(name: str) -> dict:
     """cor_traces_check on a trace instance: whether the bound holds, and
     the certificate of the CounterWitness it raises when it does not."""
-    g, xs, ys, ell, coloring = trace_instance(name)
+    g, xs, ys, ell = trace_instance(name)
     try:
-        cor_traces_check(g, xs, ys, ell, 1, 4, coloring=coloring)
+        cor_traces_check(g, xs, ys, ell, 4)
     except CounterWitness as cw:
         return json.loads(json.dumps({"holds": False,
                                       "witness": _cert_json(cw.certificate)}))
@@ -341,7 +339,7 @@ def trace_record(name: str) -> dict:
 def trace3_record(name: str) -> dict:
     """split_by_trace on a trace instance: the split (X', Y'), or the
     certificate of the CounterWitness it raises."""
-    g, xs, ys, ell, _ = trace_instance(name)
+    g, xs, ys, ell = trace_instance(name)
     try:
         x_prime, y_prime = split_by_trace(g, xs, ys, ell)
     except CounterWitness as cw:
@@ -471,14 +469,14 @@ def test_golden_cor_traces3_split(golden, name):
 def test_shattering_route_spends_the_callers_budget(golden, lemma):
     # the shattered-set search of "shatter8" spends 36 nodes, all from the
     # budget the caller passes: one short runs out, exactly enough answers
-    g, xs, ys, ell, coloring = trace_instance("shatter8")
+    g, xs, ys, ell = trace_instance("shatter8")
     with node_count() as nodes, pytest.raises(CounterWitness):
-        lemma(g, xs, ys, ell, 1, 4, coloring=coloring)
+        lemma(g, xs, ys, ell, 4)
     assert nodes[0] == 36
     with pytest.raises(BudgetExceeded):
-        lemma(g, xs, ys, ell, 1, 4, coloring=coloring, budget=nodes[0] - 1)
+        lemma(g, xs, ys, ell, 4, budget=nodes[0] - 1)
     with pytest.raises(CounterWitness) as cw:
-        lemma(g, xs, ys, ell, 1, 4, coloring=coloring, budget=nodes[0])
+        lemma(g, xs, ys, ell, 4, budget=nodes[0])
     witness = json.loads(json.dumps(_cert_json(cw.value.certificate)))
     assert witness == golden[_trace_key("shatter8")]["witness"]
 

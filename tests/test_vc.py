@@ -7,21 +7,15 @@ from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    InducedCycle, verify_certificate)
-from chibound.detect import BudgetExceeded, optimal_coloring
+from chibound.detect import BudgetExceeded, max_independent_subset
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
 from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces_check,
                          cycle_from_shattered, find_shattered_set,
                          neighborhood_system, split_by_trace, trace_buckets,
                          vc_dimension)
 from conftest import distinct_traces, random_graph
-from oracles import (brute_shattered_sets, brute_vc_dimension, induced,
-                     node_count, sauer_shelah_bound)
-
-
-def chi_coloring(g: Graph, xs: frozenset) -> dict[int, int]:
-    """An optimal coloring of G[X], keyed by the vertices of g."""
-    sub, back = induced(g, xs)
-    return {back[v]: c for v, c in optimal_coloring(sub).items()}
+from oracles import (brute_shattered_sets, brute_vc_dimension, node_count,
+                     sauer_shelah_bound)
 
 
 def powerset_system(n: int) -> SetSystem:
@@ -232,29 +226,29 @@ def test_cycle_from_shattered_takes_one_witness_per_pair():
 
 
 def test_cor_traces_check_holds_small(rng):
+    # X is a maximum independent subset of six drawn vertices and Y the
+    # vertices off X with two or more neighbors in X and none among the
+    # rest, so every draw with |X| >= t/2 and a nonempty Y meets the
+    # hypotheses and is checked
     checked = attempts = 0
     while checked < 40 and attempts < 4000:
         attempts += 1
         g = random_graph(rng, 10, 0.3)
-        xs = frozenset(rng.sample(range(10), 4))
+        xs = frozenset(max_independent_subset(g, rng.sample(range(10), 6)).vertices)
         rest = sorted(set(range(10)) - xs)
         ys = frozenset(y for y in rest
                        if g.degree_in(y, xs) >= 2
                        and not (g.adj(y) & set(rest)))
-        if not ys:
+        if not ys or len(xs) < 2:
             continue
-        try:
-            # tiny |Y| never beats the bound: a CounterWitness fails the test
-            cor_traces_check(g, xs, ys, ell=2, q=2, t=4,
-                             coloring=chi_coloring(g, xs))
-        except ValueError:
-            continue  # e.g. G[X] not 2-colorable
+        # tiny |Y| never beats the bound: a CounterWitness fails the test
+        assert cor_traces_check(g, xs, ys, ell=2, t=4) is None
         checked += 1
     assert checked == 40
 
 
 def test_cor_traces_check_planted_biclique():
-    # bound is ell * |X|^(qt/2) = 2 * 27 = 54; plant 60 same-trace vertices
+    # bound is ell * |X|^(t/2) = 2 * 27 = 54; plant 60 same-trace vertices
     nY = 60
     edges = []
     for i in range(nY):
@@ -263,7 +257,7 @@ def test_cor_traces_check_planted_biclique():
     xs = frozenset({0, 1, 2})
     ys = frozenset(range(3, 3 + nY))
     with pytest.raises(CounterWitness) as exc:
-        cor_traces_check(g, xs, ys, ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0})
+        cor_traces_check(g, xs, ys, ell=2, t=6)
     witness = exc.value.certificate
     assert isinstance(witness, BicliqueWitness)
     assert verify_certificate(g, witness)
@@ -272,15 +266,27 @@ def test_cor_traces_check_planted_biclique():
 def test_cor_traces_check_empty_y():
     g = empty_graph(4)
     assert cor_traces_check(g, frozenset({0, 1, 2}), frozenset(),
-                            ell=2, q=1, t=6, coloring={0: 0, 1: 0, 2: 0}) is None
+                            ell=2, t=6) is None
 
 
 def test_cor_traces_check_rejects_bad_hypotheses():
-    g = Graph.from_edges(4, [(2, 3), (2, 0), (2, 1), (3, 0), (3, 1)])
-    with pytest.raises(ValueError):
-        # Y = {2,3} is not independent
-        cor_traces_check(g, frozenset({0, 1}), frozenset({2, 3}), 2, 1, 4,
-                         coloring={0: 0, 1: 0})
+    # |Y| = 2 stays below the bound, so only the checks can raise, and the
+    # message names the hypothesis each input breaks (a vertex of X and Y
+    # has no neighbor in the independent X, so the overlap breaks two)
+    for edges, xs, ys, t, reason in [
+            ([(2, 3), (2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 4,
+             "Y is not independent"),
+            ([(0, 1), (2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 4,
+             "X is not independent"),
+            ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {1, 2, 3}, 4,
+             "X and Y overlap"),
+            ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 6, "below t/2 = 3"),
+            ([(2, 0), (3, 0), (3, 1)], {0, 1}, {2, 3}, 4,
+             r"\[2\] have fewer than ell"),
+            ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 5, "t must be even")]:
+        g = Graph.from_edges(4, edges)
+        with pytest.raises(ValueError, match=reason):
+            cor_traces_check(g, frozenset(xs), frozenset(ys), 2, t)
 
 
 def test_cor_traces_check_shattering_cycle():
@@ -288,10 +294,10 @@ def test_cor_traces_check_shattering_cycle():
     # so the trace count forces a shattered pair and an induced C4 comes out
     t, ell = 4, 2
     # all 2^7 - 7 - 1 = 120 traces of 2 or more of 7 vertices; 120 >= 2 * 7^2
-    g, xs, ys, coloring = distinct_traces(7, 120)
+    g, xs, ys = distinct_traces(7, 120)
     assert len(ys) >= ell * len(xs) ** 2
     with pytest.raises(CounterWitness) as exc:
-        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t, coloring=coloring)
+        cor_traces_check(g, xs, ys, ell=ell, t=t)
     witness = exc.value.certificate
     assert isinstance(witness, InducedCycle)
     assert verify_certificate(g, witness)
@@ -304,16 +310,15 @@ def test_cor_traces_check_shattering_route_at_t6():
     # the least such input on which step 4 searches for a shattered set;
     # the search spends 298 nodes, all from the caller's budget
     t, ell = 6, 2
-    g, xs, ys, coloring = distinct_traces(12, ell * 12 ** 3)
+    g, xs, ys = distinct_traces(12, ell * 12 ** 3)
     with node_count() as nodes, pytest.raises(CounterWitness) as exc:
-        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t, coloring=coloring)
+        cor_traces_check(g, xs, ys, ell=ell, t=t)
     assert nodes[0] == 298
     witness = exc.value.certificate
     assert witness == InducedCycle((0, 12, 1, 23, 2, 13))
     assert verify_certificate(g, witness)
     with pytest.raises(BudgetExceeded):
-        cor_traces_check(g, xs, ys, ell=ell, q=1, t=t, coloring=coloring,
-                         budget=nodes[0] - 1)
+        cor_traces_check(g, xs, ys, ell=ell, t=t, budget=nodes[0] - 1)
 
 
 def test_cor_traces3_trivial_splits():
