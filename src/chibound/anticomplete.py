@@ -4,7 +4,7 @@ partially-anticomplete extraction, family separation, and assembly of an
 induced cycle.
 
 The paper picks the t/2 anchors of step 4 at random and proves by counting
-that this works once sqrt(M) >= r > s^3; select_noninterfering searches
+that this works once sqrt(M) >= r > s^3; _select_noninterfering searches
 for them exactly instead, in ascending id, so it finds anchors whenever
 the random choice would, and the same ones on every run.
 
@@ -13,6 +13,27 @@ branch set holds a full vertex and has diameter below 2t); a searched
 minor ends at step 2 until ROADMAP item 1 lands.  Step 6 selects one path
 per family by splitting off trace buckets (vc.split_by_trace); it runs no
 search, so it spends nothing from the run's budget.
+
+main_pipeline is the one entry point: it checks the parameters and the
+injected minor, and each stage after it takes the invariants of the
+stages before as given.  Each invariant is checked once, by the stage
+that establishes it:
+- the minor is valid (step 1: validate_minor on an injected minor, inside
+  find_clique_minor on a searched one), so the anchor pool (full vertices
+  of the first a_count sets) misses the connector sets (the rest);
+- every branch set holds a full vertex within diameter 2t (the step-2
+  gate);
+- the core is independent, and the connector paths are induced,
+  vertex-disjoint, oriented u-side first and touch the core only at
+  their ends (_verify_linked, at the end of step 4);
+- each extracted family is partially anticomplete (the require of
+  _extract_partially_anticomplete, step 5), and so is every subfamily
+  that step 6 keeps of it;
+- no edge runs between two separated families (the require of
+  _separate_families) and the selected paths are pairwise anticomplete
+  (the require of _select_pairwise_anticomplete, step 6);
+- the assembled cycle is induced and has at least t vertices (certified
+  at main_pipeline's exit).
 
 The quantitative guarantees hold only at astronomically large sizes, so
 every stage runs best-effort: a stage that falls short of its target size
@@ -32,39 +53,27 @@ from .certificates import (Certificate, CounterWitness, InducedCycle,
 from .detect import (Budget, BudgetExceeded, SearchBudget, StageShortfall,
                      max_independent_subset)
 from .graph import (Graph, OrientedPath, PathFamily, VertexSet,
-                    are_anticomplete, first_bad_pair, is_independent,
+                    are_anticomplete, is_independent,
                     is_partially_anticomplete, verify_induced_path)
 from .minors import (CliqueMinor, eccentric_pair, find_clique_minor,
                      full_vertex_minor, full_vertices, validate_minor)
 from .vc import cor_traces_check, split_by_trace
 
 
-class AssemblyError(Exception):
-    """Cycle assembly found a chord; carries the offending pair."""
-
-    def __init__(self, chord: tuple[int, int]):
-        super().__init__(f"unexpected chord {chord}")
-        self.chord = chord
-
-
-def select_noninterfering(core: VertexSet,
-                          touched: Mapping[tuple[int, int], VertexSet], s: int,
-                          budget: Budget = None) -> tuple[int, ...]:
+def _select_noninterfering(core: VertexSet,
+                           touched: Mapping[tuple[int, int], VertexSet], s: int,
+                           budget: Budget = None) -> tuple[int, ...]:
     """The lexicographically first s vertices of `core` that do not interfere.
 
-    touched[(u, v)], for u < v, holds the core vertices that the (u, v)
-    connector paths touch (a missing pair touches none).  A selection does
-    not interfere when no pair of it touches a vertex of it.  Backtracks
-    over the core in ascending id, one budget node per partial selection.
-    When no s vertices fit, returns the longest partial selection reached,
-    which has fewer than s vertices.
+    touched[(u, v)], for u < v, holds the core vertices other than u and v
+    that the (u, v) connector paths touch (a missing pair touches none).  A
+    selection does not interfere when no pair of it touches a vertex of it.
+    Backtracks over the core, of at least s >= 1 vertices (the
+    independent-core stage), in ascending id, one budget node per partial
+    selection.  When no s vertices fit, returns the longest partial
+    selection reached, which has fewer than s vertices.
     """
     order = sorted(core)
-    if not 1 <= s <= len(order):
-        raise ValueError(f"cannot select {s} of {len(order)} vertices")
-    for (u, v), hit in touched.items():
-        if not u < v or u in hit or v in hit:
-            raise ValueError(f"entry ({u},{v}) is unordered or contains its own pair")
     bud = SearchBudget.of(budget)
     chosen: list[int] = []
     best: tuple[int, ...] = ()
@@ -107,7 +116,7 @@ class StageReport:
 
 
 @dataclass
-class LinkedFamilies:
+class _LinkedFamilies:
     """Independent core A' plus, per ordered pair (u, v) with u < v, a family
     of induced connector paths oriented u-side first."""
 
@@ -115,35 +124,27 @@ class LinkedFamilies:
     families: dict[tuple[int, int], PathFamily]
 
 
-def build_linked_families(g: Graph, a_pool: VertexSet,
-                          branch_sets: Sequence[VertexSet], t: int, ell: int,
-                          stages: list[StageReport], paths_per_pair: int = 1,
-                          budget: Budget = None) -> LinkedFamilies:
+def _build_linked_families(g: Graph, a_pool: frozenset[int],
+                           branch_sets: Sequence[frozenset[int]], t: int,
+                           ell: int, stages: list[StageReport],
+                           paths_per_pair: int = 1,
+                           budget: Budget = None) -> _LinkedFamilies:
     """From a vertex pool fully adjacent to every branch set, produce an
     independent core of at least t/2 vertices and, per pair, vertex-disjoint
     connector paths, then keep t/2 anchors A' of the core
-    (select_noninterfering) whose paths touch the chosen anchors only at
-    their designated endpoints.
+    (_select_noninterfering) whose paths touch the chosen anchors only at
+    their designated endpoints.  The pool and the branch sets are disjoint,
+    as main_pipeline takes both from one validated minor.
 
     Each sub-stage that passes appends its report to `stages`.  Raises
     StageShortfall naming the stage when a target size is missed and
     CounterWitness when the heavy screen surfaces a biclique or an induced
     cycle through a shattered set: cor_traces_check with the core as the
     independent X and, as Y, an independent subset of the path vertices
-    with ell or more core neighbors.  An odd t or t < 4 raises ValueError,
-    as in main_pipeline.
+    with ell or more core neighbors.
     """
-    if t < 4 or t % 2:
-        raise ValueError("t must be even and at least 4")
-    if paths_per_pair < 1:
-        raise ValueError("paths_per_pair must be positive")
     bud = SearchBudget.of(budget)
     target_core = t // 2
-    branch_sets = [frozenset(b) for b in branch_sets]
-    a_pool = frozenset(a_pool)
-    for b in branch_sets:
-        if b & a_pool:
-            raise ValueError("pool overlaps a branch set")
 
     bud.stage = ("independent-core", target_core)
     independent_core = max_independent_subset(g, a_pool, bud).vertices
@@ -188,18 +189,18 @@ def build_linked_families(g: Graph, a_pool: VertexSet,
         span = frozenset(w for p in paths for w in p.vertices)
         touched[(u, v)] = frozenset(x for x in core_set - {u, v} if g.adj(x) & span)
     bud.stage = ("interference", target_core)
-    a_prime = select_noninterfering(core_set, touched, target_core, bud)
+    a_prime = _select_noninterfering(core_set, touched, target_core, bud)
     if len(a_prime) < target_core:
         raise StageShortfall("interference", target_core, len(a_prime))
     stages.append(StageReport("interference", target_core, len(a_prime), "ok"))
     keep = {p: paths for p, paths in families.items()
             if p[0] in a_prime and p[1] in a_prime}
-    result = LinkedFamilies(a_prime, keep)
+    result = _LinkedFamilies(a_prime, keep)
     _verify_linked(g, result)
     return result
 
 
-def _verify_linked(g: Graph, linked: LinkedFamilies) -> None:
+def _verify_linked(g: Graph, linked: _LinkedFamilies) -> None:
     core = frozenset(linked.a_prime)
     require(is_independent(g, core), "linked core is not independent")
     seen: set[int] = set()
@@ -217,27 +218,17 @@ def _verify_linked(g: Graph, linked: LinkedFamilies) -> None:
                     f"path {p.vertices} touches the core off its ends")
 
 
-def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
-                                   budget: Budget = None) -> PathFamily:
+def _extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
+                                    budget: Budget = None) -> PathFamily:
     """The layered-independence refinement: keep paths whose vertex at each
     position survives an exact maximum-independent-set pass over that layer.
+
+    The paths are induced, vertex-disjoint (_verify_linked) and of one
+    length (main_pipeline groups them by length), and there is at least one.
     Output verified partially anticomplete."""
-    paths = tuple(family)
-    if not paths:
-        return ()
-    k = len(paths[0])
-    seen: set[int] = set()
-    for p in paths:
-        if len(p) != k:
-            raise ValueError("paths must share one length")
-        if p.vertex_set() & seen:
-            raise ValueError("paths must be vertex-disjoint")
-        seen |= p.vertex_set()
-        if not verify_induced_path(g, p):
-            raise ValueError("paths must be induced")
-    survivors = list(paths)
+    survivors = list(family)
     bud = SearchBudget.of(budget)
-    for i in range(k):
+    for i in range(len(family[0])):
         layer = frozenset(p.vertices[i] for p in survivors)
         kept = set(max_independent_subset(g, layer, bud).vertices)
         survivors = [p for p in survivors if p.vertices[i] in kept]
@@ -247,23 +238,10 @@ def extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
     return result
 
 
-def _validate_separation_input(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
-                               t: int) -> None:
-    for fam, name in ((p_fam, "P"), (q_fam, "Q")):
-        if not is_partially_anticomplete(g, fam):
-            raise ValueError(f"family {name} is not partially anticomplete")
-        for p in fam:
-            if len(p) >= 2 * t:
-                raise ValueError(f"family {name} has a path with >= 2t vertices")
-    pv = frozenset(w for p in p_fam for w in p.vertices)
-    qv = frozenset(w for q in q_fam for w in q.vertices)
-    if pv & qv:
-        raise ValueError("families share vertices")
-
-
-def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
-                      ell: int, t: int) -> tuple[PathFamily, PathFamily]:
-    """Shrink both families until no edges run between them.
+def _separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
+                       ell: int) -> tuple[PathFamily, PathFamily]:
+    """Shrink two disjoint partially anticomplete families until no edges
+    run between them.
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
     against the remaining P-vertices (vc.split_by_trace).  That no edge is
@@ -273,7 +251,6 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     q = 2t - 1 applies only beyond 10^27 vertices (see vc), so no round
     searches.
     """
-    _validate_separation_input(g, p_fam, q_fam, t)
     if not (p_fam and q_fam):
         return p_fam, q_fam
     x_set = frozenset(w for p in p_fam for w in p.vertices)
@@ -291,8 +268,8 @@ def separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
     return p_kept, q_kept
 
 
-def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
-                                 ell: int, t: int) -> list[OrientedPath]:
+def _select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
+                                  ell: int, t: int) -> list[OrientedPath]:
     """One path per family, pairwise anticomplete.
 
     Each round trims the first remaining family to a working set of
@@ -306,7 +283,7 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
         head = remaining[0][:2 * t * t * ell]
         reduced: list[PathFamily] = []
         for i in range(1, len(remaining)):
-            head, shrunk = separate_families(g, head, remaining[i], ell, t)
+            head, shrunk = _separate_families(g, head, remaining[i], ell)
             if not head:
                 raise StageShortfall(f"selection[round {i}]", 1, 0)
             if not shrunk:
@@ -321,32 +298,6 @@ def select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
     require(all(are_anticomplete(g, a, b) for a, b in combinations(out, 2)),
             "selected paths are not pairwise anticomplete")
     return out
-
-
-def assemble_cycle(g: Graph, anchors: Sequence[int],
-                   paths: Sequence[OrientedPath]) -> InducedCycle:
-    """Concatenate anchor_i - path_i - anchor_{i+1} - ... into a cycle and
-    verify it is induced; a chord raises AssemblyError carrying the pair."""
-    m = len(anchors)
-    if m < 2 or len(paths) != m:
-        raise ValueError("need k >= 2 anchors and as many paths")
-    oriented: list[OrientedPath] = []
-    for i, p in enumerate(paths):
-        u, v = anchors[i], anchors[(i + 1) % m]
-        if g.has_edge(u, p.first) and g.has_edge(v, p.last):
-            oriented.append(p)
-        elif g.has_edge(u, p.last) and g.has_edge(v, p.first):
-            oriented.append(p.reversed())
-        else:
-            raise ValueError(f"path {i} does not link anchors {u} and {v}")
-    cycle: list[int] = []
-    for i in range(m):
-        cycle.append(anchors[i])
-        cycle.extend(oriented[i].vertices)
-    chord = first_bad_pair(g, cycle, closed=True)
-    if chord is not None:
-        raise AssemblyError(chord)
-    return certified(g, InducedCycle(tuple(cycle)))
 
 
 @dataclass
@@ -396,8 +347,8 @@ def main_pipeline(g: Graph, t: int, ell: int,
 
     Any stage may instead surface a biclique, which is returned; shortfalls
     and exhausted budgets produce an inconclusive result whose last stage
-    report names where the run stopped.  Certificates are verified before
-    being returned.
+    report names where the run stopped.  Every certificate, the assembled
+    cycle included, is checked once, by certified on the way out.
     """
     if t < 4 or t % 2:
         raise ValueError("t must be even and at least 4")
@@ -430,11 +381,12 @@ def main_pipeline(g: Graph, t: int, ell: int,
             stages.append(StageReport("minor", minor_size, len(minor), "ok"))
 
         # Step 2: an injected minor whose sets all hold a full vertex within
-        # diameter 2t passes the gate; any other minor ends here
+        # diameter 2t passes the gate; any other minor ends here.  A set of
+        # fewer than 2t vertices has a smaller diameter, so it is not measured
         bud.stage = ("full-minor", len(minor))
         if (ov.branch_sets is not None
                 and None not in (fulls := full_vertices(g, minor))
-                and all(eccentric_pair(g, s)[2] + 1 < 2 * t
+                and all(len(s) < 2 * t or eccentric_pair(g, s)[2] + 1 < 2 * t
                         for s in minor.branch_sets)):
             stages.append(StageReport("full-minor", len(minor), len(minor),
                                       "preverified"))
@@ -451,7 +403,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
         stages.append(StageReport("partition", a_count, len(anchors), "ok"))
 
         # Steps 4-6
-        linked = build_linked_families(
+        linked = _build_linked_families(
             g, frozenset(anchors), minor.branch_sets[a_count:], t, ell,
             stages, paths_per_pair=ov.paths_per_pair, budget=bud)
         core = linked.a_prime  # t/2 anchors in ascending order
@@ -463,15 +415,17 @@ def main_pipeline(g: Graph, t: int, ell: int,
                 by_len.setdefault(len(p), []).append(p)
             length = max(by_len, key=lambda k: (len(by_len[k]), -k))
             bud.stage = (f"extract[{u},{v}]", 1)
-            extracted = extract_partially_anticomplete(g, by_len[length],
-                                                       bud)
+            extracted = _extract_partially_anticomplete(g, by_len[length],
+                                                        bud)
             stages.append(StageReport(f"extract[{u},{v}]", 1,
                                       len(extracted), "ok"))
-            if u > v:
+            if u > v:  # the family of (v, u) runs v-side first
                 extracted = tuple(p.reversed() for p in extracted)
             cyclic.append(extracted)
-        picked = select_pairwise_anticomplete(g, cyclic, ell, t)
-        cert = assemble_cycle(g, core, picked)
+        picked = _select_pairwise_anticomplete(g, cyclic, ell, t)
+        # each picked path runs from its anchor to the next one
+        cert = InducedCycle(tuple(v for a, p in zip(core, picked)
+                                  for v in (a, *p.vertices)))
         stages.append(StageReport("assemble", t, len(cert.vertices), "ok"))
     except CounterWitness as cw:
         cert = cw.certificate

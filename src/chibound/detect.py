@@ -561,11 +561,7 @@ def _k_colorable(g: Graph, k: int, seed_clique: tuple[int, ...],
 
     Backtracking with a pre-colored clique and the new-color symmetry
     break; DSATUR-style vertex selection."""
-    colors: dict[int, int] = {}
-    for i, v in enumerate(seed_clique):
-        if i >= k:
-            return None
-        colors[v] = i
+    colors = {v: i for i, v in enumerate(seed_clique)}
     uncolored = [v for v in range(g.n) if v not in colors]
 
     def pick() -> int:

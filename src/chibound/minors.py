@@ -427,21 +427,20 @@ def full_vertex_minor(g: Graph, minor: CliqueMinor, p: int, t: int,
     """Step 2 of the pipeline: an induced cycle of >= t vertices.
 
     After minimization a branch set of diameter >= t gives the cycle at
-    once.  Otherwise the cycle is sought with find_long_induced_cycle
-    inside the union of all minimal branch sets, in place: the search runs
-    on g's own masks restricted to the union (its `within`), so no induced
-    copy is built and the cycle comes back in g's ids.  It spends the one
-    node budget: a cycle found is returned, and absence there raises
-    StageShortfall("full-minor", p, 0), p being only the size it reports;
-    only an exhausted budget raises plain BudgetExceeded.
+    once.  Otherwise the exact induced-cycle search runs inside the union
+    of all minimal branch sets, in place, on g's own masks restricted to
+    the union, so no induced copy is built and the cycle comes back in g's
+    ids.  It spends the one node budget: a cycle found is returned, and
+    absence there raises StageShortfall("full-minor", p, 0), p being only
+    the size it reports; only an exhausted budget raises plain
+    BudgetExceeded.
 
     The paper goes on by merging spare branch sets into p sets whose
     designated vertices each touch p*p others.  A vertex of a minor of q
     sets touches at most q - 1 of them, so that merge needs a minor of more
-    than p*p sets; every caller passes p = len(minor), so it is not built
-    here, and no minor is returned.  ROADMAP item 1 will replace steps 2-3
-    with one search for anchors and connectors.  The construction is
-    deterministic: seed is accepted and ignored.
+    than p*p sets; the pipeline asks for p = len(minor), so it is not built
+    here, and no minor is returned.  The construction is deterministic:
+    seed is accepted and ignored.
     """
     if p < 1:
         raise ValueError("p must be positive")

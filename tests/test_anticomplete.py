@@ -1,18 +1,19 @@
+import ast
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound import anticomplete
-from chibound.anticomplete import (AssemblyError, LinkedFamilies,
-                                   PipelineOverrides, StageShortfall,
-                                   assemble_cycle, build_linked_families,
-                                   extract_partially_anticomplete,
-                                   main_pipeline, select_noninterfering,
-                                   select_pairwise_anticomplete,
-                                   separate_families)
+from chibound.anticomplete import (PipelineOverrides, StageShortfall,
+                                   _build_linked_families,
+                                   _extract_partially_anticomplete,
+                                   _select_noninterfering,
+                                   _select_pairwise_anticomplete,
+                                   _separate_families, main_pipeline)
 from chibound.certificates import (BicliqueWitness, CounterWitness,
                                    InducedCycle, InternalInconsistency,
                                    verify_certificate)
@@ -36,24 +37,13 @@ def random_touched(core, bound: int, rng: random.Random) -> dict:
             for u, v in combinations(core, 2)}
 
 
-def test_select_rejects_bad_input():
-    core = frozenset({0, 1, 2})
-    for touched in ({(0, 1): frozenset({0})}, {(0, 1): frozenset({1, 2})},
-                    {(1, 0): frozenset({2})}):
-        with pytest.raises(ValueError):
-            select_noninterfering(core, touched, 2)
-    for s in (0, 4):
-        with pytest.raises(ValueError):
-            select_noninterfering(core, {}, s)
-
-
 def test_select_all_empty():
-    assert select_noninterfering(frozenset(range(10)), {}, 4) == (0, 1, 2, 3)
+    assert _select_noninterfering(frozenset(range(10)), {}, 4) == (0, 1, 2, 3)
 
 
 def test_select_single():
     touched = random_touched(range(30), 5, random.Random(3))
-    assert select_noninterfering(frozenset(range(30)), touched, 1) == (0,)
+    assert _select_noninterfering(frozenset(range(30)), touched, 1) == (0,)
 
 
 def test_select_random_verified():
@@ -62,7 +52,7 @@ def test_select_random_verified():
     for trial in range(20):
         touched = random_touched(range(100), 9, random.Random(trial))
         for s in (2, 3):
-            out = select_noninterfering(frozenset(range(100)), touched, s)
+            out = _select_noninterfering(frozenset(range(100)), touched, s)
             assert out == oracles.brute_noninterfering(range(100), touched, s)
 
 
@@ -70,9 +60,9 @@ def test_select_reports_a_shortfall():
     # every pair touches every other vertex, so no three vertices fit
     core = frozenset(range(10))
     touched = {(u, v): core - {u, v} for u, v in combinations(sorted(core), 2)}
-    assert select_noninterfering(core, touched, 3) == (0, 1)
+    assert _select_noninterfering(core, touched, 3) == (0, 1)
     with pytest.raises(BudgetExceeded):
-        select_noninterfering(core, touched, 3, budget=5)
+        _select_noninterfering(core, touched, 3, budget=5)
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,7 +76,7 @@ def test_select_matches_brute_force(data):
         hits = data.draw(st.lists(st.booleans(), min_size=len(others),
                                   max_size=len(others)))
         touched[(u, v)] = frozenset(x for x, hit in zip(others, hits) if hit)
-    out = select_noninterfering(frozenset(core), touched, s)
+    out = _select_noninterfering(frozenset(core), touched, s)
     expected = oracles.brute_noninterfering(core, touched, s)
     if expected is not None:
         assert out == expected
@@ -107,8 +97,8 @@ def test_build_linked_families_planted():
     t = 6
     g, pool, connectors = _standalone_linked_instance(t, 2)
     stages = []
-    linked = build_linked_families(g, pool, connectors, t=t, ell=3,
-                                   stages=stages, paths_per_pair=2)
+    linked = _build_linked_families(g, pool, connectors, t=t, ell=3,
+                                    stages=stages, paths_per_pair=2)
     assert [(s.name, s.outcome) for s in stages] == [
         ("independent-core", "ok"), ("groups", "ok"), ("paths[0,1]", "ok"),
         ("paths[0,2]", "ok"), ("paths[1,2]", "ok"), ("interference", "ok")]
@@ -128,8 +118,8 @@ def test_build_linked_families_interference_shortfall():
     g, pool, connectors = _standalone_linked_instance(t, 2)
     g = Graph.from_edges(g.n, list(g.edges()) + [(6, 2)])
     with pytest.raises(StageShortfall) as exc:
-        build_linked_families(g, pool, connectors, t=t, ell=4, stages=[],
-                              paths_per_pair=2)
+        _build_linked_families(g, pool, connectors, t=t, ell=4, stages=[],
+                               paths_per_pair=2)
     assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
         "interference", 3, 2)
 
@@ -137,27 +127,16 @@ def test_build_linked_families_interference_shortfall():
 def test_build_linked_families_no_connectors():
     g = Graph.from_edges(4, [])
     with pytest.raises(StageShortfall) as exc:
-        build_linked_families(g, frozenset({0, 1, 2}), [], t=6, ell=2,
-                              stages=[])
+        _build_linked_families(g, frozenset({0, 1, 2}), [], t=6, ell=2,
+                               stages=[])
     assert exc.value.stage == "groups"
 
 
 def test_build_linked_families_single_anchor():
     g = Graph.from_edges(3, [(1, 2)])
     with pytest.raises(StageShortfall):
-        build_linked_families(g, frozenset({0}), [frozenset({1, 2})], t=6,
-                              ell=2, stages=[])
-
-
-def test_build_linked_families_rejects_odd_or_small_t():
-    # the core's target is t/2 anchors, as in main_pipeline, so an odd t or
-    # t < 4 is refused before any stage runs
-    g, pool, connectors = _standalone_linked_instance(6, 2)
-    for t in (3, 5):
-        stages = []
-        with pytest.raises(ValueError, match="t must be even and at least 4"):
-            build_linked_families(g, pool, connectors, t=t, ell=3, stages=stages)
-        assert stages == []
+        _build_linked_families(g, frozenset({0}), [frozenset({1, 2})], t=6,
+                               ell=2, stages=[])
 
 
 def test_build_linked_families_paths_shortfall():
@@ -165,18 +144,18 @@ def test_build_linked_families_paths_shortfall():
     t = 6
     g, pool, connectors = _standalone_linked_instance(t, 2)
     with pytest.raises(StageShortfall) as exc:
-        build_linked_families(g, pool, connectors, t=t, ell=3, stages=[],
-                              paths_per_pair=3)
+        _build_linked_families(g, pool, connectors, t=t, ell=3, stages=[],
+                               paths_per_pair=3)
     assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
         "paths[0,1]", 3, 2)
 
 
 def test_extract_single_path_and_isolated_vertices():
     g = Graph.from_edges(5, [(0, 1), (1, 2)])
-    fam = extract_partially_anticomplete(g, [OrientedPath((0, 1, 2))])
+    fam = _extract_partially_anticomplete(g, [OrientedPath((0, 1, 2))])
     assert len(fam) == 1
     iso = Graph.from_edges(4, [])
-    fam = extract_partially_anticomplete(
+    fam = _extract_partially_anticomplete(
         iso, [OrientedPath((i,)) for i in range(4)])
     assert len(fam) == 4
 
@@ -188,7 +167,7 @@ def test_extract_eight_edges_with_conflicts(rng):
     extra = [(0, 2), (1, 3), (5, 7), (8, 10), (13, 15)]
     g = Graph.from_edges(16, base + extra)
     paths = [OrientedPath(e) for e in base]
-    fam = extract_partially_anticomplete(g, paths)
+    fam = _extract_partially_anticomplete(g, paths)
     assert is_partially_anticomplete(g, fam)
     assert set(fam) <= set(paths)
 
@@ -206,7 +185,7 @@ def test_separate_disjoint_components():
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
     p = (OrientedPath((0, 1)), OrientedPath((2, 3)))
     q = (OrientedPath((4, 5)), OrientedPath((6, 7)))
-    p2, q2 = separate_families(g, p, q, ell=2, t=4)
+    p2, q2 = _separate_families(g, p, q, ell=2)
     assert p2 == p and q2 == q
 
 
@@ -214,7 +193,7 @@ def test_separate_empty_q():
     g = Graph.from_edges(2, [(0, 1)])
     p = (OrientedPath((0, 1)),)
     q = ()
-    p2, q2 = separate_families(g, p, q, ell=2, t=4)
+    p2, q2 = _separate_families(g, p, q, ell=2)
     assert p2 == p and len(q2) == 0
 
 
@@ -224,7 +203,7 @@ def test_separate_planted_sparse_conflicts():
     g = Graph.from_edges(10, edges)
     p = (OrientedPath((0, 1)), OrientedPath((2, 3)))
     q = (OrientedPath((4, 5)), OrientedPath((6, 7)), OrientedPath((8, 9)))
-    p2, q2 = separate_families(g, p, q, ell=2, t=4)
+    p2, q2 = _separate_families(g, p, q, ell=2)
     for a in p2:
         for b in q2:
             assert are_anticomplete(g, a, b)
@@ -232,30 +211,23 @@ def test_separate_planted_sparse_conflicts():
 
 
 def test_separate_size_floors_hold():
-    # ell = 1 and one P path of 3 = q*t/2 vertices meet the paper's
-    # cardinality hypotheses, under which no path is lost
+    # ell = 1 and one P path of 3 = q*t/2 vertices (q = 3, t = 2) meet the
+    # paper's cardinality hypotheses, under which no path is lost
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     p = (OrientedPath((0, 1, 2)),)
     q = (OrientedPath((3, 4, 5)),)
-    p2, q2 = separate_families(g, p, q, ell=1, t=2)
+    p2, q2 = _separate_families(g, p, q, ell=1)
     assert p2 == p and q2 == q
-
-
-def test_separate_rejects_malformed():
-    g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 2)])
-    touching = (OrientedPath((0, 1)),)
-    with pytest.raises(ValueError):
-        separate_families(g, touching, touching, 2, 4)
 
 
 def test_select_pairwise_base_cases():
     g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
     fams = [(OrientedPath((0, 1)),)]
-    assert select_pairwise_anticomplete(g, fams, 2, 4) == [OrientedPath((0, 1))]
+    assert _select_pairwise_anticomplete(g, fams, 2, 4) == [OrientedPath((0, 1))]
     fams3 = [(OrientedPath((0, 1)),),
              (OrientedPath((2, 3)),),
              (OrientedPath((4, 5)),)]
-    out = select_pairwise_anticomplete(g, fams3, 2, 4)
+    out = _select_pairwise_anticomplete(g, fams3, 2, 4)
     assert out == [OrientedPath((0, 1)), OrientedPath((2, 3)),
                    OrientedPath((4, 5))]
 
@@ -273,7 +245,7 @@ def test_select_pairwise_shortfalls():
     ]
     for fams, stage in cases:
         with pytest.raises(StageShortfall) as exc:
-            select_pairwise_anticomplete(g, fams, 2, 4)
+            _select_pairwise_anticomplete(g, fams, 2, 4)
         assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
             stage, 1, 0)
 
@@ -297,7 +269,7 @@ def test_select_pairwise_planted_conflicts():
                  (paths[0][3].vertices[0], paths[2][2].vertices[2])]
     g = Graph.from_edges(vid, base_edges + conflicts)
     fams = [tuple(f) for f in paths]
-    out = select_pairwise_anticomplete(g, fams, ell=2, t=6)
+    out = _select_pairwise_anticomplete(g, fams, ell=2, t=6)
     assert len(out) == k
     for i in range(k):
         for j in range(i + 1, k):
@@ -312,52 +284,54 @@ def test_select_pairwise_planted_conflicts():
     assert found
 
 
+def _two_vertex_path_instance(chord: bool = False):
+    """A minor for t = 6 whose connector paths have two vertices.
+
+    The anchors 0, 1, 2 lie in the sets {a, a + 3}, pairwise joined through
+    the a-(a + 3) biclique.  The connector set of the pair (i, j) is
+    {x, y, tail}, with the path i-x-y-j and a tail on x that touches the
+    third anchor, the vertices 3-5 and every earlier tail, so every set
+    holds a full vertex.  With `chord`, the (0, 1) path's y = 7 also
+    touches the (1, 2) path's x = 12.
+    """
+    edges = [(a, 3 + b) for a in range(3) for b in range(3)]
+    sets = [frozenset({a, 3 + a}) for a in range(3)]
+    tails: list[int] = []
+    for i, j in combinations(range(3), 2):
+        x = 6 + 3 * len(tails)
+        y, tail = x + 1, x + 2
+        edges += [(i, x), (x, y), (y, j), (x, tail), (3 - i - j, tail)]
+        edges += [(s, tail) for s in (3, 4, 5)] + [(o, tail) for o in tails]
+        tails.append(tail)
+        sets.append(frozenset({x, y, tail}))
+    return Graph.from_edges(15, edges + [(7, 12)] * chord), sets
+
+
 def test_assemble_examples():
-    # m = 3, single-vertex paths: a C6
-    edges = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)]
-    g = Graph.from_edges(6, edges)
-    cert = assemble_cycle(g, [0, 1, 2],
-                          [OrientedPath((3,)), OrientedPath((4,)),
-                           OrientedPath((5,))])
-    assert len(cert.vertices) == 6
-    assert verify_certificate(g, cert)
+    # the cycle runs anchor, path, anchor, ...: each path u-side first, so
+    # the wrap pair (2, 0) runs its (0, 2) path 10-9 backwards
+    g, sets = _two_vertex_path_instance()
+    res = main_pipeline(g, 6, 2, PipelineOverrides(branch_sets=sets, a_count=3))
+    assert res.certificate == InducedCycle((0, 6, 7, 1, 12, 13, 2, 10, 9))
+    assert res.stages[-1] == anticomplete.StageReport("assemble", 6, 9, "ok")
 
-    # m = t/2 single-vertex paths: a C_t
+    # t/2 single-vertex paths between the anchors 0, ..., t/2 - 1: a C_t
     t = 10
-    m = t // 2
-    edges = []
-    for i in range(m):
-        edges.append((i, m + i))
-        edges.append((m + i, (i + 1) % m))
-    g2 = Graph.from_edges(2 * m, edges)
-    cert = assemble_cycle(g2, list(range(m)),
-                          [OrientedPath((m + i,)) for i in range(m)])
-    assert len(cert.vertices) == t
+    g, sets = pipeline_full_instance(t, copies=2)
+    res = main_pipeline(g, t, 3, PipelineOverrides(
+        branch_sets=sets, a_count=t // 2, paths_per_pair=2))
+    assert len(res.certificate.vertices) == t
+    assert res.certificate.vertices[::2] == tuple(range(t // 2))
 
 
-def test_assemble_orients_and_rejects_paths():
-    # C9 through anchors 0, 1, 2 and two-vertex paths 3-4, 5-6, 7-8
-    g = Graph.from_edges(9, [(0, 3), (3, 4), (4, 1), (1, 5), (5, 6), (6, 2),
-                             (2, 7), (7, 8), (8, 0)])
-    forward = [OrientedPath((3, 4)), OrientedPath((5, 6)), OrientedPath((7, 8))]
-    cert = assemble_cycle(g, [0, 1, 2], forward)
-    assert cert.vertices == (0, 3, 4, 1, 5, 6, 2, 7, 8)
-    # a path given from its far end is turned round
-    flipped = [forward[0].reversed()] + forward[1:]
-    assert assemble_cycle(g, [0, 1, 2], flipped) == cert
-    # 5-6 does not touch anchor 0
-    with pytest.raises(ValueError, match="does not link anchors 0 and 1"):
-        assemble_cycle(g, [0, 1, 2], [forward[1], forward[0], forward[2]])
-
-
-def test_assemble_reports_chord():
-    edges = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0), (3, 4)]
-    g = Graph.from_edges(6, edges)
-    with pytest.raises(AssemblyError) as exc:
-        assemble_cycle(g, [0, 1, 2],
-                       [OrientedPath((3,)), OrientedPath((4,)),
-                        OrientedPath((5,))])
-    assert exc.value.chord == (3, 4)
+def test_assemble_reports_chord(monkeypatch):
+    # the exit's certified is the assembled cycle's one check: paths that
+    # close a chord (7-12) raise there, under python -O too
+    g, sets = _two_vertex_path_instance(chord=True)
+    monkeypatch.setattr(anticomplete, "_select_pairwise_anticomplete",
+                        lambda g, families, ell, t: [f[0] for f in families])
+    with pytest.raises(InternalInconsistency, match="does not verify"):
+        main_pipeline(g, 6, 2, PipelineOverrides(branch_sets=sets, a_count=3))
 
 
 def test_pipeline_ideal_instances():
@@ -430,14 +404,31 @@ def test_injected_minor_failing_the_gate_ends_at_step_two(t, outcome):
     assert res.success == (outcome == "cycle")
 
 
+@pytest.mark.parametrize("length, outcome", [(7, "preverified"), (8, "shortfall")])
+def test_step_two_gate_bounds_the_diameter(length, outcome):
+    # the sets {0}, {1} and a path 2-...-(length + 1) whose end 2 touches
+    # both: a path of 2t = 8 vertices has diameter 2t - 1 and fails the
+    # gate at t = 4, one of 2t - 1 vertices is below the bound unmeasured
+    path = list(range(2, length + 2))
+    g = Graph.from_edges(length + 2, [(0, 1), (0, 2), (1, 2)]
+                         + list(zip(path, path[1:])))
+    res = main_pipeline(g, 4, 2, PipelineOverrides(
+        branch_sets=[{0}, {1}, set(path)], a_count=0))
+    assert (res.stages[1].name, res.stages[1].outcome) == ("full-minor", outcome)
+
+
 def test_pipeline_checks_the_cycle_length(monkeypatch):
     # an induced C4 verifies, but does not answer a question about t = 6
     t = 6
     g, sets = pipeline_full_instance(t, copies=2)
     short = InducedCycle((0, 3, 1, 4))
     assert verify_certificate(g, short)
-    monkeypatch.setattr(anticomplete, "assemble_cycle", lambda *a: short)
-    with pytest.raises(InternalInconsistency):
+
+    def witness(*args, **kwargs):
+        raise CounterWitness(short)
+
+    monkeypatch.setattr(anticomplete, "_build_linked_families", witness)
+    with pytest.raises(InternalInconsistency, match="smaller than the 6"):
         main_pipeline(g, t, 3, PipelineOverrides(
             branch_sets=sets, a_count=t // 2, paths_per_pair=2, seed=0))
 
@@ -487,19 +478,19 @@ def test_step6_spends_no_search_node(monkeypatch, t):
 
     def spy(*args):
         with oracles.node_count() as spent:
-            picked = select_pairwise_anticomplete(*args)
+            picked = _select_pairwise_anticomplete(*args)
         calls.append((spent[0], picked))
         return picked
 
-    monkeypatch.setattr(anticomplete, "select_pairwise_anticomplete", spy)
+    monkeypatch.setattr(anticomplete, "_select_pairwise_anticomplete", spy)
     g, sets = pipeline_full_instance(t, copies=2)
     res = main_pipeline(g, t, 3, PipelineOverrides(
         branch_sets=sets, a_count=t // 2, paths_per_pair=2))
     [(spent, picked)] = calls
     assert spent == 0 and len(picked) == t // 2
-    on_paths = {v for p in picked for v in p.vertices}
-    anchors = [v for v in res.certificate.vertices if v not in on_paths]
-    assert assemble_cycle(g, anchors, picked) == res.certificate
+    anchors = tuple(range(t // 2))
+    assert res.certificate.vertices == tuple(
+        v for a, p in zip(anchors, picked) for v in (a, *p.vertices))
 
 
 #: The stage a run on pipeline_full_instance(t, 2) runs out in, by budget.
@@ -545,16 +536,16 @@ def _k4_subdivision() -> Graph:
 
 def _linked_stage():
     g, pool, connectors = _standalone_linked_instance(6, 2)
-    return lambda bud: build_linked_families(
+    return lambda bud: _build_linked_families(
         g, pool, connectors, t=6, ell=3, stages=[], paths_per_pair=2,
         budget=bud)
 
 
 def _extract_stage():
     g, pool, connectors = _standalone_linked_instance(6, 2)
-    linked = build_linked_families(g, pool, connectors, t=6, ell=3, stages=[],
-                                   paths_per_pair=2)
-    return lambda bud: extract_partially_anticomplete(
+    linked = _build_linked_families(g, pool, connectors, t=6, ell=3, stages=[],
+                                    paths_per_pair=2)
+    return lambda bud: _extract_partially_anticomplete(
         g, linked.families[(0, 1)], bud)
 
 
@@ -571,8 +562,8 @@ def _full_minor_stage():
 @pytest.mark.parametrize("make_stage", [
     lambda: lambda bud: find_clique_minor(_k4_subdivision(), 5, bud),
     _full_minor_stage, _linked_stage, _extract_stage,
-    lambda: lambda bud: select_noninterfering(frozenset(range(5)),
-                                              {(0, 1): {2}}, 3, bud),
+    lambda: lambda bud: _select_noninterfering(frozenset(range(5)),
+                                               {(0, 1): {2}}, 3, bud),
     lambda: lambda bud: max_independent_subset(gnp(16, 0.5, random.Random(3)),
                                                None, bud),
     lambda: lambda bud: optimal_coloring(gnp(12, 0.5, random.Random(4)), bud),
@@ -686,7 +677,15 @@ def test_paths_per_pair_must_be_positive(paths_per_pair):
                PipelineOverrides(paths_per_pair=paths_per_pair)):
         with pytest.raises(ValueError, match="paths_per_pair"):
             main_pipeline(g, t, 3, ov)
-    g, pool, connectors = _standalone_linked_instance(t, 2)
-    with pytest.raises(ValueError, match="paths_per_pair"):
-        build_linked_families(g, pool, connectors, t=t, ell=3, stages=[],
-                              paths_per_pair=paths_per_pair)
+
+
+def test_only_main_pipeline_and_its_types_are_public():
+    # steps 3-6 are main_pipeline's private stages; a re-export such as
+    # StageShortfall is not a definition of this module
+    tree = ast.parse(Path(anticomplete.__file__).read_text())
+    defined = {n.name for n in tree.body
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for n in tree.body if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    assert sorted(n for n in defined if not n.startswith("_")) == [
+        "PipelineOverrides", "PipelineResult", "StageReport", "main_pipeline"]
