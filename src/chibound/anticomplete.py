@@ -12,7 +12,8 @@ Steps 3-6 run only on an injected minor that passes the step-2 gate (each
 branch set holds a full vertex and has diameter below 2t); a searched
 minor ends at step 2 until ROADMAP item 1 lands.  Step 6 selects one path
 per family by splitting off trace buckets (vc.split_by_trace); it runs no
-search, so it spends nothing from the run's budget.
+search, so it spends nothing from the run's budget.  At t = 4 the two
+halves of the anchors' one family give both arcs; one path falls short.
 
 main_pipeline is the one entry point: it checks the parameters and the
 injected minor, and each stage after it takes the invariants of the
@@ -240,24 +241,21 @@ def _extract_partially_anticomplete(g: Graph, family: Sequence[OrientedPath],
 
 def _separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
                        ell: int) -> tuple[PathFamily, PathFamily]:
-    """Shrink two disjoint partially anticomplete families until no edges
-    run between them.
+    """Shrink two disjoint, non-empty, partially anticomplete families until
+    no edges run between them.
 
     Round i splits off the largest same-trace bucket of Q's i-th layer
-    against the remaining P-vertices (vc.split_by_trace).  That no edge is
+    against the remaining P-vertices (vc.split_by_trace); that bucket is
+    non-empty, so Q keeps a path through every round.  That no edge is
     left between the two results is required; how many paths survive is
     not (the paper's size floors need ell <= 1).  A biclique found along
     the way propagates as CounterWitness.  The paper's trace count at
     q = 2t - 1 applies only beyond 10^27 vertices (see vc), so no round
     searches.
     """
-    if not (p_fam and q_fam):
-        return p_fam, q_fam
     x_set = frozenset(w for p in p_fam for w in p.vertices)
     q_current = list(q_fam)
     for i in range(len(q_fam[0])):
-        if not q_current:
-            break
         layer = frozenset(p.vertices[i] for p in q_current)
         x_set, bucket = split_by_trace(g, x_set, layer, ell)
         q_current = [p for p in q_current if p.vertices[i] in bucket]
@@ -270,12 +268,13 @@ def _separate_families(g: Graph, p_fam: PathFamily, q_fam: PathFamily,
 
 def _select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
                                   ell: int, t: int) -> list[OrientedPath]:
-    """One path per family, pairwise anticomplete.
+    """One path per family, pairwise anticomplete, from non-empty families.
 
     Each round trims the first remaining family to a working set of
-    2 t^2 ell paths, separates it against each of the others in turn, keeps
-    a survivor, and goes on with the reduced others.  The selection is
-    verified pairwise anticomplete once, at the end.
+    2 t^2 ell paths, separates it against each of the others in turn (only
+    the head can run out), keeps a survivor, and goes on with the reduced
+    others.  The selection is verified pairwise anticomplete once, at the
+    end.
     """
     remaining = list(families)
     out: list[OrientedPath] = []
@@ -286,15 +285,10 @@ def _select_pairwise_anticomplete(g: Graph, families: Sequence[PathFamily],
             head, shrunk = _separate_families(g, head, remaining[i], ell)
             if not head:
                 raise StageShortfall(f"selection[round {i}]", 1, 0)
-            if not shrunk:
-                raise StageShortfall(f"selection[round {i} partner]", 1, 0)
             reduced.append(shrunk)
         out.append(head[0])
         remaining = reduced
-    if remaining:
-        if not remaining[0]:
-            raise StageShortfall("selection[last]", 1, 0)
-        out.append(remaining[0][0])
+    out.append(remaining[0][0])
     require(all(are_anticomplete(g, a, b) for a, b in combinations(out, 2)),
             "selected paths are not pairwise anticomplete")
     return out
@@ -408,7 +402,7 @@ def main_pipeline(g: Graph, t: int, ell: int,
             stages, paths_per_pair=ov.paths_per_pair, budget=bud)
         core = linked.a_prime  # t/2 anchors in ascending order
         cyclic: list[PathFamily] = []
-        for i in range(len(core)):
+        for i in range(len(core) if t > 4 else 1):  # t = 4: one family
             u, v = core[i], core[(i + 1) % len(core)]
             by_len: dict[int, list[OrientedPath]] = {}
             for p in linked.families[(min(u, v), max(u, v))]:
@@ -422,6 +416,10 @@ def main_pipeline(g: Graph, t: int, ell: int,
             if u > v:  # the family of (v, u) runs v-side first
                 extracted = tuple(p.reversed() for p in extracted)
             cyclic.append(extracted)
+        if t == 4:  # its two halves give the arcs (a0, a1) and (a1, a0)
+            if len(fam := cyclic[0]) < 2:
+                raise StageShortfall(f"selection[{core[0]},{core[1]}]", 2, len(fam))
+            cyclic = [fam[::2], tuple(p.reversed() for p in fam[1::2])]
         picked = _select_pairwise_anticomplete(g, cyclic, ell, t)
         # each picked path runs from its anchor to the next one
         cert = InducedCycle(tuple(v for a, p in zip(core, picked)

@@ -1,15 +1,18 @@
 """Set systems, exact VC dimension, and the neighborhood-trace machinery.
 
-The traces of Y on X serve two steps of the pipeline.  Step 4 checks the
-bound |Y| < ell * |X|^(t/2) with cor_traces_check, the one trace lemma.
-When the bound fails, a bucket of ell same-trace vertices with a common
-trace of ell gives a biclique; failing that, too many distinct traces force
-a shattered set of t/2 vertices, which assembles into an induced cycle of t
-vertices.  The certificate leaves as certificates.CounterWitness.  The
-paper states the lemma for a q-colorable X and takes the shattered set's
-largest color class; step 4's X is the independent core, so q = 1, the
-lemma checks that X is independent, and the whole shattered set is the
-class.
+The traces of Y on X are one map {y: N(y) & X} in ascending y (_trace_map,
+the one check that X and Y are disjoint); the bucket splits read it, and
+only neighborhood_system and the shattered-set search make a SetSystem.
+Step 4 checks the bound |Y| < ell * |X|^(t/2) with cor_traces_check, the
+one trace lemma.  When the bound fails, a bucket of ell same-trace vertices
+with a common trace of ell gives a biclique; failing that, too many
+distinct traces force a shattered set of t/2 vertices, which assembles
+into an induced cycle of t vertices (at t = 4, when the shattered pair has
+one witness, through a pair of X that two traces share).  The certificate
+leaves as certificates.CounterWitness.  The paper states the lemma for a
+q-colorable X and takes the shattered set's largest color class; step 4's
+X is the independent core, so q = 1, the lemma checks that X is
+independent, and the whole shattered set is the class.
 
 Step 6 separates path families with split_by_trace: the largest trace
 bucket and the part of X outside its trace, or the biclique when both reach
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .certificates import (BicliqueWitness, CounterWitness, InducedCycle,
@@ -30,15 +34,15 @@ from .graph import Graph, VertexSet, is_independent
 
 DEFAULT_UNIVERSE_CAP = 20
 Buckets = tuple[frozenset[int], frozenset[int], dict[frozenset[int], frozenset[int]]]
+Traces = dict[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Universe elements plus a family of subsets; tags name each member's origin."""
+    """Universe elements plus a family of subsets."""
 
     universe: tuple[int, ...]
     members: tuple[frozenset[int], ...]
-    tags: tuple[int, ...] = ()
 
     def __post_init__(self):
         uni = set(self.universe)
@@ -47,22 +51,20 @@ class SetSystem:
         # One C-level pass: an element outside the universe enlarges the union.
         if len(uni.union(*self.members)) != len(uni):
             raise ValueError("member not contained in universe")
-        if self.tags and len(self.tags) != len(self.members):
-            raise ValueError("tags must parallel members")
+
+
+def _trace_map(g: Graph, x_set: frozenset[int], y_set: VertexSet) -> Traces:
+    """{y: N(y) & X} in ascending y; X and Y must be disjoint."""
+    if x_set & frozenset(y_set):
+        raise ValueError("X and Y must be disjoint")
+    return {y: g.neighbors_in(y, x_set) for y in sorted(y_set)}
 
 
 def neighborhood_system(g: Graph, x_set: VertexSet, y_set: VertexSet) -> SetSystem:
-    """The traces of Y-vertices on X: one member per y, tagged by y.
-
-    Duplicate traces are retained so multiplicities map back to Y.
-    """
-    x_set, y_set = frozenset(x_set), frozenset(y_set)
-    if x_set & y_set:
-        raise ValueError("X and Y must be disjoint")
-    universe = tuple(sorted(x_set))
-    ys = tuple(sorted(y_set))
-    members = tuple(g.neighbors_in(y, x_set) for y in ys)
-    return SetSystem(universe, members, ys)
+    """The traces of Y on the sorted X, one member per y in ascending y,
+    duplicates retained."""
+    x_set = frozenset(x_set)
+    return SetSystem(tuple(sorted(x_set)), tuple(_trace_map(g, x_set, y_set).values()))
 
 
 def _is_shattered(members_masks: list[int], z_mask: int, z_size: int) -> bool:
@@ -142,15 +144,15 @@ def find_shattered_set(system: SetSystem, size: int,
 
 
 def trace_buckets(g: Graph, x_set: VertexSet, y_set: VertexSet) -> Buckets:
-    """Partition Y by trace on X (the members of neighborhood_system):
-    (largest bucket, its common trace, all buckets keyed by trace), ties
-    going to the lexicographically smallest trace."""
-    return _buckets(neighborhood_system(g, x_set, y_set))
+    """Partition Y by trace on X: (largest bucket, its common trace, all
+    buckets keyed by trace), ties going to the lexicographically smallest
+    trace; an empty Y gives two empty sets and no bucket."""
+    return _buckets(_trace_map(g, frozenset(x_set), y_set))
 
 
-def _buckets(system: SetSystem) -> Buckets:
+def _buckets(traces: Traces) -> Buckets:
     buckets: dict[frozenset[int], set[int]] = {}
-    for trace, y in zip(system.members, system.tags):
+    for y, trace in traces.items():
         buckets.setdefault(trace, set()).add(y)
     if not buckets:
         return frozenset(), frozenset(), {}
@@ -159,43 +161,38 @@ def _buckets(system: SetSystem) -> Buckets:
     return frozen[best_trace], best_trace, frozen
 
 
-def cycle_from_shattered(g: Graph, z_set: VertexSet, system: SetSystem,
-                         t: int) -> InducedCycle:
-    """Assemble an induced t-cycle from an independent shattered set.
+def _shared_pair(traces: Traces) -> tuple[tuple[int, int], list[int]]:
+    """The first pair of X that two traces hold, and the two y's, in
+    ascending y."""
+    first: dict[tuple[int, int], int] = {}
+    for y, trace in traces.items():
+        for pair in combinations(sorted(trace), 2):
+            if first.setdefault(pair, y) != y:
+                return pair, [first[pair], y]
+    raise InternalInconsistency("more traces than pairs, but no pair shared")
 
-    Uses the first t/2 elements of z_set; for each consecutive pair the
-    least tag not yet taken whose trace meets the chosen set in exactly
-    that pair supplies the in-between vertex (two pairs share their tags
-    only when t = 4).  The lemmas pass an independent Y as the tags, so the
-    picks are independent; picks that are not raise ValueError.
+
+def _cycle_from_shattered(g: Graph, zs: tuple[int, ...], traces: Traces,
+                          t: int) -> InducedCycle:
+    """The cycle z_0 y_0 z_1 y_1 ... through the t/2 shattered vertices zs,
+    y_i the least y whose trace meets zs in {z_i, z_(i+1)} (indices mod
+    t/2).  At t = 4 that one pair needs two witnesses; failing them,
+    _shared_pair gives the C4, as every trace holds a pair of X and
+    |Y| > C(|X|, 2).  cor_traces_check's X and Y are independent, so the
+    cycle is induced; certified proves it.
     """
-    if t % 2 or t < 4:
-        raise ValueError("t must be even and at least 4")
-    z_sorted = sorted(z_set)
     m = t // 2
-    if len(z_sorted) < m:
-        raise ValueError(f"need at least t/2 = {m} shattered vertices")
-    if not is_independent(g, z_set):
-        raise ValueError("z_set must be independent")
-    if not system.tags:
-        raise ValueError("set system must carry tags")
-    zs = z_sorted[:m]
-    chosen_set = frozenset(zs)
-    picked: list[int] = []
-    for i in range(m):
-        pattern = frozenset({zs[i], zs[(i + 1) % m]})
-        pool = [tag for member, tag in zip(system.members, system.tags)
-                if member & chosen_set == pattern and tag not in picked]
-        if not pool:
-            raise ValueError(f"no witness left for pair {sorted(pattern)}")
-        picked.append(min(pool))
-    if not is_independent(g, picked):
-        raise ValueError("witnesses conflict; cannot assemble an induced cycle")
-    cycle: list[int] = []
-    for i in range(m):
-        cycle.append(zs[i])
-        cycle.append(picked[i])
-    return certified(g, InducedCycle(tuple(cycle)), t=t)
+    chosen = frozenset(zs)
+    if m == 2:
+        picked = [y for y, trace in traces.items() if chosen <= trace][:2]
+        if len(picked) < 2:
+            zs, picked = _shared_pair(traces)
+    else:
+        picked = [next(y for y, trace in traces.items()
+                       if trace & chosen == {zs[i], zs[(i + 1) % m]})
+                  for i in range(m)]
+    cycle = tuple(v for pair in zip(zs, picked) for v in pair)
+    return certified(g, InducedCycle(cycle), t=t)
 
 
 def _biclique_exit(g: Graph, bucket: frozenset[int], trace: frozenset[int],
@@ -215,16 +212,16 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
     failing that with an induced t-cycle through a shattered set of t/2
     vertices of X.
 
-    The hypotheses (X and Y disjoint and independent, |X| >= t/2, every y
-    with ell or more neighbors in X) are checked first, and a violated one
-    raises ValueError.  The shattered-set search spends `budget` and raises
-    BudgetExceeded when it runs out.
+    The hypotheses (t even and at least 4, X and Y disjoint and independent,
+    |X| >= t/2, every y with ell or more neighbors in X) are checked first,
+    and a violated one raises ValueError.  The shattered-set search spends
+    `budget` and raises BudgetExceeded when it runs out.
     """
     x_set, y_set = frozenset(x_set), frozenset(y_set)
-    if t % 2:
-        raise ValueError("t must be even")
     exponent = t // 2
     failures = []
+    if t % 2 or t < 4:
+        failures.append("t must be even and at least 4")
     if x_set & y_set:
         failures.append("X and Y overlap")
     if len(x_set) < exponent:
@@ -241,15 +238,15 @@ def cor_traces_check(g: Graph, x_set: VertexSet, y_set: VertexSet,
         raise ValueError("hypotheses violated: " + "; ".join(failures))
     if len(y_set) < ell * len(x_set) ** exponent:
         return
-    system = neighborhood_system(g, x_set, y_set)
-    bucket, trace, _ = _buckets(system)
-    # every y has >= ell neighbors in X, so a bucket of ell has a trace of ell
+    traces = _trace_map(g, x_set, y_set)
+    bucket, trace, _ = _buckets(traces)
+    # every y has >= ell neighbors in X, so a bucket of ell has a trace of
+    # ell and exits here
     _biclique_exit(g, bucket, trace, ell)
-    if len(bucket) < ell:
-        shattered = find_shattered_set(system, exponent, budget)
-        require(shattered is not None, "counting promised a shattered set; none found")
-        raise CounterWitness(cycle_from_shattered(g, frozenset(shattered), system, t))
-    raise InternalInconsistency("the trace bound failed without a certificate")
+    system = SetSystem(tuple(sorted(x_set)), tuple(traces.values()))
+    shattered = find_shattered_set(system, exponent, budget)
+    require(shattered is not None, "counting promised a shattered set; none found")
+    raise CounterWitness(_cycle_from_shattered(g, shattered, traces, t))
 
 
 def split_by_trace(g: Graph, x_set: VertexSet, y_set: VertexSet,
@@ -258,10 +255,9 @@ def split_by_trace(g: Graph, x_set: VertexSet, y_set: VertexSet,
     outside its trace, or raise CounterWitness with the biclique when the
     bucket and its trace both reach ell.
 
-    X' and Y' have no edges between them, unconditionally.
+    X' and Y' have no edges between them, unconditionally: every vertex of
+    Y' sees exactly the trace in X.
     """
     bucket, trace, _ = trace_buckets(g, x_set, y_set)
     _biclique_exit(g, bucket, trace, ell)
-    x_prime = frozenset(x_set) - trace
-    require(all(not (g.adj(y) & x_prime) for y in bucket), "split left an X'-Y' edge")
-    return x_prime, bucket
+    return frozenset(x_set) - trace, bucket

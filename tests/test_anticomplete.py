@@ -189,14 +189,6 @@ def test_separate_disjoint_components():
     assert p2 == p and q2 == q
 
 
-def test_separate_empty_q():
-    g = Graph.from_edges(2, [(0, 1)])
-    p = (OrientedPath((0, 1)),)
-    q = ()
-    p2, q2 = _separate_families(g, p, q, ell=2)
-    assert p2 == p and len(q2) == 0
-
-
 def test_separate_planted_sparse_conflicts():
     # two families of 2-vertex paths with one cross edge
     edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (1, 4)]
@@ -208,6 +200,20 @@ def test_separate_planted_sparse_conflicts():
         for b in q2:
             assert are_anticomplete(g, a, b)
     assert len(q2) >= 2
+
+
+def test_separate_keeps_a_partner_path(rng):
+    # each round keeps a largest trace bucket of a non-empty layer, so Q
+    # never runs out, whatever the edges between the families (three Q
+    # paths keep every bucket below ell = 4, so no biclique exit)
+    p = tuple(OrientedPath((i, i + 1)) for i in range(0, 6, 2))
+    q = tuple(OrientedPath((i, i + 1)) for i in range(6, 12, 2))
+    cross = [(a, b) for a in range(6) for b in range(6, 12)]
+    for _ in range(200):
+        edges = [(i, i + 1) for i in range(0, 12, 2)]
+        g = Graph.from_edges(12, edges + [e for e in cross if rng.random() < 0.3])
+        p2, q2 = _separate_families(g, p, q, ell=4)
+        assert q2 and all(are_anticomplete(g, a, b) for a in p2 for b in q2)
 
 
 def test_separate_size_floors_hold():
@@ -233,21 +239,14 @@ def test_select_pairwise_base_cases():
 
 
 def test_select_pairwise_shortfalls():
+    # 1 ~ 0, so the split keeps 1 and strips the head's only vertex; a
+    # partner is never emptied (test_separate_keeps_a_partner_path)
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    head = (OrientedPath((0,)),)
-    empty = ()
-    cases = [
-        # nothing left for the last family
-        ([empty], "selection[last]"),
-        # 1 ~ 0, so the split keeps 1 and strips the head's only vertex
-        ([head, (OrientedPath((1,)),)], "selection[round 1]"),
-        ([head, empty], "selection[round 1 partner]"),
-    ]
-    for fams, stage in cases:
-        with pytest.raises(StageShortfall) as exc:
-            _select_pairwise_anticomplete(g, fams, 2, 4)
-        assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
-            stage, 1, 0)
+    fams = [(OrientedPath((0,)),), (OrientedPath((1,)),)]
+    with pytest.raises(StageShortfall) as exc:
+        _select_pairwise_anticomplete(g, fams, 2, 4)
+    assert (exc.value.stage, exc.value.required, exc.value.achieved) == (
+        "selection[round 1]", 1, 0)
 
 
 def test_select_pairwise_planted_conflicts():
@@ -322,6 +321,33 @@ def test_assemble_examples():
         branch_sets=sets, a_count=t // 2, paths_per_pair=2))
     assert len(res.certificate.vertices) == t
     assert res.certificate.vertices[::2] == tuple(range(t // 2))
+
+
+def _t4_instance():
+    """Anchors 0 and 1 in the sets {0, 6} and {1, 7}; the connector sets
+    {2, 3, 8} and {4, 5, 9} hold the paths 0-2-3-1 and 0-4-5-1, and 8 and
+    9 are their full vertices."""
+    edges = [(0, 6), (1, 7), (6, 7), (0, 7), (1, 6), (2, 3), (2, 8), (0, 2),
+             (1, 3), (0, 8), (7, 8), (4, 5), (4, 9), (0, 4), (1, 5), (6, 9),
+             (7, 9), (8, 9)]
+    return Graph.from_edges(10, edges), [{0, 6}, {1, 7}, {2, 3, 8}, {4, 5, 9}]
+
+
+@pytest.mark.parametrize("paths_per_pair, last", [
+    (1, ("selection[0,1]", 2, 1, "shortfall")), (2, ("assemble", 4, 6, "ok"))],
+    ids=["one-path", "two-paths"])
+def test_t4_takes_both_arcs_from_one_family(paths_per_pair, last):
+    # with two anchors the arcs (0, 1) and (1, 0) share one family, which
+    # step 6 splits in two halves, and falls short of with one path
+    g, sets = _t4_instance()
+    res = main_pipeline(g, 4, 2, PipelineOverrides(
+        branch_sets=sets, paths_per_pair=paths_per_pair))
+    assert [s.name for s in res.stages][-2:] == ["extract[0,1]", last[0]]
+    report = res.stages[-1]
+    assert (report.name, report.target_size, report.achieved_size,
+            report.outcome) == last
+    assert res.certificate == (InducedCycle((0, 2, 3, 1, 5, 4))
+                               if paths_per_pair == 2 else None)
 
 
 def test_assemble_reports_chord(monkeypatch):
@@ -660,6 +686,11 @@ def test_pipeline_rejects_bad_params():
         main_pipeline(g, 5, 2)
     with pytest.raises(ValueError):
         main_pipeline(g, 6, 1)
+    # the set {0, 2} is not connected, though 0 is a full vertex of it and
+    # the minor passes the step-2 gate, which would take it on to step 3
+    tri = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3)])
+    with pytest.raises(ValueError, match="injected branch sets are not"):
+        main_pipeline(tri, 6, 2, PipelineOverrides(branch_sets=[{0, 2}, {1}, {3}]))
     # a negative count would slice the anchors from the wrong end
     with pytest.raises(ValueError, match="a_count"):
         main_pipeline(g, 6, 2, PipelineOverrides(a_count=-1))

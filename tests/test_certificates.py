@@ -241,6 +241,41 @@ def test_certificate_from_json_names_a_missing_field(payload):
         certificate_from_json(payload, path_graph(5))
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ({"tag": "SubdividedStarWitness", "vertices": [2, 1, 3]}, r"2d\+1 >= 5"),
+    ({"tag": "SubdividedStarWitness", "vertices": [2, 1, 3, 0]}, r"2d\+1 >= 5"),
+    ({"tag": "Triangle", "vertices": [0, 1, 2]}, "unknown certificate tag"),
+], ids=["sstar-three", "sstar-even", "unknown-tag"])
+def test_certificate_from_json_rejects_malformed_payloads(payload, reason):
+    with pytest.raises(ValueError, match=reason):
+        certificate_from_json(payload, path_graph(5))
+
+
+@pytest.mark.parametrize("graph, cert", [
+    (complete_bipartite(1, 2), BicliqueWitness((), (1,))),
+    (complete_bipartite(1, 2), BicliqueWitness((0, 0), (1, 2))),
+    (complete_bipartite(1, 2), BicliqueWitness((0, 1), (1,))),
+    (path_graph(3), SubdividedStarWitness(0, (1,), (2,))),
+    (path_graph(5), SubdividedStarWitness(2, (1, 3), (0, 4, 0))),
+    # 2 is the leaf of both middles of the 4-cycle 0-1-2-3
+    (cycle_graph(4), SubdividedStarWitness(0, (1, 3), (2, 2))),
+    (path_graph(5), SubdividedStarWitness(2, (1, 3), (4, 0))),
+    (path_graph(3), IndependentSetWitness((0, 2, 0))),
+], ids=["biclique-empty-side", "biclique-repeat", "biclique-overlap",
+        "sstar-one-middle", "sstar-extra-leaf", "sstar-repeat",
+        "sstar-wrong-edge", "independent-repeat"])
+def test_verifiers_reject_malformed_certificates(graph, cert):
+    # each case breaks only the check its id names, except that sides that
+    # overlap also break the biclique's adjacency (no vertex is its own
+    # neighbour)
+    assert not verify_certificate(graph, cert)
+
+
+def test_verify_certificate_rejects_an_unknown_type():
+    with pytest.raises(TypeError, match="unknown certificate type tuple"):
+        verify_certificate(path_graph(3), (0, 1, 2))
+
+
 def test_checks_build_their_messages_only_on_failure(monkeypatch):
     # a passing check must not format the certificate or minor it names
     def no_repr(self):

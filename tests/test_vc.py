@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -6,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chibound.certificates import (BicliqueWitness, CounterWitness,
-                                   InducedCycle, verify_certificate)
+                                   InducedCycle, InternalInconsistency,
+                                   verify_certificate)
 from chibound.detect import BudgetExceeded, max_independent_subset
 from chibound.graph import Graph, complete_bipartite, cycle_graph, empty_graph
-from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, cor_traces_check,
-                         cycle_from_shattered, find_shattered_set,
+from chibound.vc import (DEFAULT_UNIVERSE_CAP, SetSystem, _cycle_from_shattered,
+                         cor_traces_check, find_shattered_set,
                          neighborhood_system, split_by_trace, trace_buckets,
                          vc_dimension)
 from conftest import distinct_traces, random_graph
@@ -25,8 +27,9 @@ def powerset_system(n: int) -> SetSystem:
     return SetSystem(tuple(range(n)), tuple(members))
 
 
-def shattering_gadget(t: int) -> tuple[Graph, frozenset, SetSystem]:
-    """z_0..z_{m-1} independent plus one independent y per subset pattern."""
+def shattering_gadget(t: int) -> tuple[Graph, tuple, dict]:
+    """z_0..z_{m-1} independent plus one independent y per subset pattern,
+    with the traces of the y's on the z's."""
     m = t // 2
     patterns = []
     for r in range(m + 1):
@@ -38,8 +41,7 @@ def shattering_gadget(t: int) -> tuple[Graph, frozenset, SetSystem]:
         edges.extend((z, y) for z in pat)
     g = Graph.from_edges(n, edges)
     x = frozenset(range(m))
-    y = frozenset(range(m, n))
-    return g, x, neighborhood_system(g, x, y)
+    return g, tuple(range(m)), {y: g.neighbors_in(y, x) for y in range(m, n)}
 
 
 def test_neighborhood_system_rows():
@@ -63,9 +65,8 @@ def test_set_system_rejects_malformed_systems():
         SetSystem((0, 1), (frozenset({0}), frozenset({1, 2})))
     with pytest.raises(ValueError, match="repeated"):
         SetSystem((0, 0), ())
-    with pytest.raises(ValueError, match="tags must parallel members"):
-        SetSystem((0, 1), (frozenset({0}),), (5, 6))
     assert SetSystem((), ()).members == ()
+    assert [f.name for f in dataclasses.fields(SetSystem)] == ["universe", "members"]
 
 
 def test_vc_dimension_examples():
@@ -180,6 +181,32 @@ def test_trace_buckets():
     _, _, buckets = trace_buckets(c6, frozenset({0, 2, 4}), frozenset({1, 3, 5}))
     assert len(buckets) == 3 and all(len(b) == 1 for b in buckets.values())
 
+    assert trace_buckets(c6, frozenset({0, 2}), frozenset()) == (
+        frozenset(), frozenset(), {})
+
+
+def test_bucket_splits_build_no_set_system(monkeypatch):
+    # the splits bucket the trace map; a SetSystem is built by
+    # neighborhood_system and before the shattered-set search alone
+    built = []
+    post_init = SetSystem.__post_init__
+
+    def count(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SetSystem, "__post_init__", count)
+    c6 = cycle_graph(6)
+    trace_buckets(c6, frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    split_by_trace(c6, frozenset({0, 2, 4}), frozenset({1, 3, 5}), ell=2)
+    assert built == []
+    neighborhood_system(c6, frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    assert len(built) == 1
+    g, xs, ys = distinct_traces(7, 120)
+    with pytest.raises(CounterWitness):
+        cor_traces_check(g, xs, ys, ell=2, t=4)
+    assert len(built) == 2
+
 
 def test_trace_buckets_partition(rng):
     for _ in range(100):
@@ -197,32 +224,22 @@ def test_trace_buckets_partition(rng):
 
 def test_cycle_from_shattered_gadget():
     for t in (6, 10):
-        g, x, system = shattering_gadget(t)
-        cert = cycle_from_shattered(g, x, system, t)
+        g, zs, traces = shattering_gadget(t)
+        cert = _cycle_from_shattered(g, zs, traces, t)
         assert len(cert.vertices) == t
         assert verify_certificate(g, cert)
 
 
-def test_cycle_from_shattered_missing_pattern():
-    g, x, system = shattering_gadget(6)
-    # drop the witness for the pair {0, 1}
-    keep = [i for i, m in enumerate(system.members) if m != frozenset({0, 1})]
-    broken = SetSystem(system.universe,
-                       tuple(system.members[i] for i in keep),
-                       tuple(system.tags[i] for i in keep))
-    with pytest.raises(ValueError):
-        cycle_from_shattered(g, x, broken, 6)
-
-
 def test_cycle_from_shattered_takes_one_witness_per_pair():
     # every pair of X = {0, 1, 2} has a witness; the least witness 3 of
-    # {0, 1} is adjacent to the only witness 5 of {1, 2}, and the other
-    # witness 4 of {0, 1} is not tried in its place
+    # {0, 1} is adjacent to the only witness 5 of {1, 2}, the other witness
+    # 4 of {0, 1} is not tried in its place, and the exit's certified, the
+    # cycle's one check, rejects the chord a dependent Y lets through
     g = Graph.from_edges(7, [(3, 0), (3, 1), (4, 0), (4, 1), (5, 1), (5, 2),
                              (6, 2), (6, 0), (3, 5)])
-    system = neighborhood_system(g, frozenset({0, 1, 2}), frozenset({3, 4, 5, 6}))
-    with pytest.raises(ValueError, match="witnesses conflict"):
-        cycle_from_shattered(g, frozenset({0, 1, 2}), system, 6)
+    traces = {y: g.neighbors_in(y, frozenset({0, 1, 2})) for y in (3, 4, 5, 6)}
+    with pytest.raises(InternalInconsistency, match=r"\(0, 3, 1, 5, 2, 6\)"):
+        _cycle_from_shattered(g, (0, 1, 2), traces, 6)
 
 
 def test_cor_traces_check_holds_small(rng):
@@ -283,7 +300,8 @@ def test_cor_traces_check_rejects_bad_hypotheses():
             ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 6, "below t/2 = 3"),
             ([(2, 0), (3, 0), (3, 1)], {0, 1}, {2, 3}, 4,
              r"\[2\] have fewer than ell"),
-            ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 5, "t must be even")]:
+            ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 5, "t must be even"),
+            ([(2, 0), (2, 1), (3, 0), (3, 1)], {0, 1}, {2, 3}, 2, "at least 4")]:
         g = Graph.from_edges(4, edges)
         with pytest.raises(ValueError, match=reason):
             cor_traces_check(g, frozenset(xs), frozenset(ys), 2, t)
@@ -302,6 +320,24 @@ def test_cor_traces_check_shattering_cycle():
     assert isinstance(witness, InducedCycle)
     assert verify_certificate(g, witness)
     assert len(witness.vertices) == t
+
+
+def test_cor_traces_check_t4_pair_with_one_witness():
+    # the first shattered pair {0, 1} lies in one trace only, too few for a
+    # C4 through it; |Y| = 128 >= 2 * 8^2 traces of two or more of the 28
+    # pairs of X share a pair all the same, and the first shared one, {0, 2}
+    # (traces {0, 2} and {0, 2, 3}), gives the cycle
+    pairless = [c for r in range(2, 9) for c in combinations(range(8), r)
+                if not {0, 1} <= set(c)]
+    traces = [(0, 1)] + pairless[:127]
+    g = Graph.from_edges(136, [(8 + i, z) for i, tr in enumerate(traces)
+                               for z in tr])
+    xs, ys = frozenset(range(8)), frozenset(range(8, 136))
+    assert find_shattered_set(neighborhood_system(g, xs, ys), 2) == (0, 1)
+    with pytest.raises(CounterWitness) as exc:
+        cor_traces_check(g, xs, ys, ell=2, t=4)
+    assert exc.value.certificate == InducedCycle((0, 9, 2, 36))
+    assert verify_certificate(g, exc.value.certificate)
 
 
 def test_cor_traces_check_shattering_route_at_t6():
